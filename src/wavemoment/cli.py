@@ -277,19 +277,6 @@ def _json_safe(value):
     return value
 
 
-def _conditions_dict(report: coupling.ConditionsReport) -> dict:
-    return {
-        "kalman_rank": report.kalman_rank,
-        "kalman_ok": report.kalman_ok,
-        "beta_magnitudes": report.beta_magnitudes,
-        "beta_ok": report.beta_ok,
-        "resonances": [list(r) for r in report.resonances],
-        "t_min": report.t_min,
-        "t_ok": report.t_ok,
-        "overall_controllable": report.overall_controllable,
-    }
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -382,6 +369,7 @@ def _sweep_point(config: ProblemConfig, tol: Tolerances) -> dict:
         spec_used, grid, modal, ms, edd = _prepare(config, tol)
         row["cond_estimate"] = ms.cond_estimate
         control = moments.synthesize(ms, grid, edd=edd, tol=tol)
+        del ms
         control = moments.realify(control, tol=tol)
         row["control_norm"] = control.l2_norm()
         row["moment_residual"] = control.moment_residual
@@ -433,7 +421,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         report["error"] = f"{type(exc).__name__}: {exc}"
         return finish(EXIT_CONDITIONS if isinstance(exc, RepeatedEigenvalues)
                       else EXIT_NUMERICAL)
-    report["conditions"] = _conditions_dict(conditions)
+    report["conditions"] = _json_safe(dataclasses.asdict(conditions))
 
     if command == "analyze":
         return finish(EXIT_OK if conditions.overall_controllable
@@ -495,6 +483,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_NUMERICAL)
 
     report["synthesis"] = _synthesis_dict(control, ms)
+    del ms  # the Gram, kernel and factor are not needed past synthesis
     if out_dir is not None:
         _write_control_files(out_dir, control, config.samples)
 
@@ -511,9 +500,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         "wellposedness_ratio": result.wellposedness_ratio,
     }
     if out_dir is not None:
-        achieved = waveform.duhamel_exact(spec_used, grid, control,
-                                          config.duration, tol=tol)
-        _write_state_file(out_dir, achieved, spec_used)
+        _write_state_file(out_dir, result.achieved, spec_used)
     return finish(EXIT_OK if result.passed else EXIT_NUMERICAL)
 
 
@@ -530,9 +517,6 @@ def main(argv=None) -> int:
                         help="directory for report/control/state files")
     parser.add_argument("--method", choices=list(METHODS), default=None,
                         help="override the config synthesis method")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized self-tests (unused by the "
-                             "four standard commands)")
     parser.add_argument("--force", action="store_true",
                         help="attempt synthesis even when conditions fail")
     args = parser.parse_args(argv)

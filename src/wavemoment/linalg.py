@@ -2,12 +2,14 @@
 
 Thin, contract-enforcing wrappers over LAPACK (through numpy/scipy): a dense
 eigensolver for small matrices with a fixed eigenvalue ordering and residual
-guarantee, a Hermitian solve with pivot diagnostics plus a 1-norm condition
-estimate, and a numeric rank from column-pivoted QR.
+guarantee, a Hermitian factorization that carries its 1-norm condition
+estimate, a solve with pivot diagnostics on that factorization, and a numeric
+rank from column-pivoted QR.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import warnings
 
@@ -21,8 +23,8 @@ from .tolerances import DEFAULT, Tolerances
 MAX_DENSE_DIM = 32
 
 __all__ = [
-    "EigenResult", "eig_dense", "solve_hermitian", "rank_qr",
-    "cond_estimate_1norm", "MAX_DENSE_DIM",
+    "EigenResult", "HermitianFactor", "eig_dense", "factor_hermitian",
+    "solve_hermitian", "rank_qr", "cond_estimate_1norm", "MAX_DENSE_DIM",
 ]
 
 
@@ -30,14 +32,9 @@ __all__ = [
 class EigenResult:
     """Eigendecomposition with eigenvalues sorted ascending by (Re, Im).
 
-    Attributes
-    ----------
-    eigenvalues : (n,) complex ndarray
-    eigenvectors : (n, n) complex ndarray
-        Columns are unit-norm eigenvectors; the largest-magnitude component
-        of each is rotated to be real positive so output is reproducible.
-    residuals : (n,) float ndarray
-        ||A v - lam v||_2 per unit eigenvector.
+    Eigenvectors are unit-norm columns, each rotated so that its
+    largest-magnitude component is real positive (reproducible output);
+    ``residuals`` holds ||A v - lam v||_2 per eigenvector.
     """
 
     eigenvalues: np.ndarray
@@ -45,8 +42,8 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def _as_square(a):
-    a = np.asarray(a, dtype=complex)
+def _as_square(a, dtype=complex):
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
@@ -55,31 +52,16 @@ def _as_square(a):
 
 
 def eig_dense(a, eig_tol: float | None = None, tol: Tolerances = DEFAULT) -> EigenResult:
-    """Full eigendecomposition of a small dense complex matrix.
+    """Full eigendecomposition of a small dense (n <= 32) complex matrix.
 
-    Parameters
-    ----------
-    a : (n, n) array_like, n <= 32
-    eig_tol : float, optional
-        Residual bound, absolute on unit-norm eigenvectors.  Defaults to
-        ``tol.eig_tol``.
-
-    Raises
-    ------
-    DimensionTooLarge
-        If n exceeds the supported dense size.
-    NonConvergence
-        If LAPACK fails or any residual exceeds the bound.
+    ``eig_tol`` (default ``tol.eig_tol``) bounds the residual, absolute on
+    unit-norm eigenvectors.  Raises DimensionTooLarge above the size cap and
+    NonConvergence if LAPACK fails or any residual exceeds the bound.
     """
     # keep real input real: the real-matrix LAPACK path returns exactly
     # conjugate eigenvalue pairs, which keeps the (Re, Im) sort well defined
     a = np.asarray(a)
-    if not np.iscomplexobj(a):
-        a = a.astype(float, copy=False)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix entries must be finite")
+    a = _as_square(a, complex if np.iscomplexobj(a) else float)
     n = a.shape[0]
     if n > MAX_DENSE_DIM:
         raise DimensionTooLarge(f"matrix size {n} exceeds {MAX_DENSE_DIM}")
@@ -134,26 +116,37 @@ def cond_estimate_1norm(g, lu=None) -> float:
     return 1.0 / float(rcond)
 
 
+# Partially pivoted LU of a Hermitian matrix, its 1-norm and gecon estimate
+HermitianFactor = collections.namedtuple("HermitianFactor", "lu piv anorm cond")
+
+
+def factor_hermitian(g, tol: Tolerances = DEFAULT) -> HermitianFactor:
+    """Check that G is Hermitian, LU-factor it once, estimate its condition.
+
+    Raises ValueError if G is not Hermitian; ``solve_hermitian`` guards pivots.
+    """
+    g = _as_square(g)
+    scale = float(np.abs(g).max()) if g.size else 0.0
+    if scale and np.abs(g - g.conj().T).max() > tol.hermit_rtol * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    anorm = float(np.linalg.norm(g, 1)) if g.size else 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(g)
+    return HermitianFactor(lu, piv, anorm, cond_estimate_1norm(g, lu=lu))
+
+
 def solve_hermitian(g, rhs, pivot_tol: float | None = None,
-                    tol: Tolerances = DEFAULT):
-    """Solve G x = rhs for Hermitian G with a condition estimate.
+                    tol: Tolerances = DEFAULT,
+                    factor: HermitianFactor | None = None):
+    """Solve G x = rhs for Hermitian G; returns (x, 1-norm cond estimate).
 
-    Uses partially pivoted LU plus one step of iterative refinement, which
-    keeps the residual well under ``1e-10 * cond * ||rhs||``.
-
-    Returns
-    -------
-    x : (n,) complex ndarray
-    cond_estimate : float
-        1-norm condition estimate of G.
-
-    Raises
-    ------
-    SingularSystem
-        If any pivot falls below ``pivot_tol * ||G||_1``; for Gram matrices
-        this signals a resonant family or a control time below threshold.
-    ValueError
-        If G is not Hermitian within ``tol.hermit_rtol``.
+    Partially pivoted LU plus one step of iterative refinement keeps the
+    residual well under ``1e-10 * cond * ||rhs||``.  ``factor`` is
+    ``factor_hermitian(g)``, computed here when not given.  Raises
+    SingularSystem if any pivot falls below ``pivot_tol * ||G||_1`` (for a
+    Gram: a resonant family or a control time below threshold), ValueError
+    if G is not Hermitian within ``tol.hermit_rtol``.
     """
     g = _as_square(g)
     rhs = np.asarray(rhs, dtype=complex)
@@ -162,26 +155,20 @@ def solve_hermitian(g, rhs, pivot_tol: float | None = None,
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     if pivot_tol is None:
         pivot_tol = tol.pivot_tol
+    if factor is None:
+        factor = factor_hermitian(g, tol=tol)
 
-    scale = float(np.abs(g).max()) if g.size else 0.0
-    if scale and np.abs(g - g.conj().T).max() > tol.hermit_rtol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-
-    anorm = float(np.linalg.norm(g, 1)) if g.size else 0.0
-    if anorm == 0.0:
+    if factor.anorm == 0.0:
         raise SingularSystem("zero matrix")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(g)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= pivot_tol * anorm:
+    pivots = np.abs(np.diag(factor.lu))
+    if pivots.min() <= pivot_tol * factor.anorm:
         raise SingularSystem(
             f"pivot {pivots.min():.3e} below {pivot_tol:.1e} * ||G||_1")
 
-    cond = cond_estimate_1norm(g, lu=lu)
-    x = lu_solve((lu, piv), rhs)
-    x = x + lu_solve((lu, piv), rhs - g @ x)
-    return x, cond
+    lu = (factor.lu, factor.piv)
+    x = lu_solve(lu, rhs)
+    x = x + lu_solve(lu, rhs - g @ x)
+    return x, factor.cond
 
 
 def rank_qr(m, rank_tol: float | None = None, tol: Tolerances = DEFAULT) -> int:

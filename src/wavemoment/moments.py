@@ -20,8 +20,10 @@ from ._kernels import phase_integral
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
-from .linalg import cond_estimate_1norm, solve_hermitian
-from .spectrum import EddFamily, FrequencyGrid
+# cond_estimate_1norm stays bound here, where perfbench/spans.py traces it
+from .linalg import (HermitianFactor, cond_estimate_1norm,  # noqa: F401
+                     factor_hermitian, solve_hermitian)
+from .spectrum import EddFamily, FrequencyGrid, signed_modes
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -96,9 +98,11 @@ class TargetSpec:
 class MomentSystem:
     """Assembled Gram system over the signed index order.
 
-    ``gamma`` always stores the raw moments (eigenvalue-ordered); for the
-    divided-difference basis the triangular weight map is applied at solve
-    time.  ``cond_estimate`` is a 1-norm estimate of the stored Gram.
+    ``kernel`` is B[i, j] = (e_j, e_i) over the family's exponentials, before
+    EDD weights and symmetrization; ``gram`` is the Hermitian Gram, ``factor``
+    its one LU, from which ``cond_estimate`` is taken.  ``gamma`` always
+    stores the raw moments (eigenvalue-ordered); for the divided-difference
+    basis the triangular weight map is applied at solve time.
     """
 
     index_order: list
@@ -107,6 +111,8 @@ class MomentSystem:
     cond_estimate: float
     duration: float = 0.0
     gamma: np.ndarray | None = None
+    kernel: np.ndarray | None = None
+    factor: HermitianFactor | None = None
 
 
 @dataclasses.dataclass
@@ -114,8 +120,9 @@ class ControlSignal:
     """Finite exponential combination f(t) = sum_j amp_j * exp(i*freq_j*t).
 
     ``sample_values`` (optional) holds values on the uniform grid
-    t_i = i * duration / (samples - 1).  ``realification_residual`` is the
-    relative L2 size of the imaginary part of f on [0, duration].
+    t_i = i * duration / (samples - 1).  ``norm`` (||f|| in L2(0, duration))
+    and ``realification_residual`` (||Im f|| / ||f||) come from the assembled
+    kernel; a combination built by hand computes them from its own kernel.
     """
 
     duration: float
@@ -124,6 +131,7 @@ class ControlSignal:
     sample_values: np.ndarray | None = None
     realification_residual: float | None = None
     moment_residual: float | None = None
+    norm: float | None = None
 
     def __post_init__(self):
         self.frequencies = np.asarray(self.frequencies, dtype=complex)
@@ -154,21 +162,29 @@ class ControlSignal:
         return dataclasses.replace(self, sample_values=self.evaluate(t))
 
     def l2_norm(self) -> float:
-        return combo_l2_norm(self.frequencies, self.amplitudes, self.duration)
+        if self.norm is None:
+            return combo_l2_norm(self.frequencies, self.amplitudes, self.duration)
+        return self.norm
 
 
 def gram_entry(omega_a, omega_b, duration: float,
-               switch: float | None = None, tol: Tolerances = DEFAULT) -> complex:
-    """Inner product (e_a, e_b) of two exponentials over [0, duration].
+               switch: float | None = None, tol: Tolerances = DEFAULT):
+    """Inner products (e_a, e_b) of exponentials over [0, duration].
 
     Closed form (e^{i*Delta*T} - 1)/(i*Delta) with Delta = omega_a -
     conj(omega_b); a second-order series takes over for |Delta| below the
-    switch to avoid cancellation.
+    switch to avoid cancellation.  Broadcasts, so ``gram_entry(f, f[:, None],
+    T)`` is the kernel B[i, j] = (e_j, e_i) of a frequency vector f.
     """
     if switch is None:
         switch = tol.series_switch
-    delta = complex(omega_a) - complex(omega_b).conjugate()
-    return complex(phase_integral(delta, duration, switch=switch))
+    delta = np.asarray(omega_a, dtype=complex) \
+        - np.conj(np.asarray(omega_b, dtype=complex))
+    return phase_integral(delta, duration, switch=switch)
+
+
+def _sq_norms(kernel: np.ndarray, *amps) -> list:
+    return [max(float(np.vdot(a, kernel @ a).real), 0.0) for a in amps]
 
 
 def combo_l2_norm(frequencies, amplitudes, duration: float,
@@ -178,52 +194,84 @@ def combo_l2_norm(frequencies, amplitudes, duration: float,
     a = np.asarray(amplitudes, dtype=complex)
     if f.size == 0:
         return 0.0
-    delta = f[None, :] - np.conj(f)[:, None]
-    m = phase_integral(delta, duration, switch=tol.series_switch)
-    val = np.conj(a) @ (m @ a)
-    return float(math.sqrt(max(val.real, 0.0)))
+    return math.sqrt(_sq_norms(gram_entry(f, f[:, None], duration, tol=tol), a)[0])
 
 
-def _imag_residual(frequencies, amplitudes, duration, tol: Tolerances) -> float:
-    # Im f = (f - conj f)/(2i) as an exponential combination
-    f = np.asarray(frequencies, dtype=complex)
-    a = np.asarray(amplitudes, dtype=complex)
-    fr = np.concatenate([f, -np.conj(f)])
-    ar = np.concatenate([a / 2j, -np.conj(a) / 2j])
-    num = combo_l2_norm(fr, ar, duration, tol=tol)
-    den = combo_l2_norm(f, a, duration, tol=tol)
-    return num / max(den, 1e-300)
+def _real_split(freqs: np.ndarray, amps: np.ndarray) -> tuple:
+    """(freqs, re, im) with Re f and Im f as combinations on the same terms.
+
+    conj(f) puts conj(amps[j]) on the term P[j] with freqs[P] == -conj(freqs)
+    exactly, so Im f is formed per amplitude, free of cancellation in L2.  A
+    set not closed under w -> -conj(w) (no grid of a real A) gets its mirror.
+    """
+    mirror = -np.conj(freqs)
+    pair = np.lexsort((freqs.imag, freqs.real))[
+        np.argsort(np.lexsort((mirror.imag, mirror.real)))]
+    if not np.array_equal(freqs[pair], mirror):
+        n = freqs.size
+        freqs = np.concatenate([freqs, mirror])
+        amps = np.concatenate([amps, np.zeros_like(amps)])
+        pair = np.roll(np.arange(2 * n), n)
+    conj_amps = np.empty_like(amps)
+    conj_amps[pair] = np.conj(amps)
+    return freqs, (amps + conj_amps) / 2.0, (amps - conj_amps) / 2j
+
+
+def _norm_and_residual(freqs, re, im, duration, tol, kernel=None) -> tuple:
+    """(||f||, ||Im f|| / ||f||) as quadratic forms on the kernel of freqs."""
+    if kernel is None:
+        kernel = gram_entry(freqs, freqs[:, None], duration, tol=tol)
+    re2, im2 = _sq_norms(kernel, re, im)
+    norm = math.sqrt(re2 + im2)
+    return norm, math.sqrt(im2) / max(norm, 1e-300)
+
+
+def _edd_weights(edd: EddFamily) -> np.ndarray:
+    """Block weight matrices over the signed modes, shape (2K, n, n)."""
+    return np.stack([edd.blocks[k].weight_matrix()
+                     for k in signed_modes(edd.k_max)])
+
+
+def _weighted_gram(kernel: np.ndarray, edd: EddFamily) -> np.ndarray:
+    """conj(W) @ kernel @ W.T for the block-diagonal EDD weights W.
+
+    One n x n block at a time: O(m^2 n), and the same sums in the same order
+    as the dense m^3 products (the right one as (W @ left.T).T).
+    """
+    w = _edd_weights(edd)
+    blocks, n, m = w.shape[0], edd.n, kernel.shape[0]
+    left = np.conj(w) @ kernel.reshape(blocks, n, m)
+    left = np.ascontiguousarray(left.reshape(m, m).T)
+    return (w @ left.reshape(blocks, n, m)).reshape(m, m).T
 
 
 def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
                   edd: EddFamily | None = None,
                   tol: Tolerances = DEFAULT) -> MomentSystem:
-    """Build the Hermitian Gram of the chosen family over [0, duration].
+    """Build and factor the Hermitian Gram of the chosen family over [0, duration].
 
     ``basis_kind`` is "raw" (grid exponentials, eigenvalue order inside each
-    block) or "edd" (divided differences over block-sorted frequencies).
+    block) or "edd" (divided differences over block-sorted frequencies).  A
+    singular Gram still assembles; ``synthesize`` raises on its pivots.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
-    index_order = grid.signed_indices()
-    if basis_kind == "raw":
-        freqs = grid.frequencies()
-        delta = freqs[None, :] - np.conj(freqs)[:, None]
-        gram = phase_integral(delta, duration, switch=tol.series_switch)
-    elif basis_kind == "edd":
-        if edd is None:
-            raise ValueError("edd family required for basis_kind='edd'")
-        freqs = edd.frequencies()
-        delta = freqs[None, :] - np.conj(freqs)[:, None]
-        base = phase_integral(delta, duration, switch=tol.series_switch)
-        w = edd.weight_blockdiag()
-        gram = np.conj(w) @ base @ w.T
-    else:
+    if basis_kind not in ("raw", "edd"):
         raise ValueError(f"unknown basis_kind {basis_kind!r}")
-    gram = (gram + gram.conj().T) / 2.0
-    cond = cond_estimate_1norm(gram)
-    return MomentSystem(index_order=index_order, basis_kind=basis_kind,
-                        gram=gram, cond_estimate=cond, duration=duration)
+    if basis_kind == "edd" and edd is None:
+        raise ValueError("edd family required for basis_kind='edd'")
+    freqs = grid.frequencies() if basis_kind == "raw" else edd.frequencies()
+    kernel = gram_entry(freqs, freqs[:, None], duration, tol=tol)
+    weighted = kernel if basis_kind == "raw" else _weighted_gram(kernel, edd)
+    gram = np.conjugate(weighted.T, out=np.empty_like(kernel))
+    gram += weighted
+    gram /= 2.0
+    del weighted  # drop the EDD product before factoring
+    factor = factor_hermitian(gram, tol=tol)
+    return MomentSystem(index_order=grid.signed_indices(),
+                        basis_kind=basis_kind, gram=gram,
+                        cond_estimate=factor.cond, duration=duration,
+                        kernel=kernel, factor=factor)
 
 
 def target_to_modal(target: TargetSpec, spec: SpectralDecomposition,
@@ -276,14 +324,9 @@ def moments_from_target(modal: ModalState, spec: SpectralDecomposition,
 def _edd_transform_gamma(gamma: np.ndarray, edd: EddFamily) -> np.ndarray:
     """Map raw moments to divided-difference moments, blockwise."""
     n = edd.n
-    ks = list(range(-edd.k_max, 0)) + list(range(1, edd.k_max + 1))
-    out = np.empty_like(gamma)
-    for pos, k in enumerate(ks):
-        s = pos * n
-        block = edd.blocks[k]
-        g_sorted = gamma[s:s + n][block.perm]
-        out[s:s + n] = np.conj(block.weight_matrix()) @ g_sorted
-    return out
+    perm = np.concatenate([edd.blocks[k].perm + pos * n
+                           for pos, k in enumerate(signed_modes(edd.k_max))])
+    return (np.conj(_edd_weights(edd)) @ gamma[perm].reshape(-1, n, 1)).ravel()
 
 
 def synthesize(ms: MomentSystem, grid: FrequencyGrid,
@@ -291,11 +334,11 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
                tol: Tolerances = DEFAULT) -> ControlSignal:
     """Minimal-norm control in the span of the assembled family.
 
-    Solves the Gram system for the basis coefficients and expands the result
-    into a plain exponential combination.  Raises SingularSystem on pivot
-    failure (resonance or insufficient control time) and
-    ConditioningExceeded when the Gram condition estimate is above
-    ``tol.cond_cap``.
+    Solves on the stored factorization and expands the coefficients into a
+    plain exponential combination, with norm and realification residual from
+    the stored kernel.  Raises SingularSystem on pivot failure (resonance or
+    insufficient control time) and ConditioningExceeded when the Gram
+    condition estimate is above ``tol.cond_cap``.
     """
     if ms.gamma is None:
         raise ValueError("moment system has no gamma attached")
@@ -305,7 +348,7 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
         rhs = _edd_transform_gamma(ms.gamma, edd)
     else:
         rhs = ms.gamma
-    coef, cond = solve_hermitian(ms.gram, rhs, tol=tol)
+    coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor)
     if ms.cond_estimate > tol.cond_cap:
         raise ConditioningExceeded(
             f"gram condition estimate {ms.cond_estimate:.3e} exceeds "
@@ -317,47 +360,35 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
 
     if ms.basis_kind == "edd":
         freqs = edd.frequencies()
-        n = edd.n
-        amps = np.empty_like(coef)
-        ks = list(range(-edd.k_max, 0)) + list(range(1, edd.k_max + 1))
-        for pos, k in enumerate(ks):
-            s = pos * n
-            w = edd.blocks[k].weight_matrix()
-            amps[s:s + n] = w.T @ coef[s:s + n]
+        amps = (_edd_weights(edd).transpose(0, 2, 1)
+                @ coef.reshape(-1, edd.n, 1)).ravel()
     else:
         freqs = grid.frequencies()
         amps = coef
+    closed, re, im = _real_split(freqs, amps)
+    norm, imag = _norm_and_residual(closed, re, im, ms.duration, tol,
+                                    ms.kernel if closed is freqs else None)
     return ControlSignal(
         duration=ms.duration, frequencies=freqs, amplitudes=amps,
-        realification_residual=_imag_residual(freqs, amps, ms.duration, tol),
-        moment_residual=residual)
+        realification_residual=imag, moment_residual=residual, norm=norm)
 
 
 def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
     """Project a control onto its real part, as an exponential combination.
 
-    Re f = (f + conj f)/2 contributes (nu, a/2) and (-conj(nu), conj(a)/2);
-    coinciding frequencies are merged.  The residual recorded on the output
-    is the relative imaginary content of the input before projection.
+    Each amplitude is averaged with the conjugate amplitude of its mirror
+    frequency -conj(nu); terms come sorted by (Re, Im).  The output records
+    the input's relative imaginary content, reused when stored.
     """
-    resid = _imag_residual(signal.frequencies, signal.amplitudes,
-                           signal.duration, tol)
-    f = np.concatenate([signal.frequencies, -np.conj(signal.frequencies)])
-    a = np.concatenate([signal.amplitudes / 2.0, np.conj(signal.amplitudes) / 2.0])
-    order = np.lexsort((f.imag, f.real))
-    f, a = f[order], a[order]
-    merged_f, merged_a = [f[0]], [a[0]]
-    for nu, amp in zip(f[1:], a[1:]):
-        if abs(nu - merged_f[-1]) <= 1e-12 * (1.0 + abs(nu)):
-            merged_a[-1] += amp
-        else:
-            merged_f.append(nu)
-            merged_a.append(amp)
+    freqs, re, im = _real_split(signal.frequencies, signal.amplitudes)
+    norm, resid = signal.norm, signal.realification_residual
+    if norm is None or resid is None:
+        norm, resid = _norm_and_residual(freqs, re, im, signal.duration, tol)
+    order = np.lexsort((freqs.imag, freqs.real))
     return ControlSignal(
-        duration=signal.duration,
-        frequencies=np.array(merged_f), amplitudes=np.array(merged_a),
-        realification_residual=resid,
-        moment_residual=signal.moment_residual)
+        duration=signal.duration, frequencies=freqs[order], amplitudes=re[order],
+        realification_residual=resid, moment_residual=signal.moment_residual,
+        norm=norm * math.sqrt(max(1.0 - resid * resid, 0.0)))
 
 
 @dataclasses.dataclass

@@ -19,9 +19,14 @@ from .exceptions import CollisionInBlock
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "FrequencyGrid", "EddBlock", "EddFamily", "GapReport",
+    "FrequencyGrid", "EddBlock", "EddFamily", "GapReport", "signed_modes",
     "build_frequencies", "detect_collisions", "build_edd", "gap_diagnostics",
 ]
+
+
+def signed_modes(k_max: int) -> list:
+    """Signed mode numbers -k_max..-1, 1..k_max in ascending order."""
+    return list(range(-k_max, 0)) + list(range(1, k_max + 1))
 
 
 @dataclasses.dataclass
@@ -51,8 +56,8 @@ class FrequencyGrid:
 
     def signed_indices(self) -> list:
         """Index pairs (k, l) ordered by k ascending over -K..-1, 1..K, then l."""
-        ks = list(range(-self.k_max, 0)) + list(range(1, self.k_max + 1))
-        return [(k, l) for k in ks for l in range(1, self.n + 1)]
+        return [(k, l) for k in signed_modes(self.k_max)
+                for l in range(1, self.n + 1)]
 
     def frequencies(self) -> np.ndarray:
         """Frequency vector aligned with ``signed_indices()``."""
@@ -149,18 +154,8 @@ class EddFamily:
 
     def frequencies(self) -> np.ndarray:
         """Sorted block frequencies in the lexicographic signed-index order."""
-        ks = list(range(-self.k_max, 0)) + list(range(1, self.k_max + 1))
-        return np.concatenate([self.blocks[k].frequencies for k in ks])
-
-    def weight_blockdiag(self) -> np.ndarray:
-        """Block-diagonal lower-triangular weight map, index order as above."""
-        ks = list(range(-self.k_max, 0)) + list(range(1, self.k_max + 1))
-        m = 2 * self.k_max * self.n
-        w = np.zeros((m, m), dtype=complex)
-        for pos, k in enumerate(ks):
-            s = pos * self.n
-            w[s:s + self.n, s:s + self.n] = self.blocks[k].weight_matrix()
-        return w
+        return np.concatenate([self.blocks[k].frequencies
+                               for k in signed_modes(self.k_max)])
 
 
 def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
@@ -174,7 +169,7 @@ def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
     """
     coll_tol = tol.coll_scale * (1.0 + grid.k_max)
     blocks = {}
-    for k in list(range(-grid.k_max, 0)) + list(range(1, grid.k_max + 1)):
+    for k in signed_modes(grid.k_max):
         freqs = np.array([grid.omega_at(k, l) for l in range(1, grid.n + 1)])
         perm = np.lexsort((freqs.imag, freqs.real))
         sf = freqs[perm]

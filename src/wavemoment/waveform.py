@@ -18,7 +18,7 @@ import numpy as np
 from ._kernels import phase_integral, ramp_integral, segment_moment
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
-from .moments import ControlSignal, ModalState, combo_l2_norm
+from .moments import ControlSignal, ModalState
 from .spectrum import FrequencyGrid
 from .tolerances import DEFAULT, Tolerances
 
@@ -42,6 +42,7 @@ class VerifyReport:
     wellposedness_ratio: float
     error_a: float
     error_adot: float
+    achieved: ModalState
 
 
 def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
@@ -221,7 +222,8 @@ def verify(spec: SpectralDecomposition, grid: FrequencyGrid,
     """Evolve the control and compare against the target modal tables.
 
     The error metric is max over modes of |achieved - target| / (1 +
-    |target|), taken over both the a and adot tables.
+    |target|), taken over both the a and adot tables.  The achieved modal
+    state is handed back on the report.
     """
     if rel_tol is None:
         rel_tol = tol.verify_rtol
@@ -236,4 +238,5 @@ def verify(spec: SpectralDecomposition, grid: FrequencyGrid,
         passed=err <= rel_tol,
         wellposedness_ratio=wellposedness_ratio(achieved, grid, control),
         error_a=err_a,
-        error_adot=err_adot)
+        error_adot=err_adot,
+        achieved=achieved)

@@ -228,6 +228,43 @@ def test_verify_writes_state(tmp_path):
     assert float(mid[0]) == pytest.approx(math.pi / 2)
 
 
+README_EDD_DOC = {
+    "A": [[0.5, 0.0], [1.0, -0.3]],
+    "b": [1.0, 0.0],
+    "T": FOUR_PI,
+    "K": 8,
+    "method": "edd",
+    "target": {"z0": [[1, [1.0, 0.0]], [2, [0.0, 1.0]]],
+               "z1": [[1, [0.0, 1.0]]]},
+}
+
+
+def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
+    from wavemoment import linalg, moments, waveform
+
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+
+    count(linalg, "lu_factor")
+    count(moments, "combo_l2_norm")
+    count(waveform, "duhamel_exact")
+    config = cli.parse_config(json.dumps(README_EDD_DOC))
+    report, code = cli.run("verify", config, out_dir=str(tmp_path))
+    assert code == cli.EXIT_OK
+    assert report["data"]["verification"]["passed"] is True
+    assert (tmp_path / "state.csv").exists()
+    assert calls == {"lu_factor": 1, "combo_l2_norm": 0, "duhamel_exact": 1}
+
+
 def test_conditions_gate_blocks_synthesis(tmp_path):
     config = cli.parse_config(json.dumps(RESONANT_DOC))
     out = str(tmp_path / "out")
@@ -317,6 +354,9 @@ def test_main_analyze(tmp_path, capsys):
     code = cli.main(["analyze", "--config", "{broken"])
     assert code == cli.EXIT_BAD_INPUT
     assert "error:" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit):
+        cli.main(["analyze", "--config", path, "--seed", "1"])
 
 
 def test_main_synthesize_with_flags(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from wavemoment.exceptions import DimensionTooLarge, SingularSystem
 from wavemoment.linalg import (MAX_DENSE_DIM, cond_estimate_1norm, eig_dense,
-                               rank_qr, solve_hermitian)
+                               factor_hermitian, rank_qr, solve_hermitian)
 
 import oracles
 
@@ -109,6 +109,30 @@ def test_solve_random_hpd_residuals():
         x, cond = solve_hermitian(g, rhs)
         res = np.linalg.norm(g @ x - rhs)
         assert res <= 1e-10 * cond * np.linalg.norm(rhs)
+
+
+def test_solve_with_supplied_factor_is_bitwise_identical():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 16, 64):
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        g = m @ m.conj().T + 0.1 * np.eye(n)
+        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        factor = factor_hermitian(g)
+        x, cond = solve_hermitian(g, rhs)
+        x_f, cond_f = solve_hermitian(g, rhs, factor=factor)
+        assert np.array_equal(x, x_f)
+        assert cond == cond_f == factor.cond
+        assert cond_f == cond_estimate_1norm(g)
+
+
+def test_factor_defers_singularity_to_solve():
+    g = np.array([[1.0, 1.0], [1.0, 1.0]])
+    factor = factor_hermitian(g)
+    assert factor.anorm == 2.0 and factor.cond == np.inf
+    with pytest.raises(SingularSystem):
+        solve_hermitian(g, np.array([1.0, 1.0]), factor=factor)
+    with pytest.raises(ValueError):
+        factor_hermitian(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_solve_singular_raises():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from wavemoment.coupling import (CouplingSystem, SpectralDecomposition,
                                  decompose)
@@ -125,6 +126,31 @@ def test_edd_gram_single_level_matches_raw():
         assemble_gram(grid, TWO_PI, basis_kind="edd")
     with pytest.raises(ValueError):
         assemble_gram(grid, TWO_PI, basis_kind="chebyshev")
+
+
+def test_edd_block_maps_match_dense_reference():
+    # the blockwise weight products against the dense block-diagonal map
+    from scipy.linalg import block_diag
+
+    from wavemoment.moments import _edd_transform_gamma
+
+    spec = spec_for([0.5, -0.3, 1.7])
+    grid = build_frequencies(spec, 6)
+    edd = build_edd(grid)
+    duration = 3 * TWO_PI + 1.0
+    ms = assemble_gram(grid, duration, basis_kind="edd", edd=edd)
+    w = block_diag(*[edd.blocks[k].weight_matrix()
+                     for k in list(range(-6, 0)) + list(range(1, 7))])
+    dense = np.conj(w) @ ms.kernel @ w.T
+    assert np.allclose(ms.gram, (dense + dense.conj().T) / 2,
+                       rtol=0, atol=1e-13 * np.abs(dense).max())
+    perm = np.concatenate([edd.blocks[k].perm + 3 * pos for pos, k in
+                           enumerate(list(range(-6, 0)) + list(range(1, 7)))])
+    gamma = np.random.default_rng(41).standard_normal(36) + 0j
+    want = np.conj(w) @ gamma[perm]
+    got = _edd_transform_gamma(gamma, edd)
+    assert np.allclose(got, want, rtol=0,
+                       atol=1e-13 * (np.abs(w) @ np.abs(gamma)).max())
 
 
 def test_edd_gram_matches_quadrature():
@@ -345,6 +371,26 @@ def test_minimal_norm_monotone_bounded():
     assert norms[0] <= norms[1] * (1 + 1e-9)
     assert norms[1] <= norms[2] * (1 + 1e-9)
     assert norms[2] <= 2.0 * norms[0]
+
+
+def test_realification_residual_matches_quadrature():
+    # N = 4 lower-bidiagonal system, K = 32, EDD basis, README target: the
+    # imaginary part is ~3e-11 of the control, below what a 2m-term
+    # quadratic form over f and conj(f) can resolve
+    a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.eye(4, k=-1)
+    duration = 4 * TWO_PI + 1.0
+    e1, e2 = np.eye(4)[0], np.eye(4)[1]
+    _, grid, edd, ms = pipeline(a, e1, 32, duration, basis="edd",
+                                z0={1: e1, 2: e2}, z1={1: e2})
+    signal = synthesize(ms, grid, edd=edd)
+    t = np.linspace(0.0, duration, 20001)
+    vals = np.exp(1j * np.multiply.outer(t, signal.frequencies)) \
+        @ signal.amplitudes
+    want = math.sqrt(simpson(vals.imag ** 2, x=t)
+                     / simpson(np.abs(vals) ** 2, x=t))
+    assert signal.realification_residual == pytest.approx(want, rel=1e-2)
+    assert signal.l2_norm() == pytest.approx(
+        math.sqrt(simpson(np.abs(vals) ** 2, x=t)), rel=1e-8)
 
 
 def test_realify_examples():

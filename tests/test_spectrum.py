@@ -152,7 +152,8 @@ def test_edd_order_one_equals_raw():
     spec = spec_for([0.7])
     grid = build_frequencies(spec, 5)
     fam = build_edd(grid)
-    assert np.allclose(fam.weight_blockdiag(), np.eye(2 * 5))
+    for blk in fam.blocks.values():
+        assert np.array_equal(blk.weight_matrix(), [[1.0]])
     assert np.allclose(fam.frequencies(), grid.frequencies())
 
 
