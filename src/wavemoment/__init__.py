@@ -20,9 +20,8 @@ from .moments import (ControlSignal, ModalState, MomentSystem,
                       combo_l2_norm, gram_entry, moments_from_target,
                       n2_edd_coefficients, n2_normalize_eigvecs,
                       n2_sharp_targets, realify, synthesize, target_to_modal)
-from .spectrum import (EddBlock, EddFamily, FrequencyGrid, GapReport,
-                       build_edd, build_frequencies, detect_collisions,
-                       gap_diagnostics)
+from .spectrum import (EddFamily, FrequencyGrid, GapReport, build_edd,
+                       build_frequencies, detect_collisions, gap_diagnostics)
 from .tolerances import DEFAULT, PROFILES, Tolerances, from_profile
 from .waveform import (EvolutionResult, VerifyReport, duhamel_exact, evolve,
                        evolve_quadrature, reconstruct, sobolev_norm, verify,
@@ -33,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BadInput", "BetaZero", "CollisionInBlock", "ConditionsReport",
     "ConditioningExceeded", "ControlSignal", "CouplingSystem", "DEFAULT",
-    "DegenerateEigenvector", "DimensionTooLarge", "EddBlock", "EddFamily",
+    "DegenerateEigenvector", "DimensionTooLarge", "EddFamily",
     "EigenResult", "EvolutionResult", "FrequencyGrid", "GapReport",
     "GridTooCoarse", "ModalState", "ModeOutOfRange", "MomentSystem",
     "N2Normalization", "NonConvergence", "PROFILES", "RepeatedEigenvalues",

@@ -130,8 +130,7 @@ def kalman_check(system: CouplingSystem, tol: Tolerances = DEFAULT) -> int:
     return rank_qr(np.column_stack(cols), tol=tol)
 
 
-def resonance_check(eigenvalues, res_tol: float | None = None,
-                    tol: Tolerances = DEFAULT) -> list:
+def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
     """Find integer mode pairs whose squared gap matches an eigenvalue gap.
 
     Returns tuples ``(k, l, i, j, defect)`` with mode numbers k != l >= 1,
@@ -141,8 +140,6 @@ def resonance_check(eigenvalues, res_tol: float | None = None,
     the output is symmetric: (k, l, i, j) is reported iff (l, k, j, i) is.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
-    if res_tol is None:
-        res_tol = tol.res_tol
     n = lam.shape[0]
     if n < 2:
         return []
@@ -160,7 +157,7 @@ def resonance_check(eigenvalues, res_tol: float | None = None,
                     if i == j:
                         continue
                     defect = abs(gap - (lam[i] - lam[j]))
-                    if defect <= res_tol:
+                    if defect <= tol.res_tol:
                         found.append((hi, lo, i + 1, j + 1, float(defect)))
                         found.append((lo, hi, j + 1, i + 1, float(defect)))
             hi += 1

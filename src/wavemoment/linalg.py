@@ -51,12 +51,12 @@ def _as_square(a, dtype=complex):
     return a
 
 
-def eig_dense(a, eig_tol: float | None = None, tol: Tolerances = DEFAULT) -> EigenResult:
+def eig_dense(a, tol: Tolerances = DEFAULT) -> EigenResult:
     """Full eigendecomposition of a small dense (n <= 32) complex matrix.
 
-    ``eig_tol`` (default ``tol.eig_tol``) bounds the residual, absolute on
-    unit-norm eigenvectors.  Raises DimensionTooLarge above the size cap and
-    NonConvergence if LAPACK fails or any residual exceeds the bound.
+    ``tol.eig_tol`` bounds the residual, absolute on unit-norm eigenvectors.
+    Raises DimensionTooLarge above the size cap and NonConvergence if LAPACK
+    fails or any residual exceeds the bound.
     """
     # keep real input real: the real-matrix LAPACK path returns exactly
     # conjugate eigenvalue pairs, which keeps the (Re, Im) sort well defined
@@ -65,8 +65,6 @@ def eig_dense(a, eig_tol: float | None = None, tol: Tolerances = DEFAULT) -> Eig
     n = a.shape[0]
     if n > MAX_DENSE_DIM:
         raise DimensionTooLarge(f"matrix size {n} exceeds {MAX_DENSE_DIM}")
-    if eig_tol is None:
-        eig_tol = tol.eig_tol
     try:
         values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
@@ -87,9 +85,9 @@ def eig_dense(a, eig_tol: float | None = None, tol: Tolerances = DEFAULT) -> Eig
         vectors[:, j] = v / phase
 
     residuals = np.linalg.norm(a @ vectors - vectors * values[None, :], axis=0)
-    if np.any(residuals > eig_tol):
-        raise NonConvergence(
-            f"eigenpair residual {residuals.max():.3e} exceeds {eig_tol:.3e}")
+    if np.any(residuals > tol.eig_tol):
+        raise NonConvergence(f"eigenpair residual {residuals.max():.3e} "
+                             f"exceeds {tol.eig_tol:.3e}")
     return EigenResult(values, vectors, residuals)
 
 
@@ -136,8 +134,7 @@ def factor_hermitian(g, tol: Tolerances = DEFAULT) -> HermitianFactor:
     return HermitianFactor(lu, piv, anorm, cond_estimate_1norm(g, lu=lu))
 
 
-def solve_hermitian(g, rhs, pivot_tol: float | None = None,
-                    tol: Tolerances = DEFAULT,
+def solve_hermitian(g, rhs, tol: Tolerances = DEFAULT,
                     factor: HermitianFactor | None = None,
                     scale: np.ndarray | None = None):
     """Solve G x = rhs for Hermitian G; returns (x, 1-norm cond estimate).
@@ -148,7 +145,7 @@ def solve_hermitian(g, rhs, pivot_tol: float | None = None,
     and x = d * y, and the pivot guard, the refinement and the estimate all
     refer to S (without ``scale``, S is G).  ``factor`` is
     ``factor_hermitian(S)``, computed here when not given.  Raises
-    SingularSystem if any pivot falls below ``pivot_tol * ||S||_1`` (for a
+    SingularSystem if any pivot falls below ``tol.pivot_tol * ||S||_1`` (for a
     Gram: a resonant family or a control time below threshold), ValueError
     if G is not Hermitian within ``tol.hermit_rtol``.
     """
@@ -157,8 +154,6 @@ def solve_hermitian(g, rhs, pivot_tol: float | None = None,
     n = g.shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    if pivot_tol is None:
-        pivot_tol = tol.pivot_tol
     d = np.ones(n) if scale is None else np.asarray(scale, dtype=float)
     if factor is None:
         factor = factor_hermitian(
@@ -167,9 +162,9 @@ def solve_hermitian(g, rhs, pivot_tol: float | None = None,
     if factor.anorm == 0.0:
         raise SingularSystem("zero matrix")
     pivots = np.abs(np.diag(factor.lu))
-    if pivots.min() <= pivot_tol * factor.anorm:
+    if pivots.min() <= tol.pivot_tol * factor.anorm:
         raise SingularSystem(
-            f"pivot {pivots.min():.3e} below {pivot_tol:.1e} * ||S||_1")
+            f"pivot {pivots.min():.3e} below {tol.pivot_tol:.1e} * ||S||_1")
 
     lu = (factor.lu, factor.piv)
     x = d * lu_solve(lu, d * rhs)
@@ -177,11 +172,11 @@ def solve_hermitian(g, rhs, pivot_tol: float | None = None,
     return x, factor.cond
 
 
-def rank_qr(m, rank_tol: float | None = None, tol: Tolerances = DEFAULT) -> int:
+def rank_qr(m, tol: Tolerances = DEFAULT) -> int:
     """Numeric rank from column-pivoted QR.
 
     Counts diagonal entries of R with magnitude above
-    ``rank_tol * max |R_jj|``.  An empty or zero matrix has rank 0.
+    ``tol.rank_tol * max |R_jj|``.  An empty or zero matrix has rank 0.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -190,11 +185,9 @@ def rank_qr(m, rank_tol: float | None = None, tol: Tolerances = DEFAULT) -> int:
         return 0
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix entries must be finite")
-    if rank_tol is None:
-        rank_tol = tol.rank_tol
     r = scipy.linalg.qr(m, mode="r", pivoting=True)[0]
     diag = np.abs(np.diag(r))
     top = diag.max() if diag.size else 0.0
     if top == 0.0:
         return 0
-    return int(np.count_nonzero(diag > rank_tol * top))
+    return int(np.count_nonzero(diag > tol.rank_tol * top))

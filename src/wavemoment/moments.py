@@ -23,7 +23,7 @@ from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
 # cond_estimate_1norm stays bound here, where perfbench/spans.py traces it
 from .linalg import (HermitianFactor, cond_estimate_1norm,  # noqa: F401
                      factor_hermitian, solve_hermitian)
-from .spectrum import EddFamily, FrequencyGrid, signed_modes
+from .spectrum import EddFamily, FrequencyGrid
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -171,20 +171,18 @@ class ControlSignal:
         return self.norm
 
 
-def gram_entry(omega_a, omega_b, duration: float,
-               switch: float | None = None, tol: Tolerances = DEFAULT):
+def gram_entry(omega_a, omega_b, duration: float, tol: Tolerances = DEFAULT):
     """Inner products (e_a, e_b) of exponentials over [0, duration].
 
     Closed form (e^{i*Delta*T} - 1)/(i*Delta) with Delta = omega_a -
-    conj(omega_b); a second-order series takes over for |Delta| below the
-    switch to avoid cancellation.  Broadcasts, so ``gram_entry(f, f[:, None],
-    T)`` is the kernel B[i, j] = (e_j, e_i) of a frequency vector f.
+    conj(omega_b); a second-order series takes over for |Delta| below
+    ``tol.series_switch`` to avoid cancellation.  Broadcasts, so
+    ``gram_entry(f, f[:, None], T)`` is the kernel B[i, j] = (e_j, e_i) of a
+    frequency vector f.
     """
-    if switch is None:
-        switch = tol.series_switch
     delta = np.asarray(omega_a, dtype=complex) \
         - np.conj(np.asarray(omega_b, dtype=complex))
-    return phase_integral(delta, duration, switch=switch)
+    return phase_integral(delta, duration, switch=tol.series_switch)
 
 
 def _sq_norms(kernel: np.ndarray, *amps) -> list:
@@ -230,19 +228,13 @@ def _norm_and_residual(freqs, re, im, duration, tol, kernel=None) -> tuple:
     return norm, math.sqrt(im2) / max(norm, 1e-300)
 
 
-def _edd_weights(edd: EddFamily) -> np.ndarray:
-    """Block weight matrices over the signed modes, shape (2K, n, n)."""
-    return np.stack([edd.blocks[k].weight_matrix()
-                     for k in signed_modes(edd.k_max)])
-
-
 def _weighted_gram(kernel: np.ndarray, edd: EddFamily) -> np.ndarray:
     """conj(W) @ kernel @ W.T for the block-diagonal EDD weights W.
 
     One n x n block at a time: O(m^2 n), and the same sums in the same order
     as the dense m^3 products (the right one as (W @ left.T).T).
     """
-    w = _edd_weights(edd)
+    w = edd.weights
     blocks, n, m = w.shape[0], edd.n, kernel.shape[0]
     left = np.conj(w) @ kernel.reshape(blocks, n, m)
     left = np.ascontiguousarray(left.reshape(m, m).T)
@@ -339,9 +331,8 @@ def moments_from_target(modal: ModalState, spec: SpectralDecomposition,
 def _edd_transform_gamma(gamma: np.ndarray, edd: EddFamily) -> np.ndarray:
     """Map raw moments to divided-difference moments, blockwise."""
     n = edd.n
-    perm = np.concatenate([edd.blocks[k].perm + pos * n
-                           for pos, k in enumerate(signed_modes(edd.k_max))])
-    return (np.conj(_edd_weights(edd)) @ gamma[perm].reshape(-1, n, 1)).ravel()
+    perm = (edd.perm + n * np.arange(2 * edd.k_max)[:, None]).ravel()
+    return (np.conj(edd.weights) @ gamma[perm].reshape(-1, n, 1)).ravel()
 
 
 def synthesize(ms: MomentSystem, grid: FrequencyGrid,
@@ -378,7 +369,7 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
 
     if ms.basis_kind == "edd":
         freqs = edd.frequencies()
-        amps = (_edd_weights(edd).transpose(0, 2, 1)
+        amps = (edd.weights.transpose(0, 2, 1)
                 @ coef.reshape(-1, edd.n, 1)).ravel()
     else:
         freqs = grid.frequencies()

@@ -19,7 +19,7 @@ from .exceptions import CollisionInBlock
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "FrequencyGrid", "EddBlock", "EddFamily", "GapReport", "signed_modes",
+    "FrequencyGrid", "EddFamily", "GapReport", "signed_modes",
     "build_frequencies", "detect_collisions", "build_edd", "gap_diagnostics",
 ]
 
@@ -35,15 +35,13 @@ class FrequencyGrid:
 
     ``omega[k-1, l-1]`` holds the branch with Re >= 0 (ties broken toward
     Im >= 0); negative k is always the exact negation.  ``zero_modes`` lists
-    signed (k, l) pairs whose frequency is numerically zero, ``collisions``
-    all unordered index pairs closer than the collision tolerance.
+    signed (k, l) pairs whose frequency is numerically zero.
     """
 
     k_max: int
     n: int
     omega: np.ndarray
     zero_modes: list
-    collisions: list
 
     def omega_at(self, k: int, l: int) -> complex:
         """Frequency at signed mode k (1-based |k| <= k_max) and level l (1-based)."""
@@ -88,20 +86,14 @@ def build_frequencies(spec: SpectralDecomposition, k_max: int,
         zero.append((-(int(ki) + 1), int(li) + 1))
     zero.sort()
 
-    grid = FrequencyGrid(k_max=k_max, n=lam.shape[0], omega=omega,
-                         zero_modes=zero, collisions=[])
-    grid.collisions = detect_collisions(grid, tol=tol)
-    return grid
+    return FrequencyGrid(k_max=k_max, n=lam.shape[0], omega=omega,
+                         zero_modes=zero)
 
 
-def detect_collisions(grid: FrequencyGrid, coll_tol: float | None = None,
-                      tol: Tolerances = DEFAULT) -> list:
-    """All unordered index pairs with |omega - omega'| <= coll_tol.
-
-    The default tolerance is ``tol.coll_scale * (1 + k_max)``.
-    """
-    if coll_tol is None:
-        coll_tol = tol.coll_scale * (1.0 + grid.k_max)
+def detect_collisions(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> list:
+    """All unordered index pairs with |omega - omega'| at or below the
+    collision tolerance ``tol.coll_scale * (1 + k_max)``."""
+    coll_tol = tol.coll_scale * (1.0 + grid.k_max)
     idx = grid.signed_indices()
     freqs = grid.frequencies()
     order = np.lexsort((freqs.imag, freqs.real))
@@ -121,45 +113,33 @@ def detect_collisions(grid: FrequencyGrid, coll_tol: float | None = None,
 
 
 @dataclasses.dataclass
-class EddBlock:
-    """Divided-difference data for one signed mode k.
-
-    ``frequencies`` are the block frequencies sorted ascending by (Re, Im),
-    ``perm`` maps eigenvalue order into that sorted order, ``weights[l-1]``
-    holds the l coefficients of the order-l function over the first l sorted
-    frequencies, and ``weight_scale[l-1]`` is the magnitude of its diagonal
-    (leading) weight, which grows like |k|^(l-1) for clustered blocks.
-    """
-
-    frequencies: np.ndarray
-    perm: np.ndarray
-    weights: list
-    weight_scale: np.ndarray
-
-    def weight_matrix(self) -> np.ndarray:
-        n = self.frequencies.shape[0]
-        w = np.zeros((n, n), dtype=complex)
-        for l in range(n):
-            w[l, : l + 1] = self.weights[l]
-        return w
-
-
-@dataclasses.dataclass
 class EddFamily:
-    """Per-block divided-difference families over a frequency grid."""
+    """Divided-difference families of every signed block, one row per block.
+
+    Row r belongs to mode ``signed_modes(k_max)[r]``.  ``nodes[r]`` holds the
+    block frequencies sorted ascending by (Re, Im) and ``perm[r]`` maps
+    eigenvalue order into that sorted order.  ``weights[r]`` is lower
+    triangular: row l holds the l + 1 coefficients of the order-(l + 1)
+    function over the first l + 1 nodes, and its diagonal weight grows like
+    |k|^l for clustered blocks.
+    """
 
     k_max: int
     n: int
-    blocks: dict
+    nodes: np.ndarray
+    perm: np.ndarray
+    weights: np.ndarray
 
     def frequencies(self) -> np.ndarray:
         """Sorted block frequencies in the lexicographic signed-index order."""
-        return np.concatenate([self.blocks[k].frequencies
-                               for k in signed_modes(self.k_max)])
+        return self.nodes.flatten()
 
 
 def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
     """Build the divided-difference family for every signed block.
+
+    The weight of node j in the order-(l + 1) function is
+    1 / prod_{i <= l, i != j} (x_j - x_i), the product taken in ascending i.
 
     Raises
     ------
@@ -168,27 +148,21 @@ def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
         tolerance; the plain divided difference is then undefined.
     """
     coll_tol = tol.coll_scale * (1.0 + grid.k_max)
-    blocks = {}
-    for k in signed_modes(grid.k_max):
-        freqs = np.array([grid.omega_at(k, l) for l in range(1, grid.n + 1)])
-        perm = np.lexsort((freqs.imag, freqs.real))
-        sf = freqs[perm]
-        weights = []
-        scale = np.empty(grid.n)
-        for l in range(1, grid.n + 1):
-            nodes = sf[:l]
-            wl = np.empty(l, dtype=complex)
-            for j in range(l):
-                diff = np.delete(nodes, j) - nodes[j]
-                if l > 1 and np.abs(diff).min() <= coll_tol:
-                    raise CollisionInBlock(
-                        f"block k={k}: frequency gap at or below {coll_tol:.3e}")
-                wl[j] = 1.0 / np.prod(-diff) if l > 1 else 1.0
-            weights.append(wl)
-            scale[l - 1] = abs(wl[l - 1])
-        blocks[k] = EddBlock(frequencies=sf, perm=perm, weights=weights,
-                             weight_scale=scale)
-    return EddFamily(k_max=grid.k_max, n=grid.n, blocks=blocks)
+    freqs = grid.frequencies().reshape(2 * grid.k_max, grid.n)
+    perm = np.lexsort((freqs.imag, freqs.real))
+    nodes = np.take_along_axis(freqs, perm, axis=1)
+    # factors[r, i, j] = x_j - x_i, with the excluded i = j set to exactly 1
+    factors = -(nodes[:, :, None] - nodes[:, None, :])
+    off = ~np.eye(grid.n, dtype=bool)
+    hit = (off & (np.abs(factors) <= coll_tol)).any(axis=(1, 2))
+    if hit.any():
+        k = signed_modes(grid.k_max)[int(np.argmax(hit))]
+        raise CollisionInBlock(
+            f"block k={k}: frequency gap at or below {coll_tol:.3e}")
+    factors[:, ~off] = 1.0
+    weights = np.tril(1.0 / np.cumprod(factors, axis=1))
+    return EddFamily(k_max=grid.k_max, n=grid.n, nodes=nodes, perm=perm,
+                     weights=weights)
 
 
 @dataclasses.dataclass

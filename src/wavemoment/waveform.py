@@ -217,16 +217,14 @@ def sobolev_norm(modal: ModalState, s: float, table: str = "a",
 
 def verify(spec: SpectralDecomposition, grid: FrequencyGrid,
            control: ControlSignal, target: ModalState, duration: float,
-           rel_tol: float | None = None,
            tol: Tolerances = DEFAULT) -> VerifyReport:
     """Evolve the control and compare against the target modal tables.
 
     The error metric is max over modes of |achieved - target| / (1 +
-    |target|), taken over both the a and adot tables.  The achieved modal
+    |target|), taken over both the a and adot tables; the control passes at
+    or below ``tol.verify_rtol``.  The achieved modal
     state is handed back on the report.
     """
-    if rel_tol is None:
-        rel_tol = tol.verify_rtol
     achieved = duhamel_exact(spec, grid, control, duration, tol=tol)
     err_a = float((np.abs(achieved.a - target.a)
                    / (1.0 + np.abs(target.a))).max())
@@ -235,7 +233,7 @@ def verify(spec: SpectralDecomposition, grid: FrequencyGrid,
     err = max(err_a, err_adot)
     return VerifyReport(
         max_rel_error=err,
-        passed=err <= rel_tol,
+        passed=err <= tol.verify_rtol,
         wellposedness_ratio=wellposedness_ratio(achieved, grid, control),
         error_a=err_a,
         error_adot=err_adot,

@@ -4,6 +4,7 @@ import pytest
 from wavemoment.exceptions import DimensionTooLarge, SingularSystem
 from wavemoment.linalg import (MAX_DENSE_DIM, cond_estimate_1norm, eig_dense,
                                factor_hermitian, rank_qr, solve_hermitian)
+from wavemoment.tolerances import DEFAULT
 
 import oracles
 
@@ -61,7 +62,7 @@ def test_eig_diagonal_similarity():
             if np.linalg.cond(v) <= 100:
                 break
         a = v @ np.diag(d) @ np.linalg.inv(v)
-        res = eig_dense(a, eig_tol=1e-8)
+        res = eig_dense(a, tol=DEFAULT.replace(eig_tol=1e-8))
         assert np.allclose(res.eigenvalues.real, d, atol=1e-8)
         assert np.abs(res.eigenvalues.imag).max() < 1e-8
 

@@ -140,13 +140,12 @@ def test_edd_block_maps_match_dense_reference():
     edd = build_edd(grid)
     duration = 3 * TWO_PI + 1.0
     ms = assemble_gram(grid, duration, basis_kind="edd", edd=edd)
-    w = block_diag(*[edd.blocks[k].weight_matrix()
-                     for k in list(range(-6, 0)) + list(range(1, 7))])
+    assert edd.weights.shape == (12, 3, 3)
+    w = block_diag(*edd.weights)
     dense = np.conj(w) @ ms.kernel @ w.T
     assert np.allclose(ms.gram, (dense + dense.conj().T) / 2,
                        rtol=0, atol=1e-13 * np.abs(dense).max())
-    perm = np.concatenate([edd.blocks[k].perm + 3 * pos for pos, k in
-                           enumerate(list(range(-6, 0)) + list(range(1, 7)))])
+    perm = np.concatenate([p + 3 * pos for pos, p in enumerate(edd.perm)])
     gamma = np.random.default_rng(41).standard_normal(36) + 0j
     want = np.conj(w) @ gamma[perm]
     got = _edd_transform_gamma(gamma, edd)
@@ -162,11 +161,9 @@ def test_edd_gram_matches_quadrature():
 
     # explicit divided-difference basis functions, in moment-system order
     funcs = []
-    for k in list(range(-3, 0)) + list(range(1, 4)):
-        block = edd.blocks[k]
-        w = block.weight_matrix()
+    for nodes, w in zip(edd.nodes, edd.weights):
         for j in range(grid.n):
-            funcs.append(oracles.combo(block.frequencies, w[j]))
+            funcs.append(oracles.combo(nodes, w[j]))
     rng = np.random.default_rng(13)
     for _ in range(10):
         i, j = rng.integers(0, len(funcs), size=2)

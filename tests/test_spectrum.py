@@ -6,7 +6,8 @@ import pytest
 from wavemoment.coupling import CouplingSystem, decompose
 from wavemoment.exceptions import CollisionInBlock
 from wavemoment.spectrum import (build_edd, build_frequencies,
-                                 detect_collisions, gap_diagnostics)
+                                 detect_collisions, gap_diagnostics,
+                                 signed_modes)
 
 import oracles
 
@@ -23,6 +24,11 @@ def spec_for(eigvals, coupling_shape=True):
     for i in range(1, n):
         a[i, i - 1] = 1.0
     return decompose(CouplingSystem(a, np.eye(n)[0]))
+
+
+def row(fam, k):
+    """Row of signed mode k in the family's arrays."""
+    return signed_modes(fam.k_max).index(k)
 
 
 def test_frequency_examples():
@@ -78,13 +84,13 @@ def test_collision_examples():
     grid = build_frequencies(spec, 2)
     l_low = 1 if abs(spec.eigenvalues[0]) < 1 else 2
     l_high = 3 - l_low
-    assert ((1, l_high), (2, l_low)) in grid.collisions
+    assert ((1, l_high), (2, l_low)) in detect_collisions(grid)
 
     grid = build_frequencies(spec_for([0.0, 0.5]), 16)
-    assert grid.collisions == []
+    assert detect_collisions(grid) == []
 
     grid = build_frequencies(spec_for([0.7]), 16)
-    assert grid.collisions == []
+    assert detect_collisions(grid) == []
 
 
 def test_collision_pairwise_oracle():
@@ -98,7 +104,7 @@ def test_collision_pairwise_oracle():
         for b in range(a + 1, len(idx)):
             if abs(freqs[a] - freqs[b]) <= tol:
                 expect.add(tuple(sorted((idx[a], idx[b]))))
-    assert set(grid.collisions) == expect
+    assert set(detect_collisions(grid)) == expect
 
 
 def test_edd_pair_block():
@@ -106,9 +112,9 @@ def test_edd_pair_block():
     spec = spec_for([0.0, 3.0])
     grid = build_frequencies(spec, 1)
     fam = build_edd(grid)
-    blk = fam.blocks[1]
-    assert np.allclose(blk.frequencies, [1.0, 2.0])
-    assert np.allclose(blk.weights[1], [-1.0, 1.0])
+    r = row(fam, 1)
+    assert np.allclose(fam.nodes[r], [1.0, 2.0])
+    assert np.allclose(fam.weights[r, 1], [-1.0, 1.0])
 
 
 def test_edd_triple_block_weights():
@@ -118,9 +124,9 @@ def test_edd_triple_block_weights():
     spec = spec_for([0.0, 3.0, 15.0])  # omega at k=1: 1, 2, 4
     grid = build_frequencies(spec, 1)
     fam = build_edd(grid)
-    blk = fam.blocks[1]
-    assert np.allclose(blk.frequencies, [1.0, 2.0, 4.0])
-    assert np.allclose(blk.weights[2], [1 / 3, -1 / 2, 1 / 6])
+    r = row(fam, 1)
+    assert np.allclose(fam.nodes[r], [1.0, 2.0, 4.0])
+    assert np.allclose(fam.weights[r, 2], [1 / 3, -1 / 2, 1 / 6])
 
 
 def test_edd_recurrence_property():
@@ -128,10 +134,10 @@ def test_edd_recurrence_property():
     spec = spec_for([-0.3, 0.5, 2.2])
     grid = build_frequencies(spec, 8)
     fam = build_edd(grid)
-    for k, blk in fam.blocks.items():
+    assert fam.weights.shape == (2 * grid.k_max, grid.n, grid.n)
+    for nodes, w in zip(fam.nodes, fam.weights):
         for l in range(1, grid.n + 1):
-            nodes = blk.frequencies[:l]
-            assert np.allclose(blk.weights[l - 1], oracles.dd_weights(nodes),
+            assert np.allclose(w[l - 1, :l], oracles.dd_weights(nodes[:l]),
                                rtol=1e-12, atol=1e-14)
 
 
@@ -139,9 +145,8 @@ def test_edd_triangular_reconstruction():
     spec = spec_for([-0.3, 0.5])
     grid = build_frequencies(spec, 4)
     fam = build_edd(grid)
-    for k, blk in fam.blocks.items():
-        w = blk.weight_matrix()
-        assert np.allclose(w, np.tril(w))
+    for w in fam.weights:
+        assert np.array_equal(w, np.tril(w))
         assert np.abs(np.diag(w)).min() > 0
         # invertibility: raw exponentials recoverable from the edd family
         recon = np.linalg.inv(w) @ w
@@ -152,8 +157,7 @@ def test_edd_order_one_equals_raw():
     spec = spec_for([0.7])
     grid = build_frequencies(spec, 5)
     fam = build_edd(grid)
-    for blk in fam.blocks.values():
-        assert np.array_equal(blk.weight_matrix(), [[1.0]])
+    assert np.array_equal(fam.weights, np.ones((2 * grid.k_max, 1, 1)))
     assert np.allclose(fam.frequencies(), grid.frequencies())
 
 
@@ -162,7 +166,7 @@ def test_edd_collision_raises():
     grid = build_frequencies(spec, 2)  # omega_{2,1} = omega_{1,2} = 2
     # the collision is across blocks, so edd still works ...
     fam = build_edd(grid)
-    assert fam.blocks[2].frequencies[0] == pytest.approx(2.0)
+    assert fam.nodes[row(fam, 2), 0] == pytest.approx(2.0)
     # ... but a within-block collision must raise; decompose would already
     # reject eigenvalues this close, so assemble the decomposition by hand
     from wavemoment.coupling import SpectralDecomposition
@@ -174,7 +178,8 @@ def test_edd_collision_raises():
         beta=np.ones(2, dtype=complex),
         min_separation=1e-10)
     grid2 = build_frequencies(near, 2)
-    with pytest.raises(CollisionInBlock):
+    # every block collides; the message names the first in signed order
+    with pytest.raises(CollisionInBlock, match=r"^block k=-2: "):
         build_edd(grid2)
 
 
@@ -186,7 +191,7 @@ def test_edd_weight_scale_growth():
     fam = build_edd(grid)
     ratios = []
     for k in range(16, 33):
-        scale = fam.blocks[k].weight_scale[-1]
+        scale = abs(fam.weights[row(fam, k), -1, -1])
         ratios.append(scale / k ** (grid.n - 1))
     assert max(ratios) / min(ratios) < 4.0
 

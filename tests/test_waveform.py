@@ -10,6 +10,7 @@ from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, moments_from_target, synthesize,
                                 target_to_modal)
 from wavemoment.spectrum import build_frequencies
+from wavemoment.tolerances import DEFAULT
 from wavemoment.waveform import (duhamel_exact, evolve, evolve_quadrature,
                                  reconstruct, sobolev_norm, verify,
                                  wellposedness_ratio)
@@ -289,7 +290,8 @@ def test_verify_zero_control_error():
     assert report.max_rel_error == pytest.approx(0.5)
     assert report.error_adot == 0.0
 
-    loose = verify(spec, grid, zero, target, TWO_PI, rel_tol=0.6)
+    loose = verify(spec, grid, zero, target, TWO_PI,
+                   tol=DEFAULT.replace(verify_rtol=0.6))
     assert loose.passed
 
 
