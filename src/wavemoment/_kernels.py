@@ -12,25 +12,42 @@ import numpy as np
 
 SERIES_SWITCH = 1e-6
 
+# Entries per block of a blocked dense evaluation: a complex temporary of a
+# block takes 256 KiB whatever the problem size, so the few that a block
+# needs stay in a core's L2 cache.
+BLOCK_ELEMENTS = 1 << 14
+
+
+def row_blocks(rows: int, width: int) -> list:
+    """Slices over ``rows`` rows of ``width`` entries, each slice covering at
+    most BLOCK_ELEMENTS entries (at least one row)."""
+    step = max(1, BLOCK_ELEMENTS // max(width, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
 
 def phase_integral(delta, duration, switch=SERIES_SWITCH):
     """Integral of e^{i*delta*t} dt over [0, duration].
 
     Closed form (e^{i*delta*T} - 1)/(i*delta); for |delta| <= switch a
     second-order series T*(1 + x/2 + x^2/6), x = i*delta*T, which is exact
-    in the resonant limit delta -> 0.
+    in the resonant limit delta -> 0.  The closed form runs over the whole
+    array in its output buffer, silently dividing 0 by 0 at delta == 0 (and
+    overflowing at subnormal delta); the series then overwrites the entries
+    at or below the switch.
     Accepts scalars or arrays, complex delta allowed.
     """
     d = np.asarray(delta, dtype=complex)
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    out = np.empty(d.shape, dtype=complex)
+    i_d = 1j * d
+    out = i_d * duration
+    np.exp(out, out=out)
+    out -= 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out /= i_d
     small = np.abs(d) <= switch
     x = 1j * d[small] * duration
     out[small] = duration * (1.0 + x / 2.0 + x * x / 6.0)
-    big = ~small
-    db = d[big]
-    out[big] = (np.exp(1j * db * duration) - 1.0) / (1j * db)
     return out[0] if scalar else out
 
 

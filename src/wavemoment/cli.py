@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from . import coupling, moments, spectrum, waveform
+from ._kernels import BLOCK_ELEMENTS
 from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, DegenerateEigenvector,
                          GridTooCoarse, ModeOutOfRange, NonConvergence,
@@ -283,7 +284,13 @@ def _fmt(x: float) -> str:
 
 def _write_control_files(out_dir: str, control, samples: int):
     t = np.linspace(0.0, control.duration, samples)
-    values = control.evaluate(t)
+    # row blocks keep the samples x terms exponential table small; each block
+    # has two rows or more, since numpy evaluates a lone row as a dot product,
+    # which sums in another order than the matrix-vector product
+    step = max(2, BLOCK_ELEMENTS // max(control.frequencies.size, 1))
+    bounds = list(range(0, samples - 1, step)) + [samples]
+    values = np.concatenate([control.evaluate(t[lo:hi])
+                             for lo, hi in zip(bounds, bounds[1:])])
     path = os.path.join(out_dir, "control.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,f\n")

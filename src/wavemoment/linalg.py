@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
+from ._kernels import row_blocks
 from .exceptions import DimensionTooLarge, NonConvergence, SingularSystem
 from .tolerances import DEFAULT, Tolerances
 
@@ -91,13 +92,15 @@ def eig_dense(a, tol: Tolerances = DEFAULT) -> EigenResult:
     return EigenResult(values, vectors, residuals)
 
 
-def cond_estimate_1norm(g, lu=None) -> float:
+def cond_estimate_1norm(g, lu=None, anorm=None) -> float:
     """1-norm condition estimate of a square matrix via LAPACK gecon.
 
-    Returns inf when the matrix is numerically singular.
+    ``lu`` is the LU of g and ``anorm`` its 1-norm, each computed here when
+    not given.  Returns inf when the matrix is numerically singular.
     """
     g = np.asarray(g, dtype=complex)
-    anorm = float(np.linalg.norm(g, 1)) if g.size else 0.0
+    if anorm is None:
+        anorm = float(np.linalg.norm(g, 1)) if g.size else 0.0
     if anorm == 0.0:
         return np.inf
     if lu is None:
@@ -118,20 +121,32 @@ def cond_estimate_1norm(g, lu=None) -> float:
 HermitianFactor = collections.namedtuple("HermitianFactor", "lu piv anorm cond")
 
 
-def factor_hermitian(g, tol: Tolerances = DEFAULT) -> HermitianFactor:
+def factor_hermitian(g, tol: Tolerances = DEFAULT,
+                     overwrite: bool = False) -> HermitianFactor:
     """Check that G is Hermitian, LU-factor it once, estimate its condition.
 
-    Raises ValueError if G is not Hermitian; ``solve_hermitian`` guards pivots.
+    The check and the 1-norm run over column blocks, so they need no m x m
+    temporary.  ``overwrite=True`` hands G's buffer to the LU, which then
+    factors it in place when G is Fortran-ordered (LAPACK copies a C-ordered
+    G).  Raises ValueError if G is not Hermitian; ``solve_hermitian`` guards
+    pivots.
     """
     g = _as_square(g)
-    scale = float(np.abs(g).max()) if g.size else 0.0
-    if scale and np.abs(g - g.conj().T).max() > tol.hermit_rtol * scale:
+    scale = asym = 0.0
+    col_sums = np.zeros(g.shape[1])
+    for cols in row_blocks(g.shape[1], g.shape[0]):
+        block = np.abs(g[:, cols])
+        scale = max(scale, float(block.max()))
+        col_sums[cols] = block.sum(axis=0)
+        asym = max(asym, float(np.abs(g[:, cols] - g[cols].conj().T).max()))
+    if scale and asym > tol.hermit_rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    anorm = float(np.linalg.norm(g, 1)) if g.size else 0.0
+    anorm = float(col_sums.max(initial=0.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(g)
-    return HermitianFactor(lu, piv, anorm, cond_estimate_1norm(g, lu=lu))
+        lu, piv = lu_factor(g, overwrite_a=overwrite)
+    return HermitianFactor(lu, piv, anorm,
+                           cond_estimate_1norm(g, lu=lu, anorm=anorm))
 
 
 def solve_hermitian(g, rhs, tol: Tolerances = DEFAULT,

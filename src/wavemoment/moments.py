@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._kernels import phase_integral
+from ._kernels import phase_integral, row_blocks
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
@@ -228,17 +228,20 @@ def _norm_and_residual(freqs, re, im, duration, tol, kernel=None) -> tuple:
     return norm, math.sqrt(im2) / max(norm, 1e-300)
 
 
-def _weighted_gram(kernel: np.ndarray, edd: EddFamily) -> np.ndarray:
+def _weighted_gram(kernel: np.ndarray, edd: EddFamily) -> tuple:
     """conj(W) @ kernel @ W.T for the block-diagonal EDD weights W.
 
     One n x n block at a time: O(m^2 n), and the same sums in the same order
-    as the dense m^3 products (the right one as (W @ left.T).T).
+    as the dense m^3 products (the right one as (W @ left.T).T).  The right
+    product is written over the left one, so the result is a Fortran-ordered
+    view; the second m x m buffer (left.T) comes back as spare.
     """
     w = edd.weights
     blocks, n, m = w.shape[0], edd.n, kernel.shape[0]
     left = np.conj(w) @ kernel.reshape(blocks, n, m)
-    left = np.ascontiguousarray(left.reshape(m, m).T)
-    return (w @ left.reshape(blocks, n, m)).reshape(m, m).T
+    spare = np.ascontiguousarray(left.reshape(m, m).T)
+    np.matmul(w, spare.reshape(blocks, n, m), out=left)
+    return left.reshape(m, m).T, spare
 
 
 def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
@@ -253,7 +256,10 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     nor the minimal-norm control, so ``cond_estimate`` (the 1-norm estimate
     of S) measures the family's independence, within a factor m of the best
     diagonal scaling of G (van der Sluis, 1969).  A singular Gram still
-    assembles; ``synthesize`` raises on its pivots.
+    assembles; ``synthesize`` raises on its pivots.  The kernel is filled in
+    row blocks; with EDD weights, G, S and the LU of S (factored in place)
+    share the two buffers of the weighted product, so three m x m arrays are
+    kept: the kernel, G and the LU.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
@@ -262,18 +268,24 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     if basis_kind == "edd" and edd is None:
         raise ValueError("edd family required for basis_kind='edd'")
     freqs = grid.frequencies() if basis_kind == "raw" else edd.frequencies()
-    kernel = gram_entry(freqs, freqs[:, None], duration, tol=tol)
-    weighted = kernel if basis_kind == "raw" else _weighted_gram(kernel, edd)
-    gram = np.conjugate(weighted.T, out=np.empty_like(kernel))
+    m = freqs.size
+    kernel = np.empty((m, m), dtype=complex)
+    for rows in row_blocks(m, m):
+        kernel[rows] = gram_entry(freqs, freqs[rows, None], duration, tol=tol)
+    if basis_kind == "raw":
+        weighted, spare = kernel, np.empty_like(kernel)
+    else:
+        weighted, spare = _weighted_gram(kernel, edd)
+    gram = np.conjugate(weighted.T, out=spare)
     gram += weighted
     gram /= 2.0
     scale = 1.0 / np.sqrt(gram.diagonal().real)
-    # S = D G D, written over the EDD product (raw: a new buffer)
+    # S = D G D, written over the EDD product (raw: a new, C-ordered buffer)
     normalized = np.multiply(gram, scale[:, None],
                              out=None if weighted is kernel else weighted)
     del weighted
     normalized *= scale
-    factor = factor_hermitian(normalized, tol=tol)
+    factor = factor_hermitian(normalized, tol=tol, overwrite=True)
     del normalized  # the factor holds S from here on
     return MomentSystem(index_order=grid.signed_indices(),
                         basis_kind=basis_kind, gram=gram,

@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from ._kernels import phase_integral, ramp_integral, segment_moment
+from ._kernels import (phase_integral, ramp_integral, row_blocks,
+                       segment_moment)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
 from .moments import ControlSignal, ModalState
@@ -59,22 +60,29 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     k_max, n = grid.k_max, grid.n
     a = np.zeros((k_max, n), dtype=complex)
     adot = np.zeros((k_max, n), dtype=complex)
-    for ki in range(k_max):
-        for li in range(n):
-            w = grid.omega[ki, li]
-            if abs(w) <= tol.zero_tol:
-                s_kernel = ramp_integral(nus, duration, switch=tol.series_switch)
-                c_kernel = phase_integral(nus, duration, switch=tol.series_switch)
-            else:
-                e_minus = phase_integral(nus - w, duration, switch=tol.series_switch)
-                e_plus = phase_integral(nus + w, duration, switch=tol.series_switch)
-                fwd = np.exp(1j * w * duration) * e_minus
-                bwd = np.exp(-1j * w * duration) * e_plus
-                s_kernel = (fwd - bwd) / (2j * w)
-                c_kernel = (fwd + bwd) / 2.0
+    zero = np.abs(grid.omega) <= tol.zero_tol
+    # kernels of the other modes a block of modes at a time; one dot per mode
+    # keeps the summation order of each mode's integral
+    modes = list(zip(*np.nonzero(~zero)))
+    ws = grid.omega[~zero]
+    for rows in row_blocks(len(modes), nus.size):
+        w = ws[rows, None]
+        fwd = np.exp(1j * w * duration) \
+            * phase_integral(nus - w, duration, switch=tol.series_switch)
+        bwd = np.exp(-1j * w * duration) \
+            * phase_integral(nus + w, duration, switch=tol.series_switch)
+        s_kernel = (fwd - bwd) / (2j * w)
+        c_kernel = (fwd + bwd) / 2.0
+        for (ki, li), s_row, c_row in zip(modes[rows], s_kernel, c_kernel):
             gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
-            a[ki, li] = gain * (amps @ s_kernel)
-            adot[ki, li] = gain * (amps @ c_kernel)
+            a[ki, li] = gain * (amps @ s_row)
+            adot[ki, li] = gain * (amps @ c_row)
+    for ki, li in zip(*np.nonzero(zero)):
+        gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
+        a[ki, li] = gain * (amps @ ramp_integral(nus, duration,
+                                                 switch=tol.series_switch))
+        adot[ki, li] = gain * (amps @ phase_integral(nus, duration,
+                                                     switch=tol.series_switch))
     return ModalState(a, adot)
 
 

@@ -6,8 +6,12 @@ product formulas, brute-force scans instead of pruned enumeration) so that
 agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+
+from wavemoment._kernels import ramp_integral
 
 
 def combo(frequencies, amplitudes):
@@ -118,3 +122,47 @@ def sine_series(coeffs):
         return sum(c * np.sin(n * x) for n, c in coeffs.items())
 
     return u
+
+
+# Earlier, unvectorized forms of package code, kept as references for the
+# element-wise rewrites that must reproduce them bit for bit.
+
+def phase_integral_masked(delta, duration, switch):
+    """int_0^T e^{i delta t} dt: the series and the closed form each
+    evaluated on its own masked copy of delta, then scattered."""
+    d = np.asarray(delta, dtype=complex)
+    scalar = d.ndim == 0
+    d = np.atleast_1d(d)
+    out = np.empty(d.shape, dtype=complex)
+    small = np.abs(d) <= switch
+    x = 1j * d[small] * duration
+    out[small] = duration * (1.0 + x / 2.0 + x * x / 6.0)
+    big = ~small
+    db = d[big]
+    out[big] = (np.exp(1j * db * duration) - 1.0) / (1j * db)
+    return out[0] if scalar else out
+
+
+def duhamel_per_mode(spec, grid, control, duration, tol):
+    """Terminal (a, adot) tables, one phase integral call per mode and sign."""
+    nus, amps = control.frequencies, control.amplitudes
+    a = np.zeros((grid.k_max, grid.n), dtype=complex)
+    adot = np.zeros_like(a)
+    sw = tol.series_switch
+    for ki in range(grid.k_max):
+        for li in range(grid.n):
+            w = grid.omega[ki, li]
+            if abs(w) <= tol.zero_tol:
+                s_kernel = ramp_integral(nus, duration, switch=sw)
+                c_kernel = phase_integral_masked(nus, duration, sw)
+            else:
+                fwd = np.exp(1j * w * duration) \
+                    * phase_integral_masked(nus - w, duration, sw)
+                bwd = np.exp(-1j * w * duration) \
+                    * phase_integral_masked(nus + w, duration, sw)
+                s_kernel = (fwd - bwd) / (2j * w)
+                c_kernel = (fwd + bwd) / 2.0
+            gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
+            a[ki, li] = gain * (amps @ s_kernel)
+            adot[ki, li] = gain * (amps @ c_kernel)
+    return a, adot

@@ -265,6 +265,29 @@ def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
     assert calls == {"lu_factor": 1, "combo_l2_norm": 0, "duhamel_exact": 1}
 
 
+def test_control_samples_do_not_depend_on_row_blocks(tmp_path, monkeypatch):
+    from wavemoment.moments import ControlSignal
+
+    rng = np.random.default_rng(3)
+    freqs = rng.standard_normal(64) * 20 + 0.1j * rng.standard_normal(64)
+    amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    control = ControlSignal(FOUR_PI, freqs, amps)
+    written = []
+    # 1001 samples in one block, in blocks of 2 rows (the last of 3), 7, 100
+    # (the last of 101) and 500 rows (the last of 501), and at the default
+    for block in (10 ** 9, 64, 7 * 64, 100 * 64, 500 * 64, None):
+        if block is not None:
+            monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block)
+        else:
+            monkeypatch.undo()
+        out = tmp_path / str(block)
+        out.mkdir()
+        cli._write_control_files(str(out), control, 1001)
+        written.append((out / "control.csv").read_bytes())
+    assert len(written[0].splitlines()) == 1002
+    assert all(w == written[0] for w in written)
+
+
 def test_conditions_gate_blocks_synthesis(tmp_path):
     config = cli.parse_config(json.dumps(RESONANT_DOC))
     out = str(tmp_path / "out")

@@ -126,6 +126,28 @@ def test_solve_with_supplied_factor_is_bitwise_identical():
         assert cond_f == cond_estimate_1norm(g)
 
 
+def test_factor_in_place_matches_copying_factor():
+    # m = 300 spans two column blocks of the Hermitian check and the 1-norm
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
+    g = m @ m.conj().T + 0.1 * np.eye(300)
+    for order in "CF":
+        s = np.array(g, order=order)
+        kept = s.copy(order="K")
+        ref = factor_hermitian(kept)
+        assert np.array_equal(kept, s)
+        assert ref.anorm == np.linalg.norm(s, 1)
+        got = factor_hermitian(s, overwrite=True)
+        assert np.array_equal(got.lu, ref.lu)
+        assert np.array_equal(got.piv, ref.piv)
+        assert (got.anorm, got.cond) == (ref.anorm, ref.cond)
+        # LAPACK factors a Fortran-ordered buffer in place, copies a C one
+        assert np.shares_memory(got.lu, s) == (order == "F")
+    g[0, -1] += 1e-6 * np.abs(g).max()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        factor_hermitian(g)
+
+
 def test_scaled_solve_guards_pivots_of_the_scaled_matrix():
     # G = diag(1e-14, 1) fails the pivot guard; with d = diag(G)^(-1/2) the
     # factored matrix is the identity and G x = rhs is solved exactly

@@ -153,6 +153,32 @@ def test_edd_block_maps_match_dense_reference():
                        atol=1e-13 * (np.abs(w) @ np.abs(gamma)).max())
 
 
+def test_assembly_peak_memory_in_gram_units():
+    # large-edd's system at K = 128 (m = 1024).  The assembly keeps three
+    # m x m complex arrays (kernel, G, LU of S); with EDD weights, S and its
+    # LU reuse the weighted product's buffer, the raw S is a fourth array
+    # while LAPACK factors its Fortran-ordered copy
+    import tracemalloc
+
+    a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
+    spec = decompose(CouplingSystem(a, np.eye(4)[0]))
+    grid = build_frequencies(spec, 128)
+    edd = build_edd(grid)
+    unit = 16 * (2 * 128 * 4) ** 2
+    for basis, bound in (("edd", 3.25), ("raw", 4.25)):
+        tracemalloc.start()
+        try:
+            ms = assemble_gram(grid, 8 * math.pi + 1.0, basis_kind=basis,
+                               edd=edd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * unit, (basis, peak / unit)
+        if basis == "edd":
+            assert ms.factor.lu.flags.f_contiguous
+        del ms
+
+
 def test_edd_gram_matches_quadrature():
     spec = decompose(CouplingSystem(A2, B2))
     grid = build_frequencies(spec, 3)

@@ -116,6 +116,34 @@ def test_zero_frequency_mode():
     assert max_rel_diff(modal, want) <= 1e-8
 
 
+@pytest.mark.parametrize("block", [None, 40])
+def test_duhamel_matches_per_mode_reference(block, monkeypatch):
+    # modes in blocks of phase integrals, bitwise as one call per mode
+    from wavemoment import _kernels
+
+    if block is not None:  # 40 entries: one mode per block
+        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)
+    rng = np.random.default_rng(17)
+    systems = [
+        (np.array([[-1.0, 0.0], [1.0, 0.5]]), 0),  # omega_{1,1} = 0
+        (np.array([[0.2, 0.7], [-0.7, 0.2]]), 16),  # complex pair
+    ]
+    for a, complex_modes in systems:
+        spec = decompose(CouplingSystem(a, B2))
+        grid = build_frequencies(spec, 8)
+        assert np.count_nonzero(grid.omega.imag) == complex_modes
+        assert (grid.omega == 0).any() == (complex_modes == 0)
+        freqs = np.concatenate([grid.frequencies(), [0.0, 2.5 - 0.3j]])
+        amps = rng.standard_normal(freqs.size) \
+            + 1j * rng.standard_normal(freqs.size)
+        ctrl = ControlSignal(3 * TWO_PI + 1.0, freqs, amps)
+        got = duhamel_exact(spec, grid, ctrl, ctrl.duration)
+        want_a, want_adot = oracles.duhamel_per_mode(
+            spec, grid, ctrl, ctrl.duration, DEFAULT)
+        assert np.array_equal(got.a, want_a)
+        assert np.array_equal(got.adot, want_adot)
+
+
 def test_quadrature_exact_for_piecewise_linear():
     rng = np.random.default_rng(41)
     spec = spec_for([0.3])
