@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import coupling, moments, spectrum, waveform
-from ._kernels import BLOCK_ELEMENTS
+from ._kernels import row_blocks
 from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, DegenerateEigenvector,
                          GridTooCoarse, ModeOutOfRange, NonConvergence,
@@ -284,13 +284,9 @@ def _fmt(x: float) -> str:
 
 def _write_control_files(out_dir: str, control, samples: int):
     t = np.linspace(0.0, control.duration, samples)
-    # row blocks keep the samples x terms exponential table small; each block
-    # has two rows or more, since numpy evaluates a lone row as a dot product,
-    # which sums in another order than the matrix-vector product
-    step = max(2, BLOCK_ELEMENTS // max(control.frequencies.size, 1))
-    bounds = list(range(0, samples - 1, step)) + [samples]
-    values = np.concatenate([control.evaluate(t[lo:hi])
-                             for lo, hi in zip(bounds, bounds[1:])])
+    # row blocks keep the samples x terms exponential table small
+    values = np.concatenate([control.evaluate(t[rows]) for rows in
+                             row_blocks(samples, control.frequencies.size)])
     path = os.path.join(out_dir, "control.csv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t,f\n")
@@ -335,13 +331,11 @@ def _write_report(out_dir: str | None, report: dict):
         fh.write("\n")
 
 
-def _prepare(config: ProblemConfig, tol: Tolerances):
-    """Shared pipeline head: decomposition, grid, modal target, moments."""
-    system = coupling.CouplingSystem(config.a, config.b)
-    spec = coupling.decompose(system, tol=tol)
+def _prepare(config: ProblemConfig, spec, tol: Tolerances):
+    """Pipeline head at one K: grid, modal target, moments, EDD family."""
     grid = spectrum.build_frequencies(spec, config.k_max, tol=tol)
     if config.method == "n2_sharp":
-        norm = moments.n2_normalize_eigvecs(spec, tol=tol, b=system.b)
+        norm = moments.n2_normalize_eigvecs(spec, tol=tol, b=config.b)
         spec_used = norm.decomposition
         modal = moments.n2_sharp_targets(config.target, norm, grid)
     else:
@@ -349,12 +343,20 @@ def _prepare(config: ProblemConfig, tol: Tolerances):
         modal = moments.target_to_modal(config.target, spec, grid)
     gamma = moments.moments_from_target(modal, spec_used, grid,
                                         config.duration, tol=tol)
-    basis = "raw" if config.method == "raw" else "edd"
-    edd = spectrum.build_edd(grid, tol=tol) if basis == "edd" else None
-    ms = moments.assemble_gram(grid, config.duration, basis_kind=basis,
-                               edd=edd, tol=tol)
-    ms.gamma = gamma
-    return spec_used, grid, modal, ms, edd
+    edd = spectrum.build_edd(grid, tol=tol) if config.method != "raw" else None
+    return spec_used, grid, modal, gamma, edd
+
+
+def _system(config: ProblemConfig, head, tol: Tolerances, assembly=None):
+    """The Gram system at ``config.k_max``, read from ``assembly`` (one at
+    that K or above, for the same T) or assembled here."""
+    if assembly is None:
+        edd = head[4]
+        assembly = moments.assemble_gram(
+            head[1], config.duration, "raw" if edd is None else "edd", edd, tol)
+    ms = assembly.restrict(config.k_max)
+    ms.gamma = head[3]
+    return ms
 
 
 def _synthesis_dict(control, ms) -> dict:
@@ -368,12 +370,14 @@ def _synthesis_dict(control, ms) -> dict:
     }
 
 
-def _sweep_point(config: ProblemConfig, tol: Tolerances) -> dict:
+def _sweep_point(config: ProblemConfig, spec, assembly,
+                 tol: Tolerances) -> dict:
     row = {"T": config.duration, "K": config.k_max, "status": "ok",
            "cond_estimate": None, "control_norm": None,
            "moment_residual": None, "max_rel_error": None}
     try:
-        spec_used, grid, modal, ms, edd = _prepare(config, tol)
+        spec_used, grid, modal, _, edd = head = _prepare(config, spec, tol)
+        ms = _system(config, head, tol, assembly)
         row["cond_estimate"] = ms.cond_estimate
         control = moments.synthesize(ms, grid, edd=edd, tol=tol)
         del ms
@@ -423,7 +427,9 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_BAD_INPUT)
 
     try:
-        conditions = coupling.analyze(system, config.duration, tol=tol)
+        spec = coupling.decompose(system, tol=tol)
+        conditions = coupling.analyze(system, config.duration, tol=tol,
+                                      spec=spec)
     except (RepeatedEigenvalues, NonConvergence) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         return finish(EXIT_CONDITIONS if isinstance(exc, RepeatedEigenvalues)
@@ -437,14 +443,24 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
     if command == "sweep":
         if config.sweep is None:
             raise BadInput("sweep command requires a sweep section in the config")
+        key = "duration" if config.sweep.parameter == "T" else "k_max"
+        points = [dataclasses.replace(config, **{key: value})
+                  for value in config.sweep.values]
+        # a K sweep assembles and factors once, at the largest K whose head
+        # builds, and reads every row's system from there
+        assembly = None
+        tops = sorted(points, key=lambda p: -p.k_max) if key == "k_max" else []
+        for point in tops:
+            try:
+                head = _prepare(point, spec, tol)
+            except _NUMERICAL_ERRORS:
+                continue
+            assembly = _system(point, head, tol)
+            break
         rows = []
-        for value in config.sweep.values:
-            if config.sweep.parameter == "T":
-                point = dataclasses.replace(config, duration=float(value))
-            else:
-                point = dataclasses.replace(config, k_max=int(value))
+        for value, point in zip(config.sweep.values, points):
             t0 = time.perf_counter()
-            rows.append(_sweep_point(point, tol))
+            rows.append(_sweep_point(point, spec, assembly, tol))
             timings[f"point_{value}_s"] = time.perf_counter() - t0
         report["sweep"] = {"parameter": config.sweep.parameter,
                            "values": list(config.sweep.values), "rows": rows}
@@ -476,7 +492,8 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     try:
         t0 = time.perf_counter()
-        spec_used, grid, modal, ms, edd = _prepare(config, tol)
+        spec_used, grid, modal, _, edd = head = _prepare(config, spec, tol)
+        ms = _system(config, head, tol)
         timings["setup_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         control = moments.synthesize(ms, grid, edd=edd, tol=tol)

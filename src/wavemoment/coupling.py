@@ -167,15 +167,18 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
 
 
 def analyze(system: CouplingSystem, duration: float,
-            tol: Tolerances = DEFAULT) -> ConditionsReport:
+            tol: Tolerances = DEFAULT,
+            spec: SpectralDecomposition | None = None) -> ConditionsReport:
     """Evaluate every controllability condition at control time ``duration``.
 
-    A vanishing |beta_l| <= tol.beta_tol is reported as a rank-equivalent
+    ``spec`` is ``decompose(system)``, computed here when not given.  A
+    vanishing |beta_l| <= tol.beta_tol is reported as a rank-equivalent
     failure; in exact arithmetic it coincides with kalman_ok.
     """
     if not duration > 0:
         raise ValueError("control time must be positive")
-    spec = decompose(system, tol=tol)
+    if spec is None:
+        spec = decompose(system, tol=tol)
     rank = kalman_check(system, tol=tol)
     resonances = resonance_check(spec.eigenvalues, tol=tol)
     n = system.n

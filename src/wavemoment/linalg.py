@@ -2,20 +2,21 @@
 
 Thin, contract-enforcing wrappers over LAPACK (through numpy/scipy): a dense
 eigensolver for small matrices with a fixed eigenvalue ordering and residual
-guarantee, a Hermitian factorization that carries its 1-norm condition
-estimate, a solve with pivot diagnostics on that factorization, and a numeric
-rank from column-pivoted QR.
+guarantee, a Hermitian Cholesky factorization that carries its 1-norm
+condition estimate, a solve with pivot diagnostics on that factorization,
+and a numeric rank from column-pivoted QR.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+# lu_factor stays bound here, where perfbench/spans.py traces it
+from scipy.linalg import lu_factor  # noqa: F401
+from scipy.linalg.lapack import zpocon, zpotrf, zpotrs
 
 from ._kernels import row_blocks
 from .exceptions import DimensionTooLarge, NonConvergence, SingularSystem
@@ -92,44 +93,31 @@ def eig_dense(a, tol: Tolerances = DEFAULT) -> EigenResult:
     return EigenResult(values, vectors, residuals)
 
 
-def cond_estimate_1norm(g, lu=None, anorm=None) -> float:
-    """1-norm condition estimate of a square matrix via LAPACK gecon.
-
-    ``lu`` is the LU of g and ``anorm`` its 1-norm, each computed here when
-    not given.  Returns inf when the matrix is numerically singular.
-    """
-    g = np.asarray(g, dtype=complex)
-    if anorm is None:
-        anorm = float(np.linalg.norm(g, 1)) if g.size else 0.0
-    if anorm == 0.0:
-        return np.inf
-    if lu is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", LinAlgWarning)
-            try:
-                lu, _ = lu_factor(g)
-            except (ValueError, scipy.linalg.LinAlgError):
-                return np.inf
-    gecon = get_lapack_funcs("gecon", (g,))
-    rcond, info = gecon(lu, anorm)
-    if info != 0 or rcond <= 0.0:
+def cond_estimate_1norm(chol, anorm: float) -> float:
+    """1-norm condition estimate (LAPACK pocon) of a Hermitian S from its
+    lower Cholesky factor and ``anorm`` = ||S||_1; inf when S is not
+    numerically positive definite (a zero pivot or a zero S)."""
+    rcond, info = zpocon(chol, anorm, uplo="L")
+    if info != 0 or not rcond > 0.0:
         return np.inf
     return 1.0 / float(rcond)
 
 
-# Partially pivoted LU of a Hermitian matrix, its 1-norm and gecon estimate
-HermitianFactor = collections.namedtuple("HermitianFactor", "lu piv anorm cond")
+# Cholesky factor L of a Hermitian S (lower triangle of ``lu``, Fortran
+# order), ||S||_1 and the pocon estimate of S
+HermitianFactor = collections.namedtuple("HermitianFactor", "lu anorm cond")
 
 
 def factor_hermitian(g, tol: Tolerances = DEFAULT,
                      overwrite: bool = False) -> HermitianFactor:
-    """Check that G is Hermitian, LU-factor it once, estimate its condition.
+    """Check that S is Hermitian, Cholesky-factor it, estimate its condition.
 
     The check and the 1-norm run over column blocks, so they need no m x m
-    temporary.  ``overwrite=True`` hands G's buffer to the LU, which then
-    factors it in place when G is Fortran-ordered (LAPACK copies a C-ordered
-    G).  Raises ValueError if G is not Hermitian; ``solve_hermitian`` guards
-    pivots.
+    temporary.  ``overwrite=True`` hands S's buffer to LAPACK, which factors
+    it in place when S is Fortran-ordered.  L[:n, :n] factors S[:n, :n]; if
+    the factorization breaks down at column j, L_jj onward are set to zero,
+    so the pivot guard of ``solve_hermitian`` fails the blocks with n >= j.
+    Raises ValueError if S is not Hermitian.
     """
     g = _as_square(g)
     scale = asym = 0.0
@@ -142,27 +130,27 @@ def factor_hermitian(g, tol: Tolerances = DEFAULT,
     if scale and asym > tol.hermit_rtol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     anorm = float(col_sums.max(initial=0.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(g, overwrite_a=overwrite)
-    return HermitianFactor(lu, piv, anorm,
-                           cond_estimate_1norm(g, lu=lu, anorm=anorm))
+    lu, info = zpotrf(g, lower=1, clean=0, overwrite_a=overwrite)
+    if info > 0:
+        np.fill_diagonal(lu[info - 1:, info - 1:], 0.0)
+    return HermitianFactor(lu, anorm, cond_estimate_1norm(lu, anorm))
 
 
 def solve_hermitian(g, rhs, tol: Tolerances = DEFAULT,
                     factor: HermitianFactor | None = None,
-                    scale: np.ndarray | None = None):
+                    scale: np.ndarray | None = None,
+                    order: np.ndarray | None = None):
     """Solve G x = rhs for Hermitian G; returns (x, 1-norm cond estimate).
 
-    Partially pivoted LU plus one step of iterative refinement keeps the
-    residual well under ``1e-10 * cond * ||rhs||``.  With a positive
-    ``scale`` vector d the solve runs on S = diag(d) G diag(d): S y = d * rhs
-    and x = d * y, and the pivot guard, the refinement and the estimate all
-    refer to S (without ``scale``, S is G).  ``factor`` is
-    ``factor_hermitian(S)``, computed here when not given.  Raises
-    SingularSystem if any pivot falls below ``tol.pivot_tol * ||S||_1`` (for a
-    Gram: a resonant family or a control time below threshold), ValueError
-    if G is not Hermitian within ``tol.hermit_rtol``.
+    Cholesky plus one step of iterative refinement keeps the residual well
+    under ``1e-10 * cond * ||rhs||``.  With a positive ``scale`` vector d the
+    solve runs on S = diag(d) G diag(d): S y = d * rhs and x = d * y, and the
+    pivot guard, the refinement and the estimate all refer to S (without
+    ``scale``, S is G).  ``factor`` is ``factor_hermitian`` of S with its
+    unknowns in ``order``, computed here when not given.  Raises
+    SingularSystem if any pivot L_jj^2 is at most ``tol.pivot_tol * ||S||_1``
+    (for a Gram: a resonant family or a control time below threshold),
+    ValueError if G is not Hermitian within ``tol.hermit_rtol``.
     """
     g = _as_square(g)
     rhs = np.asarray(rhs, dtype=complex)
@@ -170,20 +158,19 @@ def solve_hermitian(g, rhs, tol: Tolerances = DEFAULT,
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     d = np.ones(n) if scale is None else np.asarray(scale, dtype=float)
+    o = np.arange(n) if order is None else np.asarray(order)
     if factor is None:
-        factor = factor_hermitian(
-            g if scale is None else g * np.multiply.outer(d, d), tol=tol)
+        s = g if scale is None else g * np.multiply.outer(d, d)
+        factor = factor_hermitian(s[np.ix_(o, o)], tol=tol)
 
-    if factor.anorm == 0.0:
-        raise SingularSystem("zero matrix")
-    pivots = np.abs(np.diag(factor.lu))
-    if pivots.min() <= tol.pivot_tol * factor.anorm:
+    pivots = np.abs(np.diag(factor.lu)) ** 2
+    if not np.all(pivots > tol.pivot_tol * factor.anorm):
         raise SingularSystem(
             f"pivot {pivots.min():.3e} below {tol.pivot_tol:.1e} * ||S||_1")
 
-    lu = (factor.lu, factor.piv)
-    x = d * lu_solve(lu, d * rhs)
-    x = x + d * lu_solve(lu, d * (rhs - g @ x))
+    x = np.empty(n, dtype=complex)
+    x[o] = d[o] * zpotrs(factor.lu, (d * rhs)[o], lower=1)[0]
+    x[o] += d[o] * zpotrs(factor.lu, (d * (rhs - g @ x))[o], lower=1)[0]
     return x, factor.cond
 
 

@@ -20,10 +20,9 @@ from ._kernels import phase_integral, row_blocks
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
-# cond_estimate_1norm stays bound here, where perfbench/spans.py traces it
-from .linalg import (HermitianFactor, cond_estimate_1norm,  # noqa: F401
-                     factor_hermitian, solve_hermitian)
-from .spectrum import EddFamily, FrequencyGrid
+from .linalg import (HermitianFactor, cond_estimate_1norm, factor_hermitian,
+                     solve_hermitian)
+from .spectrum import EddFamily, FrequencyGrid, signed_modes
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -101,11 +100,13 @@ class MomentSystem:
     ``kernel`` is B[i, j] = (e_j, e_i) over the family's exponentials, before
     EDD weights and symmetrization; ``gram`` is the Hermitian Gram G of the
     family.  ``scale`` is D = diag(G)^(-1/2), so S = D G D is the Gram of the
-    normalized family (unit-norm basis functions); ``factor`` is the one LU
-    of S, and ``cond_estimate`` its 1-norm condition estimate, which does
-    not depend on how the basis functions are scaled.  ``gamma`` always
-    stores the raw moments (eigenvalue-ordered); for the divided-difference
-    basis the triangular weight map is applied at solve time.
+    normalized family (unit-norm basis functions); ``factor`` is the one
+    Cholesky factor of S[order][:, order], ``order`` sorting the unknowns by
+    |k| (stably), and ``cond_estimate`` its 1-norm condition estimate, which
+    does not depend on how the basis functions are scaled.  ``gamma``
+    always stores the raw moments (eigenvalue-ordered); for the
+    divided-difference basis the triangular weight map is applied at solve
+    time.
     """
 
     index_order: list
@@ -117,6 +118,27 @@ class MomentSystem:
     kernel: np.ndarray | None = None
     factor: HermitianFactor | None = None
     scale: np.ndarray | None = None
+    order: np.ndarray | None = None
+
+    def restrict(self, k_max: int) -> "MomentSystem":
+        """The system over |k| <= k_max, with no new assembly: G, kernel and
+        D are middle blocks (views; kernel entries are element-wise, EDD
+        weights block-local), and the factor of its S, in |k| order, is the
+        leading block of L (copied when smaller, with its own 1-norm)."""
+        keep = [i for i, (k, _) in enumerate(self.index_order)
+                if abs(k) <= k_max]
+        mid, n = slice(keep[0], keep[-1] + 1), len(keep)
+        factor, gram, scale = self.factor, self.gram[mid, mid], self.scale[mid]
+        if n < factor.lu.shape[0]:
+            lu = np.array(factor.lu[:n, :n], order="F")
+            anorm = float((scale * (np.abs(gram) @ scale)).max())
+            factor = HermitianFactor(lu, anorm,
+                                     cond_estimate_1norm(lu, anorm))
+        return dataclasses.replace(
+            self, index_order=self.index_order[mid], gram=gram, scale=scale,
+            kernel=self.kernel[mid, mid], factor=factor,
+            cond_estimate=factor.cond, gamma=None,
+            order=self.order[:n] - mid.start)
 
 
 @dataclasses.dataclass
@@ -156,8 +178,10 @@ class ControlSignal:
         return self.duration / (len(self.sample_values) - 1)
 
     def evaluate(self, t) -> np.ndarray:
+        # one sum per sample (a matrix product sums a lone row another way)
         t = np.asarray(t, dtype=float)
-        return np.exp(1j * np.multiply.outer(t, self.frequencies)) @ self.amplitudes
+        return np.vecdot(np.conj(self.amplitudes),
+                         np.exp(1j * np.multiply.outer(t, self.frequencies)))
 
     def with_samples(self, count: int) -> "ControlSignal":
         if count < 2:
@@ -255,11 +279,12 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     the normalized family: scaling a basis function changes neither the span
     nor the minimal-norm control, so ``cond_estimate`` (the 1-norm estimate
     of S) measures the family's independence, within a factor m of the best
-    diagonal scaling of G (van der Sluis, 1969).  A singular Gram still
-    assembles; ``synthesize`` raises on its pivots.  The kernel is filled in
-    row blocks; with EDD weights, G, S and the LU of S (factored in place)
-    share the two buffers of the weighted product, so three m x m arrays are
-    kept: the kernel, G and the LU.
+    diagonal scaling of G (van der Sluis, 1969).  S is Cholesky-factored in
+    |k| order, so the factor serves every smaller K (``restrict``).  A
+    singular Gram still assembles; ``synthesize`` raises on its pivots.  The
+    kernel is filled in row blocks; G takes the EDD product's spare buffer,
+    S (factored in place) its own, or a new one for raw, so three m x m
+    arrays are kept: the kernel, G and the factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
@@ -280,17 +305,23 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     gram += weighted
     gram /= 2.0
     scale = 1.0 / np.sqrt(gram.diagonal().real)
-    # S = D G D, written over the EDD product (raw: a new, C-ordered buffer)
-    normalized = np.multiply(gram, scale[:, None],
-                             out=None if weighted is kernel else weighted)
+    # S[order][:, order] in Fortran order, each column a conjugated row
+    order = np.argsort(np.abs(np.repeat(signed_modes(grid.k_max), grid.n)),
+                       kind="stable")
+    normalized = np.empty((m, m), complex, "F") if weighted is kernel \
+        else weighted
     del weighted
-    normalized *= scale
+    columns = normalized.T
+    for column, i in zip(columns, order):
+        np.take(gram[i], order, out=column, mode="clip")
+    columns *= scale[order]
+    columns *= scale[order, None]
+    np.conjugate(columns, out=columns)
     factor = factor_hermitian(normalized, tol=tol, overwrite=True)
-    del normalized  # the factor holds S from here on
     return MomentSystem(index_order=grid.signed_indices(),
                         basis_kind=basis_kind, gram=gram,
                         cond_estimate=factor.cond, duration=duration,
-                        kernel=kernel, factor=factor, scale=scale)
+                        kernel=kernel, factor=factor, scale=scale, order=order)
 
 
 def target_to_modal(target: TargetSpec, spec: SpectralDecomposition,
@@ -352,13 +383,14 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
                tol: Tolerances = DEFAULT) -> ControlSignal:
     """Minimal-norm control in the span of the assembled family.
 
-    Solves S y = D gamma on the stored factor of the normalized Gram S = D G D
-    (the coefficients are D y) and expands them into a plain exponential
-    combination, with norm and realification residual from the stored
-    kernel; the moment residual is measured against G.  Raises SingularSystem
-    when a pivot of S falls below ``tol.pivot_tol * ||S||_1`` (resonance or
-    insufficient control time) and ConditioningExceeded when the condition
-    estimate of S is above ``tol.cond_cap``.
+    Solves S y = D gamma on the stored Cholesky factor of the normalized
+    Gram S = D G D (the coefficients are D y) and expands them into a plain
+    exponential combination, with norm and realification residual from the
+    stored kernel; the moment residual is measured against G.  Raises
+    SingularSystem when a pivot L_jj^2 of S is at most
+    ``tol.pivot_tol * ||S||_1`` (resonance or insufficient control time) and
+    ConditioningExceeded when the condition estimate of S is above
+    ``tol.cond_cap``.
     """
     if ms.gamma is None:
         raise ValueError("moment system has no gamma attached")
@@ -369,7 +401,7 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
     else:
         rhs = ms.gamma
     coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor,
-                              scale=ms.scale)
+                              scale=ms.scale, order=ms.order)
     if ms.cond_estimate > tol.cond_cap:
         raise ConditioningExceeded(
             f"normalized gram condition estimate {ms.cond_estimate:.3e} "

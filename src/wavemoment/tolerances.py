@@ -17,8 +17,8 @@ _PROFILE_ENV = "WAVEMOMENT_PROFILE"
 class Tolerances:
     # eigensolver residual bound, absolute on unit-norm eigenvectors
     eig_tol: float = 1e-10
-    # Hermitian solve: a pivot below pivot_tol * ||S||_1 means singular, S
-    # the factored matrix (for a Gram: that of the normalized family)
+    # Hermitian solve: a Cholesky pivot L_jj^2 at most pivot_tol * ||S||_1
+    # means singular, S the factored matrix (for a Gram: the normalized one)
     pivot_tol: float = 1e-12
     # numeric rank: QR diagonal relative cutoff
     rank_tol: float = 1e-9

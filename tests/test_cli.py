@@ -239,45 +239,144 @@ README_EDD_DOC = {
 }
 
 
+def count_calls(monkeypatch, calls, module, name):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    calls[name] = 0
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
-    from wavemoment import linalg, moments, waveform
+    from wavemoment import coupling, linalg, moments, waveform
 
     calls = {}
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return original(*args, **kwargs)
-
-        calls[name] = 0
-        monkeypatch.setattr(module, name, counted)
-
-    count(linalg, "lu_factor")
-    count(moments, "combo_l2_norm")
-    count(waveform, "duhamel_exact")
+    count_calls(monkeypatch, calls, coupling, "decompose")
+    count_calls(monkeypatch, calls, linalg, "zpotrf")
+    count_calls(monkeypatch, calls, moments, "combo_l2_norm")
+    count_calls(monkeypatch, calls, waveform, "duhamel_exact")
     config = cli.parse_config(json.dumps(README_EDD_DOC))
     report, code = cli.run("verify", config, out_dir=str(tmp_path))
     assert code == cli.EXIT_OK
     assert report["data"]["verification"]["passed"] is True
     assert (tmp_path / "state.csv").exists()
-    assert calls == {"lu_factor": 1, "combo_l2_norm": 0, "duhamel_exact": 1}
+    assert calls == {"decompose": 1, "zpotrf": 1, "combo_l2_norm": 0,
+                     "duhamel_exact": 1}
+
+
+def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
+    from wavemoment import coupling, linalg, moments
+
+    calls = {}
+    count_calls(monkeypatch, calls, coupling, "decompose")
+    count_calls(monkeypatch, calls, moments, "assemble_gram")
+    count_calls(monkeypatch, calls, linalg, "zpotrf")
+    doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    rows = report["data"]["sweep"]["rows"]
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert calls == {"decompose": 1, "assemble_gram": 1, "zpotrf": 1}
+
+
+N3_EDD_DOC = {
+    "A": [[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
+    "b": [1.0, 0.0, 0.0],
+    "T": 6 * math.pi + 1.0,
+    "K": 4,
+    "method": "edd",
+    "target": {"z0": [[1, [1.0, 0.0, 0.5]]], "z1": [[2, [0.0, 0.25, 0.0]]]},
+}
+
+
+def assert_row_matches_single_k(row, doc, force=False):
+    report, code = cli.run("verify", cli.parse_config(json.dumps(
+        dict(doc, K=row["K"]))), force=force)
+    data = report["data"]
+    assert (row["status"], code) == ("ok", cli.EXIT_OK)
+    assert row["cond_estimate"] == pytest.approx(
+        data["synthesis"]["cond_estimate"], rel=1e-10, abs=0)
+    assert row["control_norm"] == pytest.approx(
+        data["synthesis"]["control_norm"], rel=1e-10, abs=0)
+    # the terminal error itself is at rounding level (about 1e-14 here),
+    # so its agreement is absolute
+    assert row["max_rel_error"] == pytest.approx(
+        data["verification"]["max_rel_error"], rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("doc", [A2_DOC, N3_EDD_DOC], ids=["raw", "edd-n3"])
+def test_k_sweep_rows_match_single_k_commands(doc):
+    # every row is read from the K = 16 assembly and its Cholesky factor
+    sweep = dict(doc, sweep={"parameter": "K", "values": [4, 8, 16]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(sweep)))
+    assert code == cli.EXIT_OK
+    for row in report["data"]["sweep"]["rows"]:
+        assert_row_matches_single_k(row, doc)
+
+
+def test_k_sweep_keeps_rows_below_a_colliding_top():
+    # eigenvalue gap 5e-5: the in-block frequency gap at k = 64 (about
+    # 4e-7) is below that K's collision threshold 1e-8 * (1 + 64), the gaps
+    # at k <= 8 are above 1e-8 * (1 + 8); the lower rows share an assembly
+    # at K = 8, as they did when each assembled its own
+    doc = dict(A2_DOC, A=[[0.5, 0.0], [1.0, 0.50005]], method="edd",
+               target={"z0": [[1, [1.0, 0.0]]]},
+               sweep={"parameter": "K", "values": [4, 64, 8]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    rows = report["data"]["sweep"]["rows"]
+    assert [row["status"] for row in rows] == ["ok", "CollisionInBlock", "ok"]
+    assert rows[1]["cond_estimate"] is None
+
+
+def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
+    # omega_{1,2} = omega_{2,1} = 2: in |k| order the Cholesky factor of the
+    # K = 2 assembly breaks down at column 5, past the 2KN = 4 unknowns of
+    # K = 1, whose row is read from the factor's leading block
+    from wavemoment import moments
+
+    factors = []
+    original = moments.factor_hermitian
+
+    def keep(*args, **kwargs):
+        factors.append(original(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(moments, "factor_hermitian", keep)
+    doc = dict(RESONANT_DOC, sweep={"parameter": "K", "values": [1, 2]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    monkeypatch.undo()
+    assert code == cli.EXIT_OK
+    (factor,) = factors
+    pivots = np.abs(np.diag(factor.lu))
+    assert np.all(pivots[:4] > 0) and np.all(pivots[4:] == 0)
+    rows = report["data"]["sweep"]["rows"]
+    assert rows[1]["status"] == "SingularSystem"
+    # the resonance fails the controllability gate, hence the forced command
+    assert_row_matches_single_k(rows[0], RESONANT_DOC, force=True)
 
 
 def test_control_samples_do_not_depend_on_row_blocks(tmp_path, monkeypatch):
+    from wavemoment import _kernels
     from wavemoment.moments import ControlSignal
 
     rng = np.random.default_rng(3)
     freqs = rng.standard_normal(64) * 20 + 0.1j * rng.standard_normal(64)
     amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     control = ControlSignal(FOUR_PI, freqs, amps)
+    t = np.linspace(0.0, FOUR_PI, 1001)
+    values = control.evaluate(t)
+    assert all(control.evaluate(t[i:i + 1])[0] == values[i]
+               and control.evaluate(t[i]) == values[i] for i in range(1001))
     written = []
-    # 1001 samples in one block, in blocks of 2 rows (the last of 3), 7, 100
-    # (the last of 101) and 500 rows (the last of 501), and at the default
-    for block in (10 ** 9, 64, 7 * 64, 100 * 64, 500 * 64, None):
+    # 1001 samples in one block, in blocks of 1, 2, 7, 100 (the last of 1)
+    # and 500 rows (the last of 1), and at the default
+    for block in (10 ** 9, 64, 2 * 64, 7 * 64, 100 * 64, 500 * 64, None):
         if block is not None:
-            monkeypatch.setattr(cli, "BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)
         else:
             monkeypatch.undo()
         out = tmp_path / str(block)

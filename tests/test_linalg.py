@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wavemoment.exceptions import DimensionTooLarge, SingularSystem
-from wavemoment.linalg import (MAX_DENSE_DIM, cond_estimate_1norm, eig_dense,
+from wavemoment.linalg import (MAX_DENSE_DIM, HermitianFactor,
+                               cond_estimate_1norm, eig_dense,
                                factor_hermitian, rank_qr, solve_hermitian)
 from wavemoment.tolerances import DEFAULT
 
@@ -123,7 +124,6 @@ def test_solve_with_supplied_factor_is_bitwise_identical():
         x_f, cond_f = solve_hermitian(g, rhs, factor=factor)
         assert np.array_equal(x, x_f)
         assert cond == cond_f == factor.cond
-        assert cond_f == cond_estimate_1norm(g)
 
 
 def test_factor_in_place_matches_copying_factor():
@@ -137,15 +137,59 @@ def test_factor_in_place_matches_copying_factor():
         ref = factor_hermitian(kept)
         assert np.array_equal(kept, s)
         assert ref.anorm == np.linalg.norm(s, 1)
+        low = np.tril(ref.lu)
+        assert np.allclose(low @ low.conj().T, g, rtol=0,
+                           atol=1e-13 * ref.anorm)
         got = factor_hermitian(s, overwrite=True)
         assert np.array_equal(got.lu, ref.lu)
-        assert np.array_equal(got.piv, ref.piv)
         assert (got.anorm, got.cond) == (ref.anorm, ref.cond)
         # LAPACK factors a Fortran-ordered buffer in place, copies a C one
         assert np.shares_memory(got.lu, s) == (order == "F")
     g[0, -1] += 1e-6 * np.abs(g).max()
     with pytest.raises(ValueError, match="not Hermitian"):
         factor_hermitian(g)
+
+
+def test_leading_blocks_of_the_factor():
+    # L[:n, :n] factors S[:n, :n]; a breakdown at column j = 31 zeroes L_jj
+    # onward, so the pivot guard fails the blocks with n >= 31 only
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    g = m @ m.conj().T / 40 + 0.1 * np.eye(40)
+    g[30, 30] = -1.0
+    rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    factor = factor_hermitian(g)
+    assert factor.cond == np.inf
+    for n in (1, 8, 30, 31, 40):
+        lu = np.array(factor.lu[:n, :n], order="F")
+        anorm = np.linalg.norm(g[:n, :n], 1)
+        lead = HermitianFactor(lu, anorm, cond_estimate_1norm(lu, anorm))
+        if n > 30:
+            assert lead.cond == np.inf
+            with pytest.raises(SingularSystem):
+                solve_hermitian(g[:n, :n], rhs[:n], factor=lead)
+            continue
+        ref = factor_hermitian(g[:n, :n])
+        assert np.allclose(np.tril(lu), np.tril(ref.lu), rtol=0, atol=1e-14)
+        assert lead.cond == pytest.approx(ref.cond, rel=1e-10, abs=0)
+        x, cond = solve_hermitian(g[:n, :n], rhs[:n], factor=lead)
+        assert cond == lead.cond
+        assert np.linalg.norm(g[:n, :n] @ x - rhs[:n]) <= \
+            1e-12 * cond * np.linalg.norm(rhs[:n])
+
+
+def test_solve_on_a_permuted_factor():
+    rng = np.random.default_rng(23)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    g = m @ m.conj().T + 0.1 * np.eye(12)
+    rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    d = rng.uniform(0.5, 2.0, size=12)
+    order = rng.permutation(12)
+    s = g * np.multiply.outer(d, d)
+    x, _ = solve_hermitian(g, rhs, scale=d)
+    for factor in (None, factor_hermitian(s[np.ix_(order, order)])):
+        x_p, _ = solve_hermitian(g, rhs, factor=factor, scale=d, order=order)
+        assert np.allclose(x_p, x, rtol=0, atol=1e-12 * np.abs(x).max())
 
 
 def test_scaled_solve_guards_pivots_of_the_scaled_matrix():
@@ -190,11 +234,13 @@ def test_solve_rhs_shape_check():
 
 
 def test_cond_estimate_basics():
-    assert cond_estimate_1norm(np.eye(4)) == pytest.approx(1.0)
+    # the estimate is taken on the Cholesky factor (pocon)
+    assert factor_hermitian(np.eye(4)).cond == pytest.approx(1.0)
     # 1-norm condition of diag(1, 10) is exactly 10
-    assert cond_estimate_1norm(np.diag([1.0, 10.0])) == pytest.approx(10.0)
-    assert cond_estimate_1norm(np.zeros((2, 2))) == np.inf
-    assert cond_estimate_1norm(np.ones((2, 2))) == np.inf
+    assert factor_hermitian(np.diag([1.0, 10.0])).cond == pytest.approx(10.0)
+    assert factor_hermitian(np.zeros((2, 2))).cond == np.inf
+    assert factor_hermitian(np.ones((2, 2))).cond == np.inf
+    assert cond_estimate_1norm(np.eye(3), 1.0) == pytest.approx(1.0)
 
 
 def test_rank_trivial_cases():

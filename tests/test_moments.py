@@ -9,7 +9,7 @@ from wavemoment.coupling import (CouplingSystem, SpectralDecomposition,
 from wavemoment.exceptions import (BetaZero, ConditioningExceeded,
                                    DegenerateEigenvector, ModeOutOfRange,
                                    SingularSystem)
-from wavemoment.linalg import cond_estimate_1norm
+from wavemoment.linalg import factor_hermitian
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, combo_l2_norm, gram_entry,
                                 moments_from_target, n2_edd_coefficients,
@@ -177,6 +177,40 @@ def test_assembly_peak_memory_in_gram_units():
         if basis == "edd":
             assert ms.factor.lu.flags.f_contiguous
         del ms
+
+
+def test_restriction_matches_assembly_at_k():
+    # the K = 3 system read from a K = 6 assembly: G, kernel and D are its
+    # middle blocks, the factor the leading block in |k| order
+    spec = spec_for([0.5, -0.3, 1.7])
+    duration = 3 * TWO_PI + 1.0
+    for basis in ("raw", "edd"):
+        big_grid, grid = build_frequencies(spec, 6), build_frequencies(spec, 3)
+        big = assemble_gram(big_grid, duration, basis_kind=basis,
+                            edd=build_edd(big_grid))
+        own = assemble_gram(grid, duration, basis_kind=basis,
+                            edd=build_edd(grid))
+        assert big.restrict(6).factor is big.factor
+        assert big.restrict(6).gamma is None
+        # S = D G D is factored in |k| order; its strict upper triangle stays
+        s = own.gram * own.scale[:, None] * own.scale
+        o = own.order
+        assert np.array_equal(np.triu(own.factor.lu, 1),
+                              np.triu(s[np.ix_(o, o)], 1))
+        ms = big.restrict(3)
+        assert ms.index_order == own.index_order == grid.signed_indices()
+        assert [abs(ms.index_order[i][0]) for i in ms.order] == \
+            [k for k in (1, 2, 3) for _ in range(6)]
+        assert np.shares_memory(ms.gram, big.gram)
+        assert np.array_equal(ms.kernel, own.kernel)
+        if basis == "raw":
+            assert np.array_equal(ms.gram, own.gram)
+        assert np.allclose(ms.gram, own.gram, rtol=0,
+                           atol=1e-14 * np.abs(own.gram).max())
+        assert np.allclose(np.tril(ms.factor.lu), np.tril(own.factor.lu),
+                           rtol=0, atol=1e-13)
+        assert ms.cond_estimate == pytest.approx(own.cond_estimate, rel=1e-10)
+        assert ms.factor.anorm == pytest.approx(own.factor.anorm, rel=1e-13)
 
 
 def test_edd_gram_matches_quadrature():
@@ -360,7 +394,7 @@ def test_cond_estimate_is_that_of_the_normalized_gram():
         _, grid, edd, ms = pipeline(A2, B2, 16, 2 * TWO_PI, basis=basis,
                                     z0=z0, z1=z1)
         d = 1.0 / np.sqrt(ms.gram.diagonal().real)
-        want = cond_estimate_1norm(ms.gram * np.multiply.outer(d, d))
+        want = factor_hermitian(ms.gram * np.multiply.outer(d, d)).cond
         assert ms.cond_estimate == pytest.approx(want, rel=1e-12, abs=0)
         controls.append(synthesize(ms, grid, edd=edd))
     sig_r, sig_e = controls
