@@ -34,9 +34,11 @@ def phase_integral(delta, duration, switch=SERIES_SWITCH):
     array in its output buffer, silently dividing 0 by 0 at delta == 0 (and
     overflowing at subnormal delta); the series then overwrites the entries
     at or below the switch.
-    Accepts scalars or arrays, complex delta allowed.
+    Accepts scalars or arrays, complex delta allowed; long-double input is
+    evaluated in long double.
     """
-    d = np.asarray(delta, dtype=complex)
+    d = np.asarray(delta)
+    d = d.astype(np.result_type(d, complex), copy=False)
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
     i_d = 1j * d

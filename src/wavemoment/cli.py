@@ -19,7 +19,6 @@ import time
 import numpy as np
 
 from . import coupling, moments, spectrum, waveform
-from ._kernels import row_blocks
 from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, DegenerateEigenvector,
                          GridTooCoarse, ModeOutOfRange, NonConvergence,
@@ -278,62 +277,51 @@ def _json_safe(value):
     return value
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path: str, header: list, rows):
+    """A header line, then one line per row: a cell is "" for None, text as
+    is, and a number to 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(["" if v is None else v if isinstance(v, str)
+                               else format(float(v), ".17g") for v in row])
+                     + "\n")
+
+
+def _write_json(path: str, doc: dict):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(_json_safe(doc), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_control_files(out_dir: str, control, samples: int):
-    t = np.linspace(0.0, control.duration, samples)
-    # row blocks keep the samples x terms exponential table small
-    values = np.concatenate([control.evaluate(t[rows]) for rows in
-                             row_blocks(samples, control.frequencies.size)])
-    path = os.path.join(out_dir, "control.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,f\n")
-        for ti, fi in zip(t, values):
-            fh.write(f"{_fmt(ti)},{_fmt(fi.real)}\n")
-    combo = {
+    t, values = control.sample(samples)
+    _write_csv(os.path.join(out_dir, "control.csv"), ["t", "f"],
+               zip(t.tolist(), values.real.tolist()))
+    _write_json(os.path.join(out_dir, "control_modes.json"), {
         "duration": control.duration,
         "terms": [
             {"frequency_re": float(nu.real), "frequency_im": float(nu.imag),
              "amplitude_re": float(am.real), "amplitude_im": float(am.imag)}
             for nu, am in zip(control.frequencies, control.amplitudes)
         ],
-    }
-    with open(os.path.join(out_dir, "control_modes.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(combo), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _write_state_file(out_dir: str, modal, spec):
     x = np.linspace(0.0, math.pi, STATE_POINTS)
     u, ut = waveform.reconstruct(modal, spec, x)
-    n = u.shape[1]
-    header = "x," + ",".join(f"u{j}" for j in range(1, n + 1)) \
-        + "," + ",".join(f"ut{j}" for j in range(1, n + 1))
-    with open(os.path.join(out_dir, "state.csv"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, xi in enumerate(x):
-            row = [_fmt(xi)]
-            row += [_fmt(u[i, j].real) for j in range(n)]
-            row += [_fmt(ut[i, j].real) for j in range(n)]
-            fh.write(",".join(row) + "\n")
+    header = ["x"] + [f"{name}{j}" for name in ("u", "ut")
+                      for j in range(1, u.shape[1] + 1)]
+    _write_csv(os.path.join(out_dir, "state.csv"), header,
+               np.column_stack([x, u.real, ut.real]).tolist())
 
 
-def _write_report(out_dir: str | None, report: dict):
-    if out_dir is None:
-        return
-    with open(os.path.join(out_dir, "report.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _prepare(config: ProblemConfig, spec, tol: Tolerances):
-    """Pipeline head at one K: grid, modal target, moments, EDD family."""
-    grid = spectrum.build_frequencies(spec, config.k_max, tol=tol)
+def _system(config: ProblemConfig, spec, tol: Tolerances, assembly=None):
+    """Pipeline head and Gram system at ``config.k_max``: (spec_used, grid,
+    modal, edd, ms).  The system is read from ``assembly`` (one at that K or
+    above, for the same T) or assembled here."""
+    grid = spectrum.build_frequencies(spec, config.k_max)
     if config.method == "n2_sharp":
         norm = moments.n2_normalize_eigvecs(spec, tol=tol, b=config.b)
         spec_used = norm.decomposition
@@ -344,19 +332,20 @@ def _prepare(config: ProblemConfig, spec, tol: Tolerances):
     gamma = moments.moments_from_target(modal, spec_used, grid,
                                         config.duration, tol=tol)
     edd = spectrum.build_edd(grid, tol=tol) if config.method != "raw" else None
-    return spec_used, grid, modal, gamma, edd
-
-
-def _system(config: ProblemConfig, head, tol: Tolerances, assembly=None):
-    """The Gram system at ``config.k_max``, read from ``assembly`` (one at
-    that K or above, for the same T) or assembled here."""
     if assembly is None:
-        edd = head[4]
         assembly = moments.assemble_gram(
-            head[1], config.duration, "raw" if edd is None else "edd", edd, tol)
+            grid, config.duration, "raw" if edd is None else "edd", edd, tol)
     ms = assembly.restrict(config.k_max)
-    ms.gamma = head[3]
-    return ms
+    ms.gamma = gamma
+    return spec_used, grid, modal, edd, ms
+
+
+def _control(ms, grid, edd, tol: Tolerances):
+    """The control that is written and verified: synthesized, realified and
+    with its growing moments pinned."""
+    control = moments.synthesize(ms, grid, edd=edd, tol=tol)
+    control = moments.realify(control, tol=tol)
+    return moments.pin_growing_moments(control, grid, ms.gamma, tol=tol)
 
 
 def _synthesis_dict(control, ms) -> dict:
@@ -376,12 +365,10 @@ def _sweep_point(config: ProblemConfig, spec, assembly,
            "cond_estimate": None, "control_norm": None,
            "moment_residual": None, "max_rel_error": None}
     try:
-        spec_used, grid, modal, _, edd = head = _prepare(config, spec, tol)
-        ms = _system(config, head, tol, assembly)
+        spec_used, grid, modal, edd, ms = _system(config, spec, tol, assembly)
         row["cond_estimate"] = ms.cond_estimate
-        control = moments.synthesize(ms, grid, edd=edd, tol=tol)
+        control = _control(ms, grid, edd, tol)
         del ms
-        control = moments.realify(control, tol=tol)
         row["control_norm"] = control.l2_norm()
         row["moment_residual"] = control.moment_residual
         report = waveform.verify(spec_used, grid, control, modal,
@@ -417,7 +404,8 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
     def finish(code: int) -> tuple:
         timings["total_s"] = time.perf_counter() - started
         out = {"data": report, "timings": timings}
-        _write_report(out_dir, out)
+        if out_dir is not None:
+            _write_json(os.path.join(out_dir, "report.json"), out)
         return out, code
 
     try:
@@ -452,10 +440,9 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         tops = sorted(points, key=lambda p: -p.k_max) if key == "k_max" else []
         for point in tops:
             try:
-                head = _prepare(point, spec, tol)
+                *_, assembly = _system(point, spec, tol)
             except _NUMERICAL_ERRORS:
                 continue
-            assembly = _system(point, head, tol)
             break
         rows = []
         for value, point in zip(config.sweep.values, points):
@@ -465,22 +452,10 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         report["sweep"] = {"parameter": config.sweep.parameter,
                            "values": list(config.sweep.values), "rows": rows}
         if out_dir is not None:
-            with open(os.path.join(out_dir, "sweep.csv"), "w",
-                      encoding="utf-8", newline="\n") as fh:
-                cols = ["T", "K", "cond_estimate", "control_norm",
-                        "moment_residual", "max_rel_error", "status"]
-                fh.write(",".join(cols) + "\n")
-                for row in rows:
-                    cells = []
-                    for col in cols:
-                        val = row[col]
-                        if val is None:
-                            cells.append("")
-                        elif isinstance(val, str):
-                            cells.append(val)
-                        else:
-                            cells.append(_fmt(val))
-                    fh.write(",".join(cells) + "\n")
+            cols = ["T", "K", "cond_estimate", "control_norm",
+                    "moment_residual", "max_rel_error", "status"]
+            _write_csv(os.path.join(out_dir, "sweep.csv"), cols,
+                       ([row[col] for col in cols] for row in rows))
         return finish(EXIT_OK)
 
     if command not in ("synthesize", "verify"):
@@ -492,12 +467,10 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     try:
         t0 = time.perf_counter()
-        spec_used, grid, modal, _, edd = head = _prepare(config, spec, tol)
-        ms = _system(config, head, tol)
+        spec_used, grid, modal, edd, ms = _system(config, spec, tol)
         timings["setup_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        control = moments.synthesize(ms, grid, edd=edd, tol=tol)
-        control = moments.realify(control, tol=tol)
+        control = _control(ms, grid, edd, tol)
         timings["synthesis_s"] = time.perf_counter() - t0
     except ModeOutOfRange as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"

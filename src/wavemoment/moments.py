@@ -1,10 +1,11 @@
 """Terminal-state moment problems and minimal-norm control synthesis.
 
 Driving the system to a prescribed terminal state is equivalent to a family
-of moment equations on the control f: its inner products against the grid
-exponentials e_{k,l}(t) = exp(i*omega_{k,l}*t) over [0, T] must equal values
-gamma_{k,l} computed from the target.  The minimal L2-norm solution inside
-the truncated span solves the Hermitian Gram system G alpha = gamma; a
+of moment equations on the control f: its inner products against the
+exponentials e_{k,l}(t) = exp(i*conj(omega_{k,l})*t) over [0, T] (the Riesz
+representers of the moment functionals) must equal values gamma_{k,l}
+computed from the target.  The minimal L2-norm solution inside the
+truncated span solves the Hermitian Gram system G alpha = gamma; a
 divided-difference basis replaces the raw exponentials when in-block
 clustering would poison the conditioning.
 """
@@ -25,10 +26,15 @@ from .linalg import (HermitianFactor, cond_estimate_1norm, factor_hermitian,
 from .spectrum import EddFamily, FrequencyGrid, signed_modes
 from .tolerances import DEFAULT, Tolerances
 
+# a moment whose terminal-state amplification |e^{i omega T}| exceeds this is
+# pinned after synthesis, and the evolution that verifies it runs in long double
+GROWTH_PIN = 1e4
+
 __all__ = [
     "ModalState", "TargetSpec", "MomentSystem", "ControlSignal",
     "N2Normalization", "gram_entry", "assemble_gram", "target_to_modal",
-    "moments_from_target", "synthesize", "realify", "combo_l2_norm",
+    "moments_from_target", "synthesize", "realify", "pin_growing_moments",
+    "combo_l2_norm",
     "n2_normalize_eigvecs", "n2_sharp_targets", "n2_edd_coefficients",
 ]
 
@@ -145,16 +151,14 @@ class MomentSystem:
 class ControlSignal:
     """Finite exponential combination f(t) = sum_j amp_j * exp(i*freq_j*t).
 
-    ``sample_values`` (optional) holds values on the uniform grid
-    t_i = i * duration / (samples - 1).  ``norm`` (||f|| in L2(0, duration))
-    and ``realification_residual`` (||Im f|| / ||f||) come from the assembled
-    kernel; a combination built by hand computes them from its own kernel.
+    ``norm`` (||f|| in L2(0, duration)) and ``realification_residual``
+    (||Im f|| / ||f||) come from the assembled kernel; a combination built
+    by hand computes them from its own kernel.
     """
 
     duration: float
     frequencies: np.ndarray
     amplitudes: np.ndarray
-    sample_values: np.ndarray | None = None
     realification_residual: float | None = None
     moment_residual: float | None = None
     norm: float | None = None
@@ -171,23 +175,20 @@ class ControlSignal:
     def combo(self) -> list:
         return list(zip(self.frequencies.tolist(), self.amplitudes.tolist()))
 
-    @property
-    def sample_dt(self) -> float | None:
-        if self.sample_values is None:
-            return None
-        return self.duration / (len(self.sample_values) - 1)
-
     def evaluate(self, t) -> np.ndarray:
         # one sum per sample (a matrix product sums a lone row another way)
         t = np.asarray(t, dtype=float)
         return np.vecdot(np.conj(self.amplitudes),
                          np.exp(1j * np.multiply.outer(t, self.frequencies)))
 
-    def with_samples(self, count: int) -> "ControlSignal":
+    def sample(self, count: int) -> tuple:
+        """(t, f(t)) on ``count`` uniform points of [0, duration]; row blocks
+        keep the points x terms exponential table small."""
         if count < 2:
             raise ValueError("need at least two samples")
         t = np.linspace(0.0, self.duration, count)
-        return dataclasses.replace(self, sample_values=self.evaluate(t))
+        return t, np.concatenate([self.evaluate(t[rows]) for rows in
+                                  row_blocks(count, self.frequencies.size)])
 
     def l2_norm(self) -> float:
         if self.norm is None:
@@ -200,12 +201,12 @@ def gram_entry(omega_a, omega_b, duration: float, tol: Tolerances = DEFAULT):
 
     Closed form (e^{i*Delta*T} - 1)/(i*Delta) with Delta = omega_a -
     conj(omega_b); a second-order series takes over for |Delta| below
-    ``tol.series_switch`` to avoid cancellation.  Broadcasts, so
+    ``tol.series_switch`` to avoid cancellation; long-double frequencies give
+    long-double entries.  Broadcasts, so
     ``gram_entry(f, f[:, None], T)`` is the kernel B[i, j] = (e_j, e_i) of a
     frequency vector f.
     """
-    delta = np.asarray(omega_a, dtype=complex) \
-        - np.conj(np.asarray(omega_b, dtype=complex))
+    delta = np.asarray(omega_a) - np.conj(np.asarray(omega_b))
     return phase_integral(delta, duration, switch=tol.series_switch)
 
 
@@ -292,7 +293,8 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
         raise ValueError(f"unknown basis_kind {basis_kind!r}")
     if basis_kind == "edd" and edd is None:
         raise ValueError("edd family required for basis_kind='edd'")
-    freqs = grid.frequencies() if basis_kind == "raw" else edd.frequencies()
+    freqs = np.conj(grid.frequencies() if basis_kind == "raw"
+                    else edd.frequencies())
     m = freqs.size
     kernel = np.empty((m, m), dtype=complex)
     for rows in row_blocks(m, m):
@@ -412,11 +414,11 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
         residual = float(np.linalg.norm(ms.gram @ coef - rhs)) / rhs_norm
 
     if ms.basis_kind == "edd":
-        freqs = edd.frequencies()
+        freqs = np.conj(edd.frequencies())
         amps = (edd.weights.transpose(0, 2, 1)
                 @ coef.reshape(-1, edd.n, 1)).ravel()
     else:
-        freqs = grid.frequencies()
+        freqs = np.conj(grid.frequencies())
         amps = coef
     closed, re, im = _real_split(freqs, amps)
     norm, imag = _norm_and_residual(closed, re, im, ms.duration, tol,
@@ -442,6 +444,30 @@ def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
         duration=signal.duration, frequencies=freqs[order], amplitudes=re[order],
         realification_residual=resid, moment_residual=signal.moment_residual,
         norm=norm * math.sqrt(max(1.0 - resid * resid, 0.0)))
+
+
+def pin_growing_moments(signal: ControlSignal, grid: FrequencyGrid,
+                        gamma: np.ndarray,
+                        tol: Tolerances = DEFAULT) -> ControlSignal:
+    """Meet the moments whose state amplification e^{i omega T} exceeds
+    GROWTH_PIN: the control's moments against those (decaying)
+    representers are taken in long double, and the miss is met by extra
+    real terms on them, appended; their amplitudes are tiny, so their own
+    rounding does not matter.  Norm and residuals are left as they are."""
+    freqs = np.conj(grid.frequencies())
+    pin = freqs.imag * signal.duration > math.log(GROWTH_PIN)
+    if not pin.any():
+        return signal
+    held = gram_entry(signal.frequencies.astype(np.clongdouble),
+                      freqs[pin, None].astype(np.clongdouble),
+                      signal.duration, tol=tol) \
+        @ signal.amplitudes.astype(np.clongdouble)
+    miss = (gamma[pin] - held).astype(complex)
+    block = gram_entry(freqs[pin], freqs[pin, None], signal.duration, tol=tol)
+    extra, amps, _ = _real_split(freqs[pin], np.linalg.solve(block, miss))
+    return dataclasses.replace(
+        signal, frequencies=np.concatenate([signal.frequencies, extra]),
+        amplitudes=np.concatenate([signal.amplitudes, amps]))
 
 
 @dataclasses.dataclass
@@ -540,9 +566,6 @@ def n2_edd_coefficients(modal: ModalState, grid: FrequencyGrid) -> np.ndarray:
     """
     if grid.n != 2:
         raise ValueError("divided-difference coefficients require n = 2")
-    out = np.empty_like(modal.a)
-    for mode in range(1, modal.k_max + 1):
-        gap = grid.omega_at(mode, 2) - grid.omega_at(mode, 1)
-        out[mode - 1, 0] = modal.a[mode - 1, 0]
-        out[mode - 1, 1] = (modal.a[mode - 1, 1] - modal.a[mode - 1, 0]) / gap
-    return out
+    w = grid.omega[:modal.k_max]
+    a = modal.a
+    return np.column_stack([a[:, 0], (a[:, 1] - a[:, 0]) / (w[:, 1] - w[:, 0])])

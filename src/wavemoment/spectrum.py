@@ -34,14 +34,12 @@ class FrequencyGrid:
     """Frequencies omega_{k,l} for k = 1..k_max, plus sign extension.
 
     ``omega[k-1, l-1]`` holds the branch with Re >= 0 (ties broken toward
-    Im >= 0); negative k is always the exact negation.  ``zero_modes`` lists
-    signed (k, l) pairs whose frequency is numerically zero.
+    Im >= 0); negative k is always the exact negation.
     """
 
     k_max: int
     n: int
     omega: np.ndarray
-    zero_modes: list
 
     def omega_at(self, k: int, l: int) -> complex:
         """Frequency at signed mode k (1-based |k| <= k_max) and level l (1-based)."""
@@ -70,24 +68,15 @@ def _principal_branch(z: np.ndarray) -> np.ndarray:
     return w
 
 
-def build_frequencies(spec: SpectralDecomposition, k_max: int,
-                      tol: Tolerances = DEFAULT) -> FrequencyGrid:
+def build_frequencies(spec: SpectralDecomposition, k_max: int) -> FrequencyGrid:
     """Tabulate omega_{k,l} = sqrt(k^2 + conj(lambda_l)) for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lam = spec.eigenvalues
     k = np.arange(1, k_max + 1, dtype=float)
     z = k[:, None] ** 2 + np.conj(lam)[None, :]
-    omega = _principal_branch(z)
-
-    zero = []
-    for ki, li in zip(*np.nonzero(np.abs(omega) <= tol.zero_tol)):
-        zero.append((int(ki) + 1, int(li) + 1))
-        zero.append((-(int(ki) + 1), int(li) + 1))
-    zero.sort()
-
-    return FrequencyGrid(k_max=k_max, n=lam.shape[0], omega=omega,
-                         zero_modes=zero)
+    return FrequencyGrid(k_max=k_max, n=lam.shape[0],
+                         omega=_principal_branch(z))
 
 
 def detect_collisions(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> list:
@@ -117,7 +106,9 @@ class EddFamily:
     """Divided-difference families of every signed block, one row per block.
 
     Row r belongs to mode ``signed_modes(k_max)[r]``.  ``nodes[r]`` holds the
-    block frequencies sorted ascending by (Re, Im) and ``perm[r]`` maps
+    block frequencies sorted ascending by (Re, Im), except that nodes with
+    Im > 0 (growing family functions e^{Im x t}, which would dominate every
+    divided difference after them) come last by Im; ``perm[r]`` maps
     eigenvalue order into that sorted order.  ``weights[r]`` is lower
     triangular: row l holds the l + 1 coefficients of the order-(l + 1)
     function over the first l + 1 nodes, and its diagonal weight grows like
@@ -149,7 +140,7 @@ def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
     """
     coll_tol = tol.coll_scale * (1.0 + grid.k_max)
     freqs = grid.frequencies().reshape(2 * grid.k_max, grid.n)
-    perm = np.lexsort((freqs.imag, freqs.real))
+    perm = np.lexsort((freqs.imag, freqs.real, np.maximum(freqs.imag, 0.0)))
     nodes = np.take_along_axis(freqs, perm, axis=1)
     # factors[r, i, j] = x_j - x_i, with the excluded i = j set to exactly 1
     factors = -(nodes[:, :, None] - nodes[:, None, :])
@@ -186,18 +177,12 @@ def gap_diagnostics(grid: FrequencyGrid) -> GapReport:
         return GapReport(k=np.empty(0, dtype=int), diameter=empty,
                          product=empty, median_product=0.0, flagged=[])
     ks = np.arange(1, grid.k_max + 1)
-    diam = np.empty(grid.k_max)
-    for i in range(grid.k_max):
-        row = grid.omega[i]
-        diam[i] = np.abs(row[None, :] - row[:, None]).max()
+    w = grid.omega
+    diam = np.abs(w[:, None, :] - w[:, :, None]).max(axis=(1, 2))
     product = ks * diam
     upper = ks >= max(1, grid.k_max // 2)
     median = float(np.median(product[upper]))
-    flagged = []
-    if median > 0:
-        for k in ks[upper]:
-            p = product[k - 1]
-            if p < median / 2.0 or p > 2.0 * median:
-                flagged.append(int(k))
+    drift = (product < median / 2.0) | (product > 2.0 * median)
+    flagged = [int(k) for k in ks[upper & drift]] if median > 0 else []
     return GapReport(k=ks, diameter=diam, product=product,
                      median_product=median, flagged=flagged)

@@ -19,7 +19,7 @@ from ._kernels import (phase_integral, ramp_integral, row_blocks,
                        segment_moment)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
-from .moments import ControlSignal, ModalState
+from .moments import GROWTH_PIN, ControlSignal, ModalState
 from .spectrum import FrequencyGrid
 from .tolerances import DEFAULT, Tolerances
 
@@ -53,10 +53,14 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
 
     a_{k,l}(T) = (2k/pi) beta_l * int f(s) sin(w (T-s))/w ds and adot with the
     cosine kernel; the sine and cosine split into phase integrals, and modes
-    with |w| <= tol.zero_tol use the exact w -> 0 limit (ramp kernel).
+    with |w| <= tol.zero_tol use the exact w -> 0 limit (ramp kernel).  When
+    some mode's amplification e^{|Im w| T} exceeds GROWTH_PIN, its
+    terms are that much larger than its state, and all run in long double.
     """
-    nus = control.frequencies
-    amps = control.amplitudes
+    growing = np.abs(grid.omega.imag) * duration > math.log(GROWTH_PIN)
+    dtype = np.clongdouble if growing.any() else complex
+    nus = control.frequencies.astype(dtype)
+    amps = control.amplitudes.astype(dtype)
     k_max, n = grid.k_max, grid.n
     a = np.zeros((k_max, n), dtype=complex)
     adot = np.zeros((k_max, n), dtype=complex)
@@ -64,7 +68,7 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     # kernels of the other modes a block of modes at a time; one dot per mode
     # keeps the summation order of each mode's integral
     modes = list(zip(*np.nonzero(~zero)))
-    ws = grid.omega[~zero]
+    ws = grid.omega[~zero].astype(dtype)
     for rows in row_blocks(len(modes), nus.size):
         w = ws[rows, None]
         fwd = np.exp(1j * w * duration) \
@@ -87,24 +91,21 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
 
 
 def evolve_quadrature(spec: SpectralDecomposition, grid: FrequencyGrid,
-                      control: ControlSignal, duration: float,
+                      samples, duration: float,
                       tol: Tolerances = DEFAULT) -> ModalState:
-    """Terminal modal state from sampled control values.
+    """Terminal modal state from control values on ``len(samples)`` uniform
+    points of [0, duration] (as from ``ControlSignal.sample``).
 
     Integrates the piecewise-linear interpolant of the samples exactly
     against the oscillatory kernels, so the result is second order in the
     sample spacing for smooth controls.  Raises GridTooCoarse when the
     spacing exceeds pi / (4 * max |w|).
     """
-    if control.sample_values is None:
-        raise ValueError("control carries no samples")
-    values = np.asarray(control.sample_values, dtype=complex)
+    values = np.asarray(samples, dtype=complex)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("need at least two samples")
-    dt = control.sample_dt
     count = values.size
-    if abs(dt * (count - 1) - duration) > 1e-12 * max(1.0, duration):
-        raise ValueError("sample grid does not span the control interval")
+    dt = duration / (count - 1)
     w_max = float(np.abs(grid.omega).max())
     if w_max > 0 and dt > math.pi / (4.0 * w_max):
         raise GridTooCoarse(
@@ -168,14 +169,15 @@ def evolve(spec: SpectralDecomposition, grid: FrequencyGrid,
     """Closed-form evolution, optionally cross-checked by quadrature.
 
     When ``oracle_samples`` is given, the control is sampled on that many
-    points and re-evolved with the piecewise-linear integrator;
-    per-mode residuals |delta| / (1 + |value|) over both tables are attached.
+    points (``ControlSignal.sample``) and re-evolved with the piecewise-linear
+    integrator; per-mode residuals |delta| / (1 + |value|) over both tables
+    are attached.
     """
     modal = duhamel_exact(spec, grid, control, duration, tol=tol)
     residuals = None
     if oracle_samples is not None:
-        sampled = control.with_samples(oracle_samples)
-        check = evolve_quadrature(spec, grid, sampled, duration, tol=tol)
+        _, values = control.sample(oracle_samples)
+        check = evolve_quadrature(spec, grid, values, duration, tol=tol)
         scale = 1.0 + np.maximum(np.abs(modal.a), np.abs(modal.adot))
         residuals = np.maximum(np.abs(modal.a - check.a),
                                np.abs(modal.adot - check.adot)) / scale

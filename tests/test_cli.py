@@ -149,6 +149,17 @@ def test_json_safe():
                                    "c": 0.5}
 
 
+def test_csv_cell_contract(tmp_path):
+    path = tmp_path / "rows.csv"
+    cli._write_csv(str(path), ["a", "b", "c", "d"],
+                   [[None, "ok", 3, 0.5],
+                    [np.float64(1.0) / 3.0, -0.0, 0.1, None]])
+    assert path.read_bytes() == (
+        b"a,b,c,d\n"
+        b",ok,3,0.5\n"
+        b"0.33333333333333331,-0,0.10000000000000001,\n")
+
+
 def test_analyze_exit_codes():
     good = cli.parse_config(json.dumps(A2_DOC))
     report, code = cli.run("analyze", good)
@@ -357,6 +368,66 @@ def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
     assert rows[1]["status"] == "SingularSystem"
     # the resonance fails the controllability gate, hence the forced command
     assert_row_matches_single_k(rows[0], RESONANT_DOC, force=True)
+
+
+def test_t_sweep_holds_one_gram_system_at_a_time():
+    # each of kernel, G and the factor takes 16 m^2 bytes (m = 2KN = 512); a
+    # row whose system outlived it into the next row's assembly would about
+    # double the peak
+    import tracemalloc
+
+    doc = dict(README_EDD_DOC, K=128, method="raw", sweep={
+        "parameter": "T", "values": [FOUR_PI, FOUR_PI + 1.0, 5 * math.pi]})
+    config = cli.parse_config(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        report, code = cli.run("sweep", config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert [row["status"] for row in report["data"]["sweep"]["rows"]] == \
+        ["ok"] * 3
+    assert peak <= 3.25 * 16 * 512 ** 2
+
+
+# complex frequencies: a complex eigenvalue pair and an eigenvalue below -1
+NONREAL_DOCS = {
+    "pair-raw": dict(A2_DOC, A=[[0.2, 0.7], [-0.7, 0.2]], K=8),
+    "pair-edd": dict(A2_DOC, A=[[0.2, 0.7], [-0.7, 0.2]], K=8, method="edd"),
+    "below-minus-one": {"A": [[-1.5]], "b": [1.0], "T": 2 * math.pi, "K": 8,
+                        "target": {"z0": [[1, [1.0]]], "z1": [[2, [0.5]]]}},
+}
+
+
+@pytest.mark.parametrize("doc", NONREAL_DOCS.values(), ids=NONREAL_DOCS)
+def test_control_reaches_target_for_nonreal_frequencies(doc):
+    # the moment functionals' Riesz representers are e^{i conj(w) t}; a
+    # family built on e^{i w t} misses these targets by about 1e3
+    report, code = cli.run("verify", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    assert report["data"]["verification"]["max_rel_error"] <= 1e-12
+
+
+# lambda_1 = -2.24 < -1: the k = 1 state amplifies moment errors by
+# e^{T sqrt(-1 - lambda_1)} = 2.9e9, so double rounding of the amplitudes
+# alone missed the target by 2.5e-6 (raw), and with the growing node first
+# every EDD function of its block was singular
+GROWING_DOC = {"A": [[-2.239541, 0.0, 0.0], [1.0, 0.562783, 0.0],
+                     [0.0, 1.0, 0.997996]],
+               "b": [1.0, 0.0, 0.0], "T": 19.563415613241176, "K": 16,
+               "target": {"z0": [[1, [-0.479126, 0.537645, 0.290559]]],
+                          "z1": [[1, [0.832854, -0.349868, 0.834267]]]}}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double on this platform")
+@pytest.mark.parametrize("method", ["raw", "edd"])
+def test_control_reaches_target_through_growing_mode(method):
+    doc = dict(GROWING_DOC, method=method)
+    report, code = cli.run("verify", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    assert report["data"]["verification"]["max_rel_error"] <= 1e-8
 
 
 def test_control_samples_do_not_depend_on_row_blocks(tmp_path, monkeypatch):

@@ -14,9 +14,11 @@ from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, combo_l2_norm, gram_entry,
                                 moments_from_target, n2_edd_coefficients,
                                 n2_normalize_eigvecs, n2_sharp_targets,
-                                realify, synthesize, target_to_modal)
+                                pin_growing_moments, realify, synthesize,
+                                target_to_modal)
 from wavemoment.spectrum import build_edd, build_frequencies
 from wavemoment.tolerances import DEFAULT
+from wavemoment.waveform import verify
 
 import oracles
 
@@ -374,6 +376,30 @@ def test_synthesize_real_for_real_data():
         assert np.max(np.abs(vals.imag)) <= 1e-10 * (1 + np.max(np.abs(vals)))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double on this platform")
+def test_pin_growing_moments():
+    # real frequencies amplify nothing: the same control comes back
+    _, grid, _, ms = pipeline(A2, B2, 3, 2 * TWO_PI, z0={1: [1.0, 0.0]})
+    control = realify(synthesize(ms, grid))
+    assert pin_growing_moments(control, grid, ms.gamma) is control
+
+    # lambda = -2.5: the k = -1 representer is e^{-mu t}, mu = sqrt(1.5), and
+    # its state is the moment times e^{mu T} = 1e10 at T = 6 pi
+    duration, mu = 3 * TWO_PI, math.sqrt(1.5)
+    target = TargetSpec({1: [1.0]}, {2: [0.5]})
+    spec, grid, _, ms = pipeline([[-2.5]], [1.0], 4, duration,
+                                 z0=target.z0, z1=target.z1)
+    modal = target_to_modal(target, spec, grid)
+    control = realify(synthesize(ms, grid))
+    pinned = pin_growing_moments(control, grid, ms.gamma)
+    assert pinned.frequencies.size == control.frequencies.size + 1
+    assert pinned.frequencies[-1] == pytest.approx(1j * mu)
+    assert abs(pinned.amplitudes[-1]) <= 1e-14 * control.l2_norm()
+    assert pinned.amplitudes[-1].imag == 0.0
+    assert verify(spec, grid, pinned, modal, duration).max_rel_error <= 1e-9
+
+
 def test_synthesize_raw_vs_edd_same_control():
     z0 = {1: [0.3, -0.2], 4: [0.0, 1.0]}
     _, grid, _, ms_r = pipeline(A2, B2, 6, 2 * TWO_PI, z0=z0)
@@ -592,15 +618,14 @@ def test_n2_edd_coefficients():
 
 def test_control_signal_api():
     sig = ControlSignal(TWO_PI, [1.0, -1.0], [0.5, 0.5])
-    assert sig.sample_dt is None
-    sampled = sig.with_samples(9)
-    assert sampled.sample_dt == pytest.approx(TWO_PI / 8)
-    assert np.allclose(sampled.sample_values,
-                       np.cos(np.linspace(0.0, TWO_PI, 9)), atol=1e-12)
+    t, values = sig.sample(9)
+    assert np.array_equal(t, np.linspace(0.0, TWO_PI, 9))
+    assert np.allclose(values, np.cos(t), atol=1e-12)
+    assert np.array_equal(values, sig.evaluate(t))
     assert sig.combo == [(1.0 + 0j, 0.5 + 0j), (-1.0 + 0j, 0.5 + 0j)]
     with pytest.raises(ValueError):
         ControlSignal(TWO_PI, [1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         ControlSignal(0.0, [1.0], [0.5])
     with pytest.raises(ValueError):
-        sig.with_samples(1)
+        sig.sample(1)

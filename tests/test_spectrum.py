@@ -8,6 +8,7 @@ from wavemoment.exceptions import CollisionInBlock
 from wavemoment.spectrum import (build_edd, build_frequencies,
                                  detect_collisions, gap_diagnostics,
                                  signed_modes)
+from wavemoment.tolerances import DEFAULT
 
 import oracles
 
@@ -74,8 +75,10 @@ def test_sign_extension_exact():
 
 def test_zero_mode_detection():
     grid = build_frequencies(spec_for([-1.0]), 2)
-    assert (1, 1) in grid.zero_modes and (-1, 1) in grid.zero_modes
-    assert grid.omega_at(1, 1) == 0
+    assert grid.omega_at(1, 1) == 0 and grid.omega_at(-1, 1) == 0
+    zero = np.abs(grid.frequencies()) <= DEFAULT.zero_tol
+    assert [grid.signed_indices()[i] for i in np.flatnonzero(zero)] == \
+        [(-1, 1), (1, 1)]
 
 
 def test_collision_examples():
@@ -127,6 +130,16 @@ def test_edd_triple_block_weights():
     r = row(fam, 1)
     assert np.allclose(fam.nodes[r], [1.0, 2.0, 4.0])
     assert np.allclose(fam.weights[r, 2], [1 / 3, -1 / 2, 1 / 6])
+
+
+def test_edd_growing_node_last():
+    # lambda = -2 puts i at k = 1; its family function e^{t} would dominate
+    # every higher-order function of the block if it came first
+    spec = spec_for([-2.0, 3.0, 8.0])  # omega at k=1: i, 2, 3
+    grid = build_frequencies(spec, 1)
+    fam = build_edd(grid)
+    assert np.allclose(fam.nodes[row(fam, 1)], [2.0, 3.0, 1j])
+    assert np.allclose(fam.nodes[row(fam, -1)], [-3.0, -2.0, -1j])
 
 
 def test_edd_recurrence_property():
