@@ -5,9 +5,9 @@ of moment equations on the control f: its inner products against the
 exponentials e_{k,l}(t) = exp(i*conj(omega_{k,l})*t) over [0, T] (the Riesz
 representers of the moment functionals) must equal values gamma_{k,l}
 computed from the target.  The minimal L2-norm solution inside the
-truncated span solves the Hermitian Gram system G alpha = gamma; a
-divided-difference basis replaces the raw exponentials when in-block
-clustering would poison the conditioning.
+truncated span solves the Hermitian Gram system G alpha = gamma.  The raw
+exponentials are the order-one divided-difference family, so both bases run
+one path; in-block divided differences undo the clustering that poisons them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
 from .linalg import (HermitianFactor, cond_estimate_1norm, factor_hermitian,
                      solve_hermitian)
-from .spectrum import EddFamily, FrequencyGrid, signed_modes
+from .spectrum import EddFamily, FrequencyGrid, build_raw
 from .tolerances import DEFAULT, Tolerances
 
 # a moment whose terminal-state amplification |e^{i omega T}| exceeds this is
@@ -101,21 +101,21 @@ class TargetSpec:
 
 @dataclasses.dataclass
 class MomentSystem:
-    """Assembled Gram system over the signed index order.
+    """Assembled Gram system over the signed index order, |k| <= ``k_max``.
 
     ``kernel`` is B[i, j] = (e_j, e_i) over the family's exponentials, before
-    EDD weights and symmetrization; ``gram`` is the Hermitian Gram G of the
-    family.  ``scale`` is D = diag(G)^(-1/2), so S = D G D is the Gram of the
+    its weights and symmetrization; ``gram`` is the Hermitian Gram G of the
+    family (of the order-one family for "raw": the symmetrized kernel).
+    ``scale`` is D = diag(G)^(-1/2), so S = D G D is the Gram of the
     normalized family (unit-norm basis functions); ``factor`` is the one
     Cholesky factor of S[order][:, order], ``order`` sorting the unknowns by
     |k| (stably), and ``cond_estimate`` its 1-norm condition estimate, which
-    does not depend on how the basis functions are scaled.  ``gamma``
-    always stores the raw moments (eigenvalue-ordered); for the
-    divided-difference basis the triangular weight map is applied at solve
-    time.
+    does not depend on how the basis functions are scaled.  ``gamma`` holds
+    the moments of the plain exponentials (eigenvalue-ordered); the family's
+    weights map them at solve time.
     """
 
-    index_order: list
+    k_max: int
     basis_kind: str
     gram: np.ndarray
     cond_estimate: float
@@ -127,24 +127,26 @@ class MomentSystem:
     order: np.ndarray | None = None
 
     def restrict(self, k_max: int) -> "MomentSystem":
-        """The system over |k| <= k_max, with no new assembly: G, kernel and
-        D are middle blocks (views; kernel entries are element-wise, EDD
-        weights block-local), and the factor of its S, in |k| order, is the
-        leading block of L (copied when smaller, with its own 1-norm)."""
-        keep = [i for i, (k, _) in enumerate(self.index_order)
-                if abs(k) <= k_max]
-        mid, n = slice(keep[0], keep[-1] + 1), len(keep)
+        """The system over |k| <= k_max, 1 <= k_max <= K (else ValueError),
+        with no new assembly: G, kernel and D are middle blocks (views, as
+        kernel entries are element-wise and weights block-local); the factor
+        of its S, in |k| order, is L's leading block (copied when smaller)."""
+        if not 1 <= k_max <= self.k_max:
+            raise ValueError(f"k_max {k_max} outside 1..{self.k_max}")
+        n = self.gram.shape[0] // (2 * self.k_max)  # unknowns per mode
+        mid = slice((self.k_max - k_max) * n, (self.k_max + k_max) * n)
+        size = 2 * k_max * n
         factor, gram, scale = self.factor, self.gram[mid, mid], self.scale[mid]
-        if n < factor.lu.shape[0]:
-            lu = np.array(factor.lu[:n, :n], order="F")
+        if size < factor.lu.shape[0]:
+            lu = np.array(factor.lu[:size, :size], order="F")
             anorm = float((scale * (np.abs(gram) @ scale)).max())
             factor = HermitianFactor(lu, anorm,
                                      cond_estimate_1norm(lu, anorm))
         return dataclasses.replace(
-            self, index_order=self.index_order[mid], gram=gram, scale=scale,
+            self, k_max=k_max, gram=gram, scale=scale,
             kernel=self.kernel[mid, mid], factor=factor,
             cond_estimate=factor.cond, gamma=None,
-            order=self.order[:n] - mid.start)
+            order=self.order[:size] - mid.start)
 
 
 @dataclasses.dataclass
@@ -253,20 +255,30 @@ def _norm_and_residual(freqs, re, im, duration, tol, kernel=None) -> tuple:
     return norm, math.sqrt(im2) / max(norm, 1e-300)
 
 
-def _weighted_gram(kernel: np.ndarray, edd: EddFamily) -> tuple:
-    """conj(W) @ kernel @ W.T for the block-diagonal EDD weights W.
+def _weighted_gram(kernel: np.ndarray, family: EddFamily) -> tuple:
+    """conj(W) @ kernel @ W.T for the block-diagonal weights W of a family.
 
     One n x n block at a time: O(m^2 n), and the same sums in the same order
     as the dense m^3 products (the right one as (W @ left.T).T).  The right
     product is written over the left one, so the result is a Fortran-ordered
     view; the second m x m buffer (left.T) comes back as spare.
     """
-    w = edd.weights
-    blocks, n, m = w.shape[0], edd.n, kernel.shape[0]
+    w = family.weights
+    blocks, n, m = w.shape[0], family.n, kernel.shape[0]
     left = np.conj(w) @ kernel.reshape(blocks, n, m)
     spare = np.ascontiguousarray(left.reshape(m, m).T)
     np.matmul(w, spare.reshape(blocks, n, m), out=left)
     return left.reshape(m, m).T, spare
+
+
+def _family(grid: FrequencyGrid, basis_kind: str,
+            edd: EddFamily | None) -> EddFamily:
+    """The family of ``basis_kind``: ``build_raw(grid)`` or ``edd``."""
+    if basis_kind not in ("raw", "edd"):
+        raise ValueError(f"unknown basis_kind {basis_kind!r}")
+    if basis_kind == "edd" and edd is None:
+        raise ValueError("edd family required for basis_kind='edd'")
+    return build_raw(grid) if basis_kind == "raw" else edd
 
 
 def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
@@ -274,54 +286,42 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
                   tol: Tolerances = DEFAULT) -> MomentSystem:
     """Build the Hermitian Gram G of the chosen family over [0, duration].
 
-    ``basis_kind`` is "raw" (grid exponentials, eigenvalue order inside each
-    block) or "edd" (divided differences over block-sorted frequencies).
-    The one factorization is of S = D G D, D = diag(G)^(-1/2), the Gram of
-    the normalized family: scaling a basis function changes neither the span
-    nor the minimal-norm control, so ``cond_estimate`` (the 1-norm estimate
-    of S) measures the family's independence, within a factor m of the best
-    diagonal scaling of G (van der Sluis, 1969).  S is Cholesky-factored in
-    |k| order, so the factor serves every smaller K (``restrict``).  A
-    singular Gram still assembles; ``synthesize`` raises on its pivots.  The
-    kernel is filled in row blocks; G takes the EDD product's spare buffer,
-    S (factored in place) its own, or a new one for raw, so three m x m
-    arrays are kept: the kernel, G and the factor.
+    The family is ``build_raw(grid)`` (order one) for ``basis_kind`` "raw"
+    and ``edd`` for "edd".  The one factorization is of S = D G D, with
+    D = diag(G)^(-1/2), the Gram of the normalized family: scaling a basis
+    function changes neither the span nor the minimal-norm control, so
+    ``cond_estimate`` (the 1-norm estimate of S) measures the family's
+    independence, within a factor m of the best diagonal scaling of G (van
+    der Sluis, 1969).  S is Cholesky-factored in |k| order, so the factor
+    serves every smaller K (``restrict``).  A singular Gram still assembles;
+    ``synthesize`` raises on its pivots.  The kernel is filled in row blocks;
+    G takes the weight product's spare buffer and S (factored in place) the
+    product's own, so three m x m arrays are kept: the kernel, G and the
+    factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
-    if basis_kind not in ("raw", "edd"):
-        raise ValueError(f"unknown basis_kind {basis_kind!r}")
-    if basis_kind == "edd" and edd is None:
-        raise ValueError("edd family required for basis_kind='edd'")
-    freqs = np.conj(grid.frequencies() if basis_kind == "raw"
-                    else edd.frequencies())
+    family = _family(grid, basis_kind, edd)
+    freqs = np.conj(family.nodes.ravel())
     m = freqs.size
     kernel = np.empty((m, m), dtype=complex)
     for rows in row_blocks(m, m):
         kernel[rows] = gram_entry(freqs, freqs[rows, None], duration, tol=tol)
-    if basis_kind == "raw":
-        weighted, spare = kernel, np.empty_like(kernel)
-    else:
-        weighted, spare = _weighted_gram(kernel, edd)
+    weighted, spare = _weighted_gram(kernel, family)
     gram = np.conjugate(weighted.T, out=spare)
     gram += weighted
     gram /= 2.0
     scale = 1.0 / np.sqrt(gram.diagonal().real)
-    # S[order][:, order] in Fortran order, each column a conjugated row
-    order = np.argsort(np.abs(np.repeat(signed_modes(grid.k_max), grid.n)),
-                       kind="stable")
-    normalized = np.empty((m, m), complex, "F") if weighted is kernel \
-        else weighted
-    del weighted
-    columns = normalized.T
+    # S[order][:, order] over the Fortran-ordered product, by conjugated rows
+    order = np.argsort(np.abs(grid.signed_k()), kind="stable")
+    columns = weighted.T
     for column, i in zip(columns, order):
         np.take(gram[i], order, out=column, mode="clip")
     columns *= scale[order]
     columns *= scale[order, None]
     np.conjugate(columns, out=columns)
-    factor = factor_hermitian(normalized, tol=tol, overwrite=True)
-    return MomentSystem(index_order=grid.signed_indices(),
-                        basis_kind=basis_kind, gram=gram,
+    factor = factor_hermitian(weighted, tol=tol, overwrite=True)
+    return MomentSystem(k_max=grid.k_max, basis_kind=basis_kind, gram=gram,
                         cond_estimate=factor.cond, duration=duration,
                         kernel=kernel, factor=factor, scale=scale, order=order)
 
@@ -365,19 +365,17 @@ def moments_from_target(modal: ModalState, spec: SpectralDecomposition,
         raise BetaZero(f"|beta_{worst + 1}| = {np.abs(beta[worst]):.3e} "
                        "is numerically zero")
     c = modal.c_signed(grid)
-    idx = grid.signed_indices()
-    freqs = grid.frequencies()
-    k_abs = np.array([abs(k) for k, _ in idx], dtype=float)
-    beta_at = np.array([beta[l - 1] for _, l in idx])
-    phase = np.exp(-1j * freqs * duration)
+    k_abs = np.abs(grid.signed_k())
+    beta_at = np.tile(beta, 2 * grid.k_max)
+    phase = np.exp(-1j * grid.frequencies() * duration)
     return c * (np.pi / (2.0 * k_abs)) / beta_at * phase
 
 
-def _edd_transform_gamma(gamma: np.ndarray, edd: EddFamily) -> np.ndarray:
-    """Map raw moments to divided-difference moments, blockwise."""
-    n = edd.n
-    perm = (edd.perm + n * np.arange(2 * edd.k_max)[:, None]).ravel()
-    return (np.conj(edd.weights) @ gamma[perm].reshape(-1, n, 1)).ravel()
+def _edd_transform_gamma(gamma: np.ndarray, family: EddFamily) -> np.ndarray:
+    """Map the moments of the plain exponentials to the family's, blockwise."""
+    n = family.n
+    perm = (family.perm + n * np.arange(2 * family.k_max)[:, None]).ravel()
+    return (np.conj(family.weights) @ gamma[perm].reshape(-1, n, 1)).ravel()
 
 
 def synthesize(ms: MomentSystem, grid: FrequencyGrid,
@@ -385,8 +383,9 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
                tol: Tolerances = DEFAULT) -> ControlSignal:
     """Minimal-norm control in the span of the assembled family.
 
-    Solves S y = D gamma on the stored Cholesky factor of the normalized
-    Gram S = D G D (the coefficients are D y) and expands them into a plain
+    Solves S y = D W gamma, W the weights of the family (``build_raw(grid)``
+    for "raw", ``edd`` for "edd"), on the stored Cholesky factor of the
+    normalized Gram S = D G D and expands the coefficients D y into a plain
     exponential combination, with norm and realification residual from the
     stored kernel; the moment residual is measured against G.  Raises
     SingularSystem when a pivot L_jj^2 of S is at most
@@ -396,12 +395,8 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
     """
     if ms.gamma is None:
         raise ValueError("moment system has no gamma attached")
-    if ms.basis_kind == "edd":
-        if edd is None:
-            raise ValueError("edd family required to synthesize in edd basis")
-        rhs = _edd_transform_gamma(ms.gamma, edd)
-    else:
-        rhs = ms.gamma
+    family = _family(grid, ms.basis_kind, edd)
+    rhs = _edd_transform_gamma(ms.gamma, family)
     coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor,
                               scale=ms.scale, order=ms.order)
     if ms.cond_estimate > tol.cond_cap:
@@ -413,13 +408,9 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
     if rhs_norm > 0:
         residual = float(np.linalg.norm(ms.gram @ coef - rhs)) / rhs_norm
 
-    if ms.basis_kind == "edd":
-        freqs = np.conj(edd.frequencies())
-        amps = (edd.weights.transpose(0, 2, 1)
-                @ coef.reshape(-1, edd.n, 1)).ravel()
-    else:
-        freqs = np.conj(grid.frequencies())
-        amps = coef
+    freqs = np.conj(family.nodes.ravel())
+    amps = (family.weights.transpose(0, 2, 1)
+            @ coef.reshape(-1, family.n, 1)).ravel()
     closed, re, im = _real_split(freqs, amps)
     norm, imag = _norm_and_residual(closed, re, im, ms.duration, tol,
                                     ms.kernel if closed is freqs else None)

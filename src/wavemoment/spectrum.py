@@ -5,7 +5,8 @@ omega^2 = k^2 + conj(lambda_l), extended to negative k by omega_{-k,l} =
 -omega_{k,l}.  Within one k the N frequencies cluster as k grows (gaps decay
 like 1/k), which ruins the conditioning of any plain exponential family built
 from them.  Divided differences of the exponentials restore a uniformly
-independent family; the weights here are the standard inverse Newton products.
+independent family; the weights here are the standard inverse Newton products,
+and the identity for the order-one family of the plain exponentials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .exceptions import CollisionInBlock
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "FrequencyGrid", "EddFamily", "GapReport", "signed_modes",
+    "FrequencyGrid", "EddFamily", "GapReport", "signed_modes", "build_raw",
     "build_frequencies", "detect_collisions", "build_edd", "gap_diagnostics",
 ]
 
@@ -54,6 +55,10 @@ class FrequencyGrid:
         """Index pairs (k, l) ordered by k ascending over -K..-1, 1..K, then l."""
         return [(k, l) for k in signed_modes(self.k_max)
                 for l in range(1, self.n + 1)]
+
+    def signed_k(self) -> np.ndarray:
+        """Signed mode k of each unknown, aligned with ``signed_indices()``."""
+        return np.repeat(signed_modes(self.k_max), self.n)
 
     def frequencies(self) -> np.ndarray:
         """Frequency vector aligned with ``signed_indices()``."""
@@ -105,14 +110,14 @@ def detect_collisions(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> list:
 class EddFamily:
     """Divided-difference families of every signed block, one row per block.
 
-    Row r belongs to mode ``signed_modes(k_max)[r]``.  ``nodes[r]`` holds the
-    block frequencies sorted ascending by (Re, Im), except that nodes with
-    Im > 0 (growing family functions e^{Im x t}, which would dominate every
-    divided difference after them) come last by Im; ``perm[r]`` maps
-    eigenvalue order into that sorted order.  ``weights[r]`` is lower
-    triangular: row l holds the l + 1 coefficients of the order-(l + 1)
-    function over the first l + 1 nodes, and its diagonal weight grows like
-    |k|^l for clustered blocks.
+    Row r belongs to mode ``signed_modes(k_max)[r]``; ``perm[r]`` maps
+    eigenvalue order into the order of ``nodes[r]``.  ``build_edd`` sorts
+    them ascending by (Re, Im), except that nodes with Im > 0 (growing
+    functions e^{Im x t}, which would dominate every divided difference
+    after them) come last by Im; row l of the lower triangular
+    ``weights[r]`` holds the order-(l + 1) function over the first l + 1
+    nodes, whose diagonal weight grows like |k|^l in clustered blocks.
+    ``build_raw`` keeps eigenvalue order with identity weights (order one).
     """
 
     k_max: int
@@ -120,10 +125,6 @@ class EddFamily:
     nodes: np.ndarray
     perm: np.ndarray
     weights: np.ndarray
-
-    def frequencies(self) -> np.ndarray:
-        """Sorted block frequencies in the lexicographic signed-index order."""
-        return self.nodes.flatten()
 
 
 def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
@@ -154,6 +155,17 @@ def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
     weights = np.tril(1.0 / np.cumprod(factors, axis=1))
     return EddFamily(k_max=grid.k_max, n=grid.n, nodes=nodes, perm=perm,
                      weights=weights)
+
+
+def build_raw(grid: FrequencyGrid) -> EddFamily:
+    """The order-one family: the grid's exponentials in eigenvalue order,
+    every weight block the N x N identity."""
+    blocks = 2 * grid.k_max
+    return EddFamily(k_max=grid.k_max, n=grid.n,
+                     nodes=grid.frequencies().reshape(blocks, grid.n),
+                     perm=np.tile(np.arange(grid.n), (blocks, 1)),
+                     weights=np.tile(np.eye(grid.n, dtype=complex),
+                                     (blocks, 1, 1)))
 
 
 @dataclasses.dataclass

@@ -156,7 +156,7 @@ def wellposedness_ratio(modal: ModalState, grid: FrequencyGrid,
     this ratio stays bounded uniformly in the truncation.
     """
     c = modal.c_signed(grid)
-    k_abs = np.array([abs(k) for k, _ in grid.signed_indices()], dtype=float)
+    k_abs = np.abs(grid.signed_k())
     state = math.sqrt(float(np.sum((np.abs(c) / k_abs) ** 2)))
     ctrl = control.l2_norm()
     return state / max(ctrl, 1e-300)
@@ -209,20 +209,16 @@ def sobolev_norm(modal: ModalState, s: float, table: str = "a",
     ``table`` selects "a", "adot", or "c"; the exponential-form table needs
     the frequency grid and runs over both signs of k.
     """
-    if table == "a":
-        coef = modal.a
-    elif table == "adot":
-        coef = modal.adot
+    if table in ("a", "adot"):
+        coef = modal.a if table == "a" else modal.adot
+        k = np.arange(1, modal.k_max + 1)[:, None]
     elif table == "c":
         if grid is None:
             raise ValueError("table='c' requires the frequency grid")
-        c = modal.c_signed(grid)
-        k_abs = np.array([abs(k) for k, _ in grid.signed_indices()], dtype=float)
-        return float(math.sqrt(np.sum((k_abs ** s * np.abs(c)) ** 2)))
+        coef, k = modal.c_signed(grid), np.abs(grid.signed_k())
     else:
         raise ValueError(f"unknown table {table!r}")
-    k = np.arange(1, modal.k_max + 1, dtype=float)[:, None]
-    return float(math.sqrt(np.sum((k ** s * np.abs(coef)) ** 2)))
+    return float(math.sqrt(np.sum((k ** float(s) * np.abs(coef)) ** 2)))
 
 
 def verify(spec: SpectralDecomposition, grid: FrequencyGrid,

@@ -9,7 +9,7 @@ from wavemoment.coupling import (CouplingSystem, SpectralDecomposition,
 from wavemoment.exceptions import (BetaZero, ConditioningExceeded,
                                    DegenerateEigenvector, ModeOutOfRange,
                                    SingularSystem)
-from wavemoment.linalg import factor_hermitian
+from wavemoment.linalg import factor_hermitian, solve_hermitian
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, combo_l2_norm, gram_entry,
                                 moments_from_target, n2_edd_coefficients,
@@ -88,7 +88,7 @@ def test_gram_entry_matches_quadrature():
 
 def test_identity_gram_single_level():
     _, grid, _, ms = pipeline([[0.0]], [1.0], 1, TWO_PI)
-    assert ms.index_order == [(-1, 1), (1, 1)]
+    assert ms.k_max == 1
     assert ms.duration == TWO_PI
     assert np.allclose(ms.gram, TWO_PI * np.eye(2), atol=1e-12)
     assert ms.cond_estimate == pytest.approx(1.0)
@@ -131,6 +131,21 @@ def test_edd_gram_single_level_matches_raw():
         assemble_gram(grid, TWO_PI, basis_kind="chebyshev")
 
 
+def test_raw_system_is_the_order_one_family():
+    # identity weights: G is the symmetrized kernel and the amplitudes are
+    # the solved coefficients, bit for bit
+    pair = [[0.0, 1.0], [-1.0, 0.0]]
+    for a, duration in ((A2, 2 * TWO_PI), (pair, 3 * TWO_PI)):
+        _, grid, _, ms = pipeline(a, B2, 4, duration, z0={1: [1.0, 0.5]},
+                                  z1={2: [0.0, -0.3]})
+        assert np.array_equal(ms.gram, (ms.kernel + ms.kernel.conj().T) / 2)
+        coef, _ = solve_hermitian(ms.gram, ms.gamma, factor=ms.factor,
+                                  scale=ms.scale, order=ms.order)
+        signal = synthesize(ms, grid)
+        assert np.array_equal(signal.amplitudes, coef)
+        assert np.array_equal(signal.frequencies, np.conj(grid.frequencies()))
+
+
 def test_edd_block_maps_match_dense_reference():
     # the blockwise weight products against the dense block-diagonal map
     from scipy.linalg import block_diag
@@ -157,9 +172,8 @@ def test_edd_block_maps_match_dense_reference():
 
 def test_assembly_peak_memory_in_gram_units():
     # large-edd's system at K = 128 (m = 1024).  The assembly keeps three
-    # m x m complex arrays (kernel, G, LU of S); with EDD weights, S and its
-    # LU reuse the weighted product's buffer, the raw S is a fourth array
-    # while LAPACK factors its Fortran-ordered copy
+    # m x m complex arrays (kernel, G, LU of S); for either family S and its
+    # LU reuse the weight product's buffer
     import tracemalloc
 
     a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
@@ -167,7 +181,7 @@ def test_assembly_peak_memory_in_gram_units():
     grid = build_frequencies(spec, 128)
     edd = build_edd(grid)
     unit = 16 * (2 * 128 * 4) ** 2
-    for basis, bound in (("edd", 3.25), ("raw", 4.25)):
+    for basis in ("edd", "raw"):
         tracemalloc.start()
         try:
             ms = assemble_gram(grid, 8 * math.pi + 1.0, basis_kind=basis,
@@ -175,9 +189,8 @@ def test_assembly_peak_memory_in_gram_units():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * unit, (basis, peak / unit)
-        if basis == "edd":
-            assert ms.factor.lu.flags.f_contiguous
+        assert peak <= 3.25 * unit, (basis, peak / unit)
+        assert ms.factor.lu.flags.f_contiguous
         del ms
 
 
@@ -199,10 +212,14 @@ def test_restriction_matches_assembly_at_k():
         o = own.order
         assert np.array_equal(np.triu(own.factor.lu, 1),
                               np.triu(s[np.ix_(o, o)], 1))
+        for k_max in (0, 7):
+            with pytest.raises(ValueError, match=r"outside 1\.\.6"):
+                big.restrict(k_max)
+        assert big.restrict(1).gram.shape == (6, 6)
         ms = big.restrict(3)
-        assert ms.index_order == own.index_order == grid.signed_indices()
-        assert [abs(ms.index_order[i][0]) for i in ms.order] == \
-            [k for k in (1, 2, 3) for _ in range(6)]
+        assert ms.k_max == own.k_max == 3
+        assert np.array_equal(np.abs(grid.signed_k())[ms.order],
+                              np.repeat([1, 2, 3], 6))
         assert np.shares_memory(ms.gram, big.gram)
         assert np.array_equal(ms.kernel, own.kernel)
         if basis == "raw":

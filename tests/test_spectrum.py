@@ -5,7 +5,7 @@ import pytest
 
 from wavemoment.coupling import CouplingSystem, decompose
 from wavemoment.exceptions import CollisionInBlock
-from wavemoment.spectrum import (build_edd, build_frequencies,
+from wavemoment.spectrum import (build_edd, build_frequencies, build_raw,
                                  detect_collisions, gap_diagnostics,
                                  signed_modes)
 from wavemoment.tolerances import DEFAULT
@@ -71,6 +71,7 @@ def test_sign_extension_exact():
     assert len(freqs) == len(idx) == 4 * 6
     for (k, l), w in zip(idx, freqs):
         assert w == grid.omega_at(k, l)
+    assert grid.signed_k().tolist() == [k for k, _ in idx]
 
 
 def test_zero_mode_detection():
@@ -167,11 +168,20 @@ def test_edd_triangular_reconstruction():
 
 
 def test_edd_order_one_equals_raw():
+    # one level: the divided difference over a single node is the plain
+    # exponential, so build_edd gives the order-one family
     spec = spec_for([0.7])
     grid = build_frequencies(spec, 5)
-    fam = build_edd(grid)
+    fam, raw = build_edd(grid), build_raw(grid)
     assert np.array_equal(fam.weights, np.ones((2 * grid.k_max, 1, 1)))
-    assert np.allclose(fam.frequencies(), grid.frequencies())
+    for name in ("nodes", "perm", "weights"):
+        assert np.array_equal(getattr(fam, name), getattr(raw, name)), name
+    # more levels: eigenvalue order and identity weights in every block
+    grid = build_frequencies(spec_for([0.0, 3.0, -1.5]), 4)
+    raw = build_raw(grid)
+    assert np.array_equal(raw.nodes.ravel(), grid.frequencies())
+    assert np.array_equal(raw.perm, np.tile([0, 1, 2], (8, 1)))
+    assert np.array_equal(raw.weights, np.broadcast_to(np.eye(3), (8, 3, 3)))
 
 
 def test_edd_collision_raises():
