@@ -363,7 +363,7 @@ def _sweep_point(config: ProblemConfig, spec, assembly,
                  tol: Tolerances) -> dict:
     row = {"T": config.duration, "K": config.k_max, "status": "ok",
            "cond_estimate": None, "control_norm": None,
-           "moment_residual": None, "max_rel_error": None}
+           "moment_residual": None, "max_rel_error": None, "error": None}
     try:
         spec_used, grid, modal, edd, ms = _system(config, spec, tol, assembly)
         row["cond_estimate"] = ms.cond_estimate
@@ -378,6 +378,7 @@ def _sweep_point(config: ProblemConfig, spec, assembly,
             row["status"] = "verify_failed"
     except _NUMERICAL_ERRORS as exc:
         row["status"] = type(exc).__name__
+        row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 
 
@@ -480,7 +481,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_NUMERICAL)
 
     report["synthesis"] = _synthesis_dict(control, ms)
-    del ms  # the Gram, kernel and factor are not needed past synthesis
+    del ms  # G and the factor, its two m x m arrays, end with synthesis
     if out_dir is not None:
         _write_control_files(out_dir, control, config.samples)
 

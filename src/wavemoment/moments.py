@@ -103,9 +103,9 @@ class TargetSpec:
 class MomentSystem:
     """Assembled Gram system over the signed index order, |k| <= ``k_max``.
 
-    ``kernel`` is B[i, j] = (e_j, e_i) over the family's exponentials, before
-    its weights and symmetrization; ``gram`` is the Hermitian Gram G of the
-    family (of the order-one family for "raw": the symmetrized kernel).
+    ``gram`` is the Hermitian Gram G of the family (of the order-one family
+    for "raw": the symmetrized kernel); the norms of a control in the span
+    are quadratic forms on it.  G and the factor are its two m x m arrays.
     ``scale`` is D = diag(G)^(-1/2), so S = D G D is the Gram of the
     normalized family (unit-norm basis functions); ``factor`` is the one
     Cholesky factor of S[order][:, order], ``order`` sorting the unknowns by
@@ -121,16 +121,15 @@ class MomentSystem:
     cond_estimate: float
     duration: float = 0.0
     gamma: np.ndarray | None = None
-    kernel: np.ndarray | None = None
     factor: HermitianFactor | None = None
     scale: np.ndarray | None = None
     order: np.ndarray | None = None
 
     def restrict(self, k_max: int) -> "MomentSystem":
         """The system over |k| <= k_max, 1 <= k_max <= K (else ValueError),
-        with no new assembly: G, kernel and D are middle blocks (views, as
-        kernel entries are element-wise and weights block-local); the factor
-        of its S, in |k| order, is L's leading block (copied when smaller)."""
+        with no new assembly: G and D are middle blocks (views, as kernel
+        entries are element-wise and weights block-local); the factor of its
+        S, in |k| order, is L's leading block (copied when smaller)."""
         if not 1 <= k_max <= self.k_max:
             raise ValueError(f"k_max {k_max} outside 1..{self.k_max}")
         n = self.gram.shape[0] // (2 * self.k_max)  # unknowns per mode
@@ -143,8 +142,7 @@ class MomentSystem:
             factor = HermitianFactor(lu, anorm,
                                      cond_estimate_1norm(lu, anorm))
         return dataclasses.replace(
-            self, k_max=k_max, gram=gram, scale=scale,
-            kernel=self.kernel[mid, mid], factor=factor,
+            self, k_max=k_max, gram=gram, scale=scale, factor=factor,
             cond_estimate=factor.cond, gamma=None,
             order=self.order[:size] - mid.start)
 
@@ -154,7 +152,7 @@ class ControlSignal:
     """Finite exponential combination f(t) = sum_j amp_j * exp(i*freq_j*t).
 
     ``norm`` (||f|| in L2(0, duration)) and ``realification_residual``
-    (||Im f|| / ||f||) come from the assembled kernel; a combination built
+    (||Im f|| / ||f||) come from the assembled Gram G; a combination built
     by hand computes them from its own kernel.
     """
 
@@ -246,26 +244,35 @@ def _real_split(freqs: np.ndarray, amps: np.ndarray) -> tuple:
     return freqs, (amps + conj_amps) / 2.0, (amps - conj_amps) / 2j
 
 
-def _norm_and_residual(freqs, re, im, duration, tol, kernel=None) -> tuple:
-    """(||f||, ||Im f|| / ||f||) as quadratic forms on the kernel of freqs."""
-    if kernel is None:
-        kernel = gram_entry(freqs, freqs[:, None], duration, tol=tol)
-    re2, im2 = _sq_norms(kernel, re, im)
+def _norm_and_residual(freqs, re, im, duration, tol, form=None) -> tuple:
+    """(||f||, ||Im f|| / ||f||) as quadratic forms on ``form`` (a Gram over
+    the coefficients re and im), by default the kernel of freqs."""
+    if form is None:
+        form = gram_entry(freqs, freqs[:, None], duration, tol=tol)
+    re2, im2 = _sq_norms(form, re, im)
     norm = math.sqrt(re2 + im2)
     return norm, math.sqrt(im2) / max(norm, 1e-300)
 
 
-def _weighted_gram(kernel: np.ndarray, family: EddFamily) -> tuple:
-    """conj(W) @ kernel @ W.T for the block-diagonal weights W of a family.
+def _weighted_gram(family: EddFamily, duration: float,
+                   tol: Tolerances) -> tuple:
+    """conj(W) @ B @ W.T for the block-diagonal weights W of a family and
+    the kernel B[i, j] = (e_j, e_i) of its exponentials.
 
-    One n x n block at a time: O(m^2 n), and the same sums in the same order
-    as the dense m^3 products (the right one as (W @ left.T).T).  The right
+    B is never stored: each row block of whole weight blocks is filled and
+    multiplied by conj(W) of those blocks straight into the product.  One
+    n x n block at a time: O(m^2 n), and the same sums in the same order as
+    the dense m^3 products (the right one as (W @ left.T).T).  The right
     product is written over the left one, so the result is a Fortran-ordered
     view; the second m x m buffer (left.T) comes back as spare.
     """
-    w = family.weights
-    blocks, n, m = w.shape[0], family.n, kernel.shape[0]
-    left = np.conj(w) @ kernel.reshape(blocks, n, m)
+    w, freqs = family.weights, np.conj(family.nodes.ravel())
+    blocks, n, m = w.shape[0], family.n, freqs.size
+    left = np.empty((blocks, n, m), dtype=complex)
+    for rows in row_blocks(blocks, n * m):
+        kernel = gram_entry(freqs, freqs[rows.start * n:rows.stop * n, None],
+                            duration, tol=tol)
+        np.matmul(np.conj(w[rows]), kernel.reshape(-1, n, m), out=left[rows])
     spare = np.ascontiguousarray(left.reshape(m, m).T)
     np.matmul(w, spare.reshape(blocks, n, m), out=left)
     return left.reshape(m, m).T, spare
@@ -294,20 +301,15 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     independence, within a factor m of the best diagonal scaling of G (van
     der Sluis, 1969).  S is Cholesky-factored in |k| order, so the factor
     serves every smaller K (``restrict``).  A singular Gram still assembles;
-    ``synthesize`` raises on its pivots.  The kernel is filled in row blocks;
-    G takes the weight product's spare buffer and S (factored in place) the
-    product's own, so three m x m arrays are kept: the kernel, G and the
-    factor.
+    ``synthesize`` raises on its pivots.  The kernel is filled in row blocks
+    and streamed into the weight product, never stored; G takes the
+    product's spare buffer and S (factored in place) the product's own, so
+    two m x m arrays are kept: G and the factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
     family = _family(grid, basis_kind, edd)
-    freqs = np.conj(family.nodes.ravel())
-    m = freqs.size
-    kernel = np.empty((m, m), dtype=complex)
-    for rows in row_blocks(m, m):
-        kernel[rows] = gram_entry(freqs, freqs[rows, None], duration, tol=tol)
-    weighted, spare = _weighted_gram(kernel, family)
+    weighted, spare = _weighted_gram(family, duration, tol)
     gram = np.conjugate(weighted.T, out=spare)
     gram += weighted
     gram /= 2.0
@@ -323,7 +325,7 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     factor = factor_hermitian(weighted, tol=tol, overwrite=True)
     return MomentSystem(k_max=grid.k_max, basis_kind=basis_kind, gram=gram,
                         cond_estimate=factor.cond, duration=duration,
-                        kernel=kernel, factor=factor, scale=scale, order=order)
+                        factor=factor, scale=scale, order=order)
 
 
 def target_to_modal(target: TargetSpec, spec: SpectralDecomposition,
@@ -386,8 +388,8 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
     Solves S y = D W gamma, W the weights of the family (``build_raw(grid)``
     for "raw", ``edd`` for "edd"), on the stored Cholesky factor of the
     normalized Gram S = D G D and expands the coefficients D y into a plain
-    exponential combination, with norm and realification residual from the
-    stored kernel; the moment residual is measured against G.  Raises
+    exponential combination, with norm and realification residual as
+    quadratic forms on G; the moment residual is measured against G.  Raises
     SingularSystem when a pivot L_jj^2 of S is at most
     ``tol.pivot_tol * ||S||_1`` (resonance or insufficient control time) and
     ConditioningExceeded when the condition estimate of S is above
@@ -409,11 +411,16 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
         residual = float(np.linalg.norm(ms.gram @ coef - rhs)) / rhs_norm
 
     freqs = np.conj(family.nodes.ravel())
-    amps = (family.weights.transpose(0, 2, 1)
-            @ coef.reshape(-1, family.n, 1)).ravel()
+    wt = family.weights.transpose(0, 2, 1)
+    amps = (wt @ coef.reshape(-1, family.n, 1)).ravel()
     closed, re, im = _real_split(freqs, amps)
+    if closed is freqs:
+        # the family coefficients u, W^T u = x, of Re f and Im f; W^T is
+        # upper triangular in each block, so the solve does no pivoting
+        re, im = (np.linalg.solve(wt, x.reshape(-1, family.n, 1)).ravel()
+                  for x in (re, im))
     norm, imag = _norm_and_residual(closed, re, im, ms.duration, tol,
-                                    ms.kernel if closed is freqs else None)
+                                    ms.gram if closed is freqs else None)
     return ControlSignal(
         duration=ms.duration, frequencies=freqs, amplitudes=amps,
         realification_residual=imag, moment_residual=residual, norm=norm)

@@ -371,9 +371,9 @@ def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
 
 
 def test_t_sweep_holds_one_gram_system_at_a_time():
-    # each of kernel, G and the factor takes 16 m^2 bytes (m = 2KN = 512); a
-    # row whose system outlived it into the next row's assembly would about
-    # double the peak
+    # G and the factor take 16 m^2 bytes each (m = 2KN = 512); a row whose
+    # system outlived it into the next row's assembly would about double
+    # the peak
     import tracemalloc
 
     doc = dict(README_EDD_DOC, K=128, method="raw", sweep={
@@ -535,6 +535,22 @@ def test_sweep_outputs(tmp_path):
     plain = cli.parse_config(json.dumps(A2_DOC))
     with pytest.raises(BadInput):
         cli.run("sweep", plain)
+
+
+def test_sweep_rows_keep_the_error_message(tmp_path):
+    # T = 2 is below 2 pi N: the family is dependent and the row fails;
+    # report data keeps the message, sweep.csv keeps its seven columns
+    doc = dict(A2_DOC, sweep={"parameter": "T", "values": [2.0, FOUR_PI]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)),
+                           out_dir=str(tmp_path))
+    assert code == cli.EXIT_OK
+    failed, ok = report["data"]["sweep"]["rows"]
+    assert failed["status"] == "SingularSystem"
+    assert failed["error"].startswith("SingularSystem: pivot ")
+    assert (ok["status"], ok["error"]) == ("ok", None)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [len(line.split(",")) for line in lines] == [7, 7, 7]
+    assert lines[1].endswith(",SingularSystem")
 
 
 def test_main_analyze(tmp_path, capsys):

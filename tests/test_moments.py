@@ -16,7 +16,7 @@ from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 n2_normalize_eigvecs, n2_sharp_targets,
                                 pin_growing_moments, realify, synthesize,
                                 target_to_modal)
-from wavemoment.spectrum import build_edd, build_frequencies
+from wavemoment.spectrum import build_edd, build_frequencies, build_raw
 from wavemoment.tolerances import DEFAULT
 from wavemoment.waveform import verify
 
@@ -52,6 +52,12 @@ def pipeline(a, b, k_max, duration, basis="raw", z0=None, z1=None):
     modal = target_to_modal(TargetSpec(z0 or {}, z1 or {}), spec, grid)
     ms.gamma = moments_from_target(modal, spec, grid, duration)
     return spec, grid, edd, ms
+
+
+def family_kernel(family, duration):
+    """B[i, j] = (e_j, e_i) over the family's exponentials e^{i conj(x) t}."""
+    freqs = np.conj(family.nodes.ravel())
+    return gram_entry(freqs, freqs[:, None], duration)
 
 
 def l2_distance(sig_a, sig_b):
@@ -138,7 +144,8 @@ def test_raw_system_is_the_order_one_family():
     for a, duration in ((A2, 2 * TWO_PI), (pair, 3 * TWO_PI)):
         _, grid, _, ms = pipeline(a, B2, 4, duration, z0={1: [1.0, 0.5]},
                                   z1={2: [0.0, -0.3]})
-        assert np.array_equal(ms.gram, (ms.kernel + ms.kernel.conj().T) / 2)
+        kernel = family_kernel(build_raw(grid), duration)
+        assert np.array_equal(ms.gram, (kernel + kernel.conj().T) / 2)
         coef, _ = solve_hermitian(ms.gram, ms.gamma, factor=ms.factor,
                                   scale=ms.scale, order=ms.order)
         signal = synthesize(ms, grid)
@@ -159,7 +166,7 @@ def test_edd_block_maps_match_dense_reference():
     ms = assemble_gram(grid, duration, basis_kind="edd", edd=edd)
     assert edd.weights.shape == (12, 3, 3)
     w = block_diag(*edd.weights)
-    dense = np.conj(w) @ ms.kernel @ w.T
+    dense = np.conj(w) @ family_kernel(edd, duration) @ w.T
     assert np.allclose(ms.gram, (dense + dense.conj().T) / 2,
                        rtol=0, atol=1e-13 * np.abs(dense).max())
     perm = np.concatenate([p + 3 * pos for pos, p in enumerate(edd.perm)])
@@ -171,9 +178,10 @@ def test_edd_block_maps_match_dense_reference():
 
 
 def test_assembly_peak_memory_in_gram_units():
-    # large-edd's system at K = 128 (m = 1024).  The assembly keeps three
-    # m x m complex arrays (kernel, G, LU of S); for either family S and its
-    # LU reuse the weight product's buffer
+    # large-edd's system at K = 128 (m = 1024).  The assembly keeps two
+    # m x m complex arrays (G, LU of S): the kernel is streamed into the
+    # weight product, and for either family S and its LU reuse the product's
+    # buffer
     import tracemalloc
 
     a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
@@ -189,22 +197,24 @@ def test_assembly_peak_memory_in_gram_units():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * unit, (basis, peak / unit)
+        assert peak <= 2.25 * unit, (basis, peak / unit)
         assert ms.factor.lu.flags.f_contiguous
         del ms
 
 
 def test_restriction_matches_assembly_at_k():
-    # the K = 3 system read from a K = 6 assembly: G, kernel and D are its
-    # middle blocks, the factor the leading block in |k| order
+    # the K = 3 system read from a K = 6 assembly: G and D are its middle
+    # blocks (as are the kernel's), the factor the leading block in |k| order
     spec = spec_for([0.5, -0.3, 1.7])
     duration = 3 * TWO_PI + 1.0
     for basis in ("raw", "edd"):
         big_grid, grid = build_frequencies(spec, 6), build_frequencies(spec, 3)
+        families = [build_raw(g) if basis == "raw" else build_edd(g)
+                    for g in (big_grid, grid)]
         big = assemble_gram(big_grid, duration, basis_kind=basis,
-                            edd=build_edd(big_grid))
+                            edd=families[0])
         own = assemble_gram(grid, duration, basis_kind=basis,
-                            edd=build_edd(grid))
+                            edd=families[1])
         assert big.restrict(6).factor is big.factor
         assert big.restrict(6).gamma is None
         # S = D G D is factored in |k| order; its strict upper triangle stays
@@ -221,7 +231,8 @@ def test_restriction_matches_assembly_at_k():
         assert np.array_equal(np.abs(grid.signed_k())[ms.order],
                               np.repeat([1, 2, 3], 6))
         assert np.shares_memory(ms.gram, big.gram)
-        assert np.array_equal(ms.kernel, own.kernel)
+        big_kernel, kernel = (family_kernel(f, duration) for f in families)
+        assert np.array_equal(big_kernel[9:27, 9:27], kernel)
         if basis == "raw":
             assert np.array_equal(ms.gram, own.gram)
         assert np.allclose(ms.gram, own.gram, rtol=0,
@@ -230,6 +241,55 @@ def test_restriction_matches_assembly_at_k():
                            rtol=0, atol=1e-13)
         assert ms.cond_estimate == pytest.approx(own.cond_estimate, rel=1e-10)
         assert ms.factor.anorm == pytest.approx(own.factor.anorm, rel=1e-13)
+
+
+def kernel_forms(signal, family):
+    """(||f||, ||Im f|| / ||f||) of a synthesized control as quadratic forms
+    on the kernel of its family's exponentials."""
+    from wavemoment.moments import _real_split
+
+    closed, re, im = _real_split(signal.frequencies, signal.amplitudes)
+    assert closed is signal.frequencies
+    kernel = family_kernel(family, signal.duration)
+    re2, im2 = (max(float(np.vdot(x, kernel @ x).real), 0.0) for x in (re, im))
+    norm = math.sqrt(re2 + im2)
+    return norm, math.sqrt(im2) / max(norm, 1e-300)
+
+
+def test_norm_and_residual_from_gram_match_kernel_forms():
+    # synthesize takes ||f|| and ||Im f|| as Re(u^H G u) on the family
+    # coefficients of Re f and Im f; the stored G of raw is the kernel itself
+    systems = [  # (A, b, K, T, target): real, complex pair, lambda_1 < -1
+        (A2, B2, 6, 2 * TWO_PI, {1: [1.0, 0.5]}, {2: [0.0, -0.3]}),
+        ([[0.2, 0.7], [-0.7, 0.2]], B2, 8, 2 * TWO_PI, {1: [1.0, 0.5]},
+         {2: [0.0, -0.3]}),
+        ([[-2.239541, 0.0, 0.0], [1.0, 0.562783, 0.0], [0.0, 1.0, 0.997996]],
+         [1.0, 0.0, 0.0], 16, 19.563415613241176,
+         {1: [-0.479126, 0.537645, 0.290559]}, {2: [0.2, -0.1, 0.3]})]
+    for a, b, k_max, duration, z0, z1 in systems:
+        for basis in ("raw", "edd"):
+            spec, grid, edd, ms = pipeline(a, b, k_max, duration, basis=basis,
+                                           z0=z0, z1=z1)
+            signal = synthesize(ms, grid, edd=edd)
+            norm, imag = kernel_forms(signal, edd or build_raw(grid))
+            if basis == "raw":
+                assert (signal.norm, signal.realification_residual) == \
+                    (norm, imag)
+            else:
+                assert signal.norm == pytest.approx(norm, rel=1e-9)
+                assert signal.realification_residual == \
+                    pytest.approx(imag, rel=1e-9, abs=1e-15)
+    # a K-sweep row: the K = 8 system read from the K = 16 assembly above
+    grid = build_frequencies(spec, 8)
+    edd = build_edd(grid)
+    row = ms.restrict(8)
+    row.gamma = moments_from_target(
+        target_to_modal(TargetSpec(z0, z1), spec, grid), spec, grid, duration)
+    signal = synthesize(row, grid, edd=edd)
+    norm, imag = kernel_forms(signal, edd)
+    assert signal.norm == pytest.approx(norm, rel=1e-9)
+    assert signal.realification_residual == pytest.approx(imag, rel=1e-9,
+                                                          abs=1e-15)
 
 
 def test_edd_gram_matches_quadrature():
