@@ -23,7 +23,7 @@ from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, DegenerateEigenvector,
                          GridTooCoarse, ModeOutOfRange, NonConvergence,
                          RepeatedEigenvalues, SingularSystem)
-from .tolerances import Tolerances, from_profile
+from .tolerances import Tolerances, from_profile, profile_name
 
 __all__ = ["ProblemConfig", "SweepSpec", "parse_config", "serialize_config",
            "run", "main"]
@@ -253,11 +253,13 @@ def serialize_config(config: ProblemConfig) -> dict:
     return doc
 
 
-def _resolve_tolerances(config: ProblemConfig) -> Tolerances:
-    tol = from_profile()
+def _resolve_tolerances(config: ProblemConfig) -> tuple:
+    """(profile name, its tolerances with the config's overrides)."""
+    name = profile_name()
+    tol = from_profile(name)
     if config.tolerance_overrides:
         tol = tol.replace(**config.tolerance_overrides)
-    return tol
+    return name, tol
 
 
 def _json_safe(value):
@@ -394,12 +396,14 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         if method not in METHODS:
             raise BadInput(f"method must be one of {METHODS}")
         config = dataclasses.replace(config, method=method)
-    tol = _resolve_tolerances(config)
+    profile, tol = _resolve_tolerances(config)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     timings = {}
+    # profile and resolved tolerances: a run reproduces from its report
     report = {"command": command, "method": config.method,
-              "T": config.duration, "K": config.k_max, "forced": force}
+              "T": config.duration, "K": config.k_max, "forced": force,
+              "profile": profile, "tolerances": dataclasses.asdict(tol)}
     started = time.perf_counter()
 
     def finish(code: int) -> tuple:
@@ -481,7 +485,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_NUMERICAL)
 
     report["synthesis"] = _synthesis_dict(control, ms)
-    del ms  # G and the factor, its two m x m arrays, end with synthesis
+    del ms  # R and the factor, its two m x m arrays, end with synthesis
     if out_dir is not None:
         _write_control_files(out_dir, control, config.samples)
 

@@ -1,22 +1,24 @@
-"""Dense complex linear algebra with deterministic ordering.
+"""Dense linear algebra with deterministic ordering.
 
 Thin, contract-enforcing wrappers over LAPACK (through numpy/scipy): a dense
-eigensolver for small matrices with a fixed eigenvalue ordering and residual
-guarantee, a Hermitian Cholesky factorization that carries its 1-norm
-condition estimate, a solve with pivot diagnostics on that factorization,
-and a numeric rank from column-pivoted QR.
+eigensolver for small real or complex matrices with a fixed eigenvalue
+ordering and residual guarantee, a real symmetric Cholesky factorization
+(dpotrf) that carries its 1-norm condition estimate, a solve with pivot
+diagnostics on that factorization (dpotrs), and a numeric rank from
+column-pivoted QR.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
 # lu_factor stays bound here, where perfbench/spans.py traces it
 from scipy.linalg import lu_factor  # noqa: F401
-from scipy.linalg.lapack import zpocon, zpotrf, zpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._kernels import row_blocks
 from .exceptions import DimensionTooLarge, NonConvergence, SingularSystem
@@ -44,17 +46,23 @@ class EigenResult:
     residuals: np.ndarray
 
 
-def _as_square(a, dtype=complex):
-    a = np.asarray(a, dtype=dtype)
+def _as_square(a, real: bool = False):
+    """A finite square float array, or complex when the input is complex
+    (ValueError for complex input when ``real``)."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        a = a.astype(float, copy=False)
+    elif real:
+        raise ValueError("expected a real matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def eig_dense(a, tol: Tolerances = DEFAULT) -> EigenResult:
-    """Full eigendecomposition of a small dense (n <= 32) complex matrix.
+    """Full eigendecomposition of a small dense (n <= 32) matrix.
 
     ``tol.eig_tol`` bounds the residual, absolute on unit-norm eigenvectors.
     Raises DimensionTooLarge above the size cap and NonConvergence if LAPACK
@@ -62,8 +70,7 @@ def eig_dense(a, tol: Tolerances = DEFAULT) -> EigenResult:
     """
     # keep real input real: the real-matrix LAPACK path returns exactly
     # conjugate eigenvalue pairs, which keeps the (Re, Im) sort well defined
-    a = np.asarray(a)
-    a = _as_square(a, complex if np.iscomplexobj(a) else float)
+    a = _as_square(a)
     n = a.shape[0]
     if n > MAX_DENSE_DIM:
         raise DimensionTooLarge(f"matrix size {n} exceeds {MAX_DENSE_DIM}")
@@ -94,43 +101,75 @@ def eig_dense(a, tol: Tolerances = DEFAULT) -> EigenResult:
 
 
 def cond_estimate_1norm(chol, anorm: float) -> float:
-    """1-norm condition estimate (LAPACK pocon) of a Hermitian S from its
-    lower Cholesky factor and ``anorm`` = ||S||_1; inf when S is not
-    numerically positive definite (a zero pivot or a zero S)."""
-    rcond, info = zpocon(chol, anorm, uplo="L")
-    if info != 0 or not rcond > 0.0:
+    """1-norm condition estimate ||S||_1 * est(||S^-1||_1) of a symmetric S
+    from its lower Cholesky factor and ``anorm`` = ||S||_1; inf when S is
+    not numerically positive definite (a zero pivot or a zero S).
+
+    The estimate is Hager's as refined by Higham (LAPACK dlacn2, which
+    dpocon runs), with dpotrs solves and exactly rounded sums: dpocon's own
+    final sum, an OpenBLAS dasum over a work array it allocates, rounds with
+    that array's alignment, which would make reports differ between runs.
+    """
+    n = chol.shape[0]
+    if not (anorm > 0 and np.all(np.diag(chol) > 0)):
         return np.inf
-    return 1.0 / float(rcond)
+
+    def solve(v):
+        return dpotrs(chol, v, lower=1)[0]
+
+    def norm1(v):
+        return math.fsum(np.abs(v))
+
+    with np.errstate(all="ignore"):
+        y = solve(np.full(n, 1.0 / n))
+        est = norm1(y)
+        sign = np.where(y >= 0, 1.0, -1.0)
+        j = int(np.argmax(np.abs(solve(sign))))
+        for _ in range(4 if n > 1 else 0):
+            y = solve(np.eye(1, n, j)[0])
+            last, est = est, norm1(y)
+            new = np.where(y >= 0, 1.0, -1.0)
+            if np.array_equal(new, sign) or est <= last:
+                break
+            sign = new
+            z = solve(sign)
+            previous, j = j, int(np.argmax(np.abs(z)))
+            if z[previous] == abs(z[j]):
+                break
+        alt = (1.0 + np.arange(n) / max(n - 1, 1)) * (-1.0) ** np.arange(n)
+        est = max(est, 2.0 * norm1(solve(alt)) / (3.0 * n))
+    return anorm * est if math.isfinite(est) else np.inf
 
 
-# Cholesky factor L of a Hermitian S (lower triangle of ``lu``, Fortran
-# order), ||S||_1 and the pocon estimate of S
+# Cholesky factor L of a real symmetric S (lower triangle of ``lu``, Fortran
+# order), ||S||_1 and the condition estimate of S
 HermitianFactor = collections.namedtuple("HermitianFactor", "lu anorm cond")
 
 
 def factor_hermitian(g, tol: Tolerances = DEFAULT,
                      overwrite: bool = False) -> HermitianFactor:
-    """Check that S is Hermitian, Cholesky-factor it, estimate its condition.
+    """Check that a real S is symmetric, Cholesky-factor it (dpotrf),
+    estimate its condition.
 
     The check and the 1-norm run over column blocks, so they need no m x m
     temporary.  ``overwrite=True`` hands S's buffer to LAPACK, which factors
     it in place when S is Fortran-ordered.  L[:n, :n] factors S[:n, :n]; if
     the factorization breaks down at column j, L_jj onward are set to zero,
     so the pivot guard of ``solve_hermitian`` fails the blocks with n >= j.
-    Raises ValueError if S is not Hermitian.
+    Raises ValueError if S is complex or not symmetric.
     """
-    g = _as_square(g)
+    g = _as_square(g, real=True)
     scale = asym = 0.0
     col_sums = np.zeros(g.shape[1])
     for cols in row_blocks(g.shape[1], g.shape[0]):
         block = np.abs(g[:, cols])
         scale = max(scale, float(block.max()))
         col_sums[cols] = block.sum(axis=0)
-        asym = max(asym, float(np.abs(g[:, cols] - g[cols].conj().T).max()))
+        asym = max(asym, float(np.abs(g[:, cols] - g[cols].T).max()))
     if scale and asym > tol.hermit_rtol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not symmetric within tolerance")
     anorm = float(col_sums.max(initial=0.0))
-    lu, info = zpotrf(g, lower=1, clean=0, overwrite_a=overwrite)
+    lu, info = dpotrf(g, lower=1, clean=0, overwrite_a=overwrite)
     if info > 0:
         np.fill_diagonal(lu[info - 1:, info - 1:], 0.0)
     return HermitianFactor(lu, anorm, cond_estimate_1norm(lu, anorm))
@@ -138,39 +177,39 @@ def factor_hermitian(g, tol: Tolerances = DEFAULT,
 
 def solve_hermitian(g, rhs, tol: Tolerances = DEFAULT,
                     factor: HermitianFactor | None = None,
-                    scale: np.ndarray | None = None,
-                    order: np.ndarray | None = None):
-    """Solve G x = rhs for Hermitian G; returns (x, 1-norm cond estimate).
+                    scale: np.ndarray | None = None):
+    """Solve G x = rhs for real symmetric G; returns (x, 1-norm cond
+    estimate).
 
     Cholesky plus one step of iterative refinement keeps the residual well
     under ``1e-10 * cond * ||rhs||``.  With a positive ``scale`` vector d the
     solve runs on S = diag(d) G diag(d): S y = d * rhs and x = d * y, and the
     pivot guard, the refinement and the estimate all refer to S (without
-    ``scale``, S is G).  ``factor`` is ``factor_hermitian`` of S with its
-    unknowns in ``order``, computed here when not given.  Raises
-    SingularSystem if any pivot L_jj^2 is at most ``tol.pivot_tol * ||S||_1``
-    (for a Gram: a resonant family or a control time below threshold),
-    ValueError if G is not Hermitian within ``tol.hermit_rtol``.
+    ``scale``, S is G).  ``factor`` is ``factor_hermitian`` of S, computed
+    here when not given.  Raises SingularSystem if any pivot L_jj^2 is at
+    most ``tol.pivot_tol * ||S||_1`` (for a Gram: a resonant family or a
+    control time below threshold), ValueError if G or rhs is complex or G
+    is not symmetric within ``tol.hermit_rtol``.
     """
-    g = _as_square(g)
-    rhs = np.asarray(rhs, dtype=complex)
+    g = _as_square(g, real=True)
+    rhs = np.asarray(rhs)
+    if np.iscomplexobj(rhs):
+        raise ValueError("expected a real right-hand side")
     n = g.shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
     d = np.ones(n) if scale is None else np.asarray(scale, dtype=float)
-    o = np.arange(n) if order is None else np.asarray(order)
     if factor is None:
-        s = g if scale is None else g * np.multiply.outer(d, d)
-        factor = factor_hermitian(s[np.ix_(o, o)], tol=tol)
+        factor = factor_hermitian(g if scale is None
+                                  else g * np.multiply.outer(d, d), tol=tol)
 
-    pivots = np.abs(np.diag(factor.lu)) ** 2
+    pivots = np.diag(factor.lu) ** 2
     if not np.all(pivots > tol.pivot_tol * factor.anorm):
         raise SingularSystem(
             f"pivot {pivots.min():.3e} below {tol.pivot_tol:.1e} * ||S||_1")
 
-    x = np.empty(n, dtype=complex)
-    x[o] = d[o] * zpotrs(factor.lu, (d * rhs)[o], lower=1)[0]
-    x[o] += d[o] * zpotrs(factor.lu, (d * (rhs - g @ x))[o], lower=1)[0]
+    x = d * dpotrs(factor.lu, d * rhs, lower=1)[0]
+    x += d * dpotrs(factor.lu, d * (rhs - g @ x), lower=1)[0]
     return x, factor.cond
 
 

@@ -4,10 +4,13 @@ Driving the system to a prescribed terminal state is equivalent to a family
 of moment equations on the control f: its inner products against the
 exponentials e_{k,l}(t) = exp(i*conj(omega_{k,l})*t) over [0, T] (the Riesz
 representers of the moment functionals) must equal values gamma_{k,l}
-computed from the target.  The minimal L2-norm solution inside the
-truncated span solves the Hermitian Gram system G alpha = gamma.  The raw
-exponentials are the order-one divided-difference family, so both bases run
-one path; in-block divided differences undo the clustering that poisons them.
+computed from the target.  For a real A the exponentials of block -k are the
+conjugates of block k's, a real target gives mirror-symmetric moments, and
+the minimal L2-norm control is real: it solves the real symmetric Gram
+system R c = b over the real and imaginary parts of block k's family
+functions.  The raw exponentials are the order-one divided-difference
+family, so both bases run one path; in-block divided differences undo the
+clustering that poisons them.
 """
 
 from __future__ import annotations
@@ -101,18 +104,19 @@ class TargetSpec:
 
 @dataclasses.dataclass
 class MomentSystem:
-    """Assembled Gram system over the signed index order, |k| <= ``k_max``.
+    """Assembled real Gram system, 2N unknowns per |k| in |k| order.
 
-    ``gram`` is the Hermitian Gram G of the family (of the order-one family
-    for "raw": the symmetrized kernel); the norms of a control in the span
-    are quadratic forms on it.  G and the factor are its two m x m arrays.
-    ``scale`` is D = diag(G)^(-1/2), so S = D G D is the Gram of the
-    normalized family (unit-norm basis functions); ``factor`` is the one
-    Cholesky factor of S[order][:, order], ``order`` sorting the unknowns by
-    |k| (stably), and ``cond_estimate`` its 1-norm condition estimate, which
-    does not depend on how the basis functions are scaled.  ``gamma`` holds
-    the moments of the plain exponentials (eigenvalue-ordered); the family's
-    weights map them at solve time.
+    The real basis of each |k| holds Re phi and then Im phi of the N family
+    functions phi of block k (a self-mirrored phi and, in its Im place, its
+    block -k partner, both real).  ``gram`` is their real symmetric Gram R
+    (for "raw": over the plain exponentials); the norms of a control in the
+    span are quadratic forms on it.  R and the factor are its two m x m
+    arrays.  ``scale`` is D = diag(R)^(-1/2), so S = D R D is the Gram of
+    the normalized basis (unit-norm functions); ``factor`` is the one
+    Cholesky factor of S, and ``cond_estimate`` its 1-norm condition
+    estimate, which does not depend on how the basis functions are scaled.
+    ``gamma`` holds the moments of the plain exponentials (signed,
+    eigenvalue-ordered); the family's weights map them at solve time.
     """
 
     k_max: int
@@ -123,19 +127,17 @@ class MomentSystem:
     gamma: np.ndarray | None = None
     factor: HermitianFactor | None = None
     scale: np.ndarray | None = None
-    order: np.ndarray | None = None
 
     def restrict(self, k_max: int) -> "MomentSystem":
         """The system over |k| <= k_max, 1 <= k_max <= K (else ValueError),
-        with no new assembly: G and D are middle blocks (views, as kernel
-        entries are element-wise and weights block-local); the factor of its
-        S, in |k| order, is L's leading block (copied when smaller)."""
+        with no new assembly: R, D and the factor of S are leading blocks
+        (R and D views, as kernel entries are element-wise and weights
+        block-local; the factor copied when smaller)."""
         if not 1 <= k_max <= self.k_max:
             raise ValueError(f"k_max {k_max} outside 1..{self.k_max}")
-        n = self.gram.shape[0] // (2 * self.k_max)  # unknowns per mode
-        mid = slice((self.k_max - k_max) * n, (self.k_max + k_max) * n)
-        size = 2 * k_max * n
-        factor, gram, scale = self.factor, self.gram[mid, mid], self.scale[mid]
+        size = self.gram.shape[0] // self.k_max * k_max
+        factor, gram = self.factor, self.gram[:size, :size]
+        scale = self.scale[:size]
         if size < factor.lu.shape[0]:
             lu = np.array(factor.lu[:size, :size], order="F")
             anorm = float((scale * (np.abs(gram) @ scale)).max())
@@ -143,17 +145,17 @@ class MomentSystem:
                                      cond_estimate_1norm(lu, anorm))
         return dataclasses.replace(
             self, k_max=k_max, gram=gram, scale=scale, factor=factor,
-            cond_estimate=factor.cond, gamma=None,
-            order=self.order[:size] - mid.start)
+            cond_estimate=factor.cond, gamma=None)
 
 
 @dataclasses.dataclass
 class ControlSignal:
     """Finite exponential combination f(t) = sum_j amp_j * exp(i*freq_j*t).
 
-    ``norm`` (||f|| in L2(0, duration)) and ``realification_residual``
-    (||Im f|| / ||f||) come from the assembled Gram G; a combination built
-    by hand computes them from its own kernel.
+    ``norm`` (||f|| in L2(0, duration)) comes from the assembled Gram R and
+    ``realification_residual`` (||Im f|| / ||f||) is 0 for a synthesized
+    control, which is real; a combination built by hand computes them from
+    its own kernel.
     """
 
     duration: float
@@ -244,38 +246,61 @@ def _real_split(freqs: np.ndarray, amps: np.ndarray) -> tuple:
     return freqs, (amps + conj_amps) / 2.0, (amps - conj_amps) / 2j
 
 
-def _norm_and_residual(freqs, re, im, duration, tol, form=None) -> tuple:
-    """(||f||, ||Im f|| / ||f||) as quadratic forms on ``form`` (a Gram over
-    the coefficients re and im), by default the kernel of freqs."""
-    if form is None:
-        form = gram_entry(freqs, freqs[:, None], duration, tol=tol)
-    re2, im2 = _sq_norms(form, re, im)
-    norm = math.sqrt(re2 + im2)
-    return norm, math.sqrt(im2) / max(norm, 1e-300)
+def _real_basis(family: EddFamily) -> np.ndarray:
+    """Coefficients C[g] (2N x 2N) of the real basis of |k| = g + 1 on its
+    exponentials (block k's, then block -k's).
 
-
-def _weighted_gram(family: EddFamily, duration: float,
-                   tol: Tolerances) -> tuple:
-    """conj(W) @ B @ W.T for the block-diagonal weights W of a family and
-    the kernel B[i, j] = (e_j, e_i) of its exponentials.
-
-    B is never stored: each row block of whole weight blocks is filled and
-    multiplied by conj(W) of those blocks straight into the product.  One
-    n x n block at a time: O(m^2 n), and the same sums in the same order as
-    the dense m^3 products (the right one as (W @ left.T).T).  The right
-    product is written over the left one, so the result is a Fortran-ordered
-    view; the second m x m buffer (left.T) comes back as spare.
+    Row a is Re phi_a = (phi_a + conj(phi_a)) / 2 and row N + a is Im phi_a,
+    phi_a = sum_j W[a, j] e_j of block k, since conj(e_j) is block -k's
+    exponential at position j; a self-mirrored phi_a (a plain real
+    exponential) and its block -k partner take unit rows.
     """
-    w, freqs = family.weights, np.conj(family.nodes.ravel())
-    blocks, n, m = w.shape[0], family.n, freqs.size
-    left = np.empty((blocks, n, m), dtype=complex)
-    for rows in row_blocks(blocks, n * m):
-        kernel = gram_entry(freqs, freqs[rows.start * n:rows.stop * n, None],
+    w = family.weights[family.k_max:]
+    wc = np.conj(w)
+    coef = np.concatenate([np.concatenate([w, wc], axis=2),
+                           np.concatenate([-1j * w, 1j * wc], axis=2)],
+                          axis=1) / 2.0
+    plain = np.tile(family.self_mirrored, 2)
+    return np.where(plain[:, :, None], np.eye(2 * family.n), coef)
+
+
+def _real_gram(family: EddFamily, duration: float,
+               tol: Tolerances) -> np.ndarray:
+    """Rows of the real Gram R[p, q] = (psi_q, psi_p) of the real basis psi,
+    as filled (symmetric up to rounding), C-ordered m x m.
+
+    Only block k's rows of the kernel B[i, j] = (e_j, e_i) are filled, a
+    row block of whole |k| at a time, and taken through conj(W) on the left
+    and C^T on the right: Z[a, q] = (psi_q, phi_a) for block k's functions
+    phi_a, whose Re is the row of Re phi_a and whose -Im that of Im phi_a.
+    The rows of self-mirrored block -k partners are filled on their own.
+    """
+    k_max, n = family.k_max, family.n
+    pos, neg = family.nodes[k_max:], family.nodes[k_max - 1::-1]
+    cols = np.conj(np.stack([pos, neg], axis=1)).ravel()
+    m = cols.size
+    right = _real_basis(family).transpose(0, 2, 1)
+
+    def to_basis(rows):
+        # (r, m) kernel-side rows -> (r, m) rows against psi, |k| by |k|
+        groups = rows.reshape(-1, k_max, 2 * n).transpose(1, 0, 2)
+        return np.matmul(groups, right).transpose(1, 0, 2).reshape(-1, m)
+
+    out = np.empty((k_max, 2, n, m))
+    w = np.conj(family.weights[k_max:])
+    for rows in row_blocks(k_max, n * m):
+        kernel = gram_entry(cols, np.conj(pos[rows]).reshape(-1, 1),
                             duration, tol=tol)
-        np.matmul(np.conj(w[rows]), kernel.reshape(-1, n, m), out=left[rows])
-    spare = np.ascontiguousarray(left.reshape(m, m).T)
-    np.matmul(w, spare.reshape(blocks, n, m), out=left)
-    return left.reshape(m, m).T, spare
+        z = to_basis(np.matmul(w[rows], kernel.reshape(-1, n, m)))
+        z = z.reshape(-1, n, m)
+        out[rows, 0] = z.real
+        np.negative(z.imag, out=out[rows, 1])
+    plain = family.self_mirrored
+    if plain.any():
+        kernel = gram_entry(cols, np.conj(neg[plain])[:, None], duration,
+                            tol=tol)
+        out[:, 1][plain] = to_basis(kernel).real
+    return out.reshape(m, m)
 
 
 def _family(grid: FrequencyGrid, basis_kind: str,
@@ -291,41 +316,36 @@ def _family(grid: FrequencyGrid, basis_kind: str,
 def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
                   edd: EddFamily | None = None,
                   tol: Tolerances = DEFAULT) -> MomentSystem:
-    """Build the Hermitian Gram G of the chosen family over [0, duration].
+    """Build the real symmetric Gram R of the chosen family over [0, duration].
 
     The family is ``build_raw(grid)`` (order one) for ``basis_kind`` "raw"
-    and ``edd`` for "edd".  The one factorization is of S = D G D, with
-    D = diag(G)^(-1/2), the Gram of the normalized family: scaling a basis
+    and ``edd`` for "edd"; R is the Gram of its real basis (see
+    ``MomentSystem``).  The one factorization is of S = D R D, with
+    D = diag(R)^(-1/2), the Gram of the normalized basis: scaling a basis
     function changes neither the span nor the minimal-norm control, so
     ``cond_estimate`` (the 1-norm estimate of S) measures the family's
-    independence, within a factor m of the best diagonal scaling of G (van
-    der Sluis, 1969).  S is Cholesky-factored in |k| order, so the factor
-    serves every smaller K (``restrict``).  A singular Gram still assembles;
-    ``synthesize`` raises on its pivots.  The kernel is filled in row blocks
-    and streamed into the weight product, never stored; G takes the
-    product's spare buffer and S (factored in place) the product's own, so
-    two m x m arrays are kept: G and the factor.
+    independence, within a factor m of the best diagonal scaling of R (van
+    der Sluis, 1969).  The unknowns are in |k| order, so the factor serves
+    every smaller K (``restrict``).  A singular Gram still assembles;
+    ``synthesize`` raises on its pivots.  Half the kernel is filled, in row
+    blocks streamed into the basis products and never stored; R is the
+    symmetric part of those rows, and S overwrites the rows and is factored
+    in place, so two m x m real arrays are kept: R and the factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
     family = _family(grid, basis_kind, edd)
-    weighted, spare = _weighted_gram(family, duration, tol)
-    gram = np.conjugate(weighted.T, out=spare)
-    gram += weighted
+    rows = _real_gram(family, duration, tol)
+    gram = rows + rows.T
     gram /= 2.0
-    scale = 1.0 / np.sqrt(gram.diagonal().real)
-    # S[order][:, order] over the Fortran-ordered product, by conjugated rows
-    order = np.argsort(np.abs(grid.signed_k()), kind="stable")
-    columns = weighted.T
-    for column, i in zip(columns, order):
-        np.take(gram[i], order, out=column, mode="clip")
-    columns *= scale[order]
-    columns *= scale[order, None]
-    np.conjugate(columns, out=columns)
-    factor = factor_hermitian(weighted, tol=tol, overwrite=True)
+    scale = 1.0 / np.sqrt(gram.diagonal())
+    # S in the rows' buffer, transposed: its Fortran-ordered view is S
+    np.multiply(gram, scale, out=rows)
+    rows *= scale[:, None]
+    factor = factor_hermitian(rows.T, tol=tol, overwrite=True)
     return MomentSystem(k_max=grid.k_max, basis_kind=basis_kind, gram=gram,
                         cond_estimate=factor.cond, duration=duration,
-                        factor=factor, scale=scale, order=order)
+                        factor=factor, scale=scale)
 
 
 def target_to_modal(target: TargetSpec, spec: SpectralDecomposition,
@@ -373,11 +393,27 @@ def moments_from_target(modal: ModalState, spec: SpectralDecomposition,
     return c * (np.pi / (2.0 * k_abs)) / beta_at * phase
 
 
-def _edd_transform_gamma(gamma: np.ndarray, family: EddFamily) -> np.ndarray:
-    """Map the moments of the plain exponentials to the family's, blockwise."""
-    n = family.n
-    perm = (family.perm + n * np.arange(2 * family.k_max)[:, None]).ravel()
-    return (np.conj(family.weights) @ gamma[perm].reshape(-1, n, 1)).ravel()
+def _real_moments(gamma: np.ndarray, family: EddFamily,
+                  tol: Tolerances) -> np.ndarray:
+    """The real basis' moments (f, Re phi_a) = Re (f, phi_a) and
+    (f, Im phi_a) = -Im (f, phi_a), |k| by |k|, from the moments gamma of
+    the plain exponentials; a self-mirrored phi_a's partner takes its own.
+
+    They are the moments of a real f only when gamma is mirror-symmetric,
+    the moment of e_j's conjugate being conj(gamma_j), which a real target
+    gives; otherwise (within ``tol.hermit_rtol``) raises ValueError.
+    """
+    k_max, n = family.k_max, family.n
+    moments = gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
+    pair = np.stack([moments[k_max:], moments[k_max - 1::-1]])
+    plain = family.self_mirrored
+    mirror = np.conj(np.where(plain, pair, pair[::-1]))
+    if np.linalg.norm(pair - mirror) > tol.hermit_rtol * np.linalg.norm(gamma):
+        raise ValueError("moments are not mirror-symmetric: the target is "
+                         "not real")
+    rhs = (np.conj(family.weights[k_max:]) @ pair[0, :, :, None])[..., 0]
+    return np.stack([rhs.real, np.where(plain, pair[1].real, -rhs.imag)],
+                    axis=1).ravel()
 
 
 def synthesize(ms: MomentSystem, grid: FrequencyGrid,
@@ -385,45 +421,45 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
                tol: Tolerances = DEFAULT) -> ControlSignal:
     """Minimal-norm control in the span of the assembled family.
 
-    Solves S y = D W gamma, W the weights of the family (``build_raw(grid)``
-    for "raw", ``edd`` for "edd"), on the stored Cholesky factor of the
-    normalized Gram S = D G D and expands the coefficients D y into a plain
-    exponential combination, with norm and realification residual as
-    quadratic forms on G; the moment residual is measured against G.  Raises
-    SingularSystem when a pivot L_jj^2 of S is at most
-    ``tol.pivot_tol * ||S||_1`` (resonance or insufficient control time) and
-    ConditioningExceeded when the condition estimate of S is above
-    ``tol.cond_cap``.
+    Solves S y = D b, b the real basis' moments (ValueError unless the
+    moments are those of a real target), on the stored Cholesky factor of
+    the normalized Gram S = D R D and expands c = D y into a plain
+    exponential combination whose amplitudes on mirrored frequencies are
+    exact conjugates: a real control, with norm sqrt(c^T R c) and moment
+    residual ||R c - b|| / ||b||.  The family is ``build_raw(grid)`` for
+    "raw" and ``edd`` for "edd".  Raises SingularSystem when a pivot L_jj^2
+    of S is at most ``tol.pivot_tol * ||S||_1`` (resonance or insufficient
+    control time) and ConditioningExceeded when the condition estimate of S
+    is above ``tol.cond_cap``.
     """
     if ms.gamma is None:
         raise ValueError("moment system has no gamma attached")
     family = _family(grid, ms.basis_kind, edd)
-    rhs = _edd_transform_gamma(ms.gamma, family)
+    rhs = _real_moments(ms.gamma, family, tol)
     coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor,
-                              scale=ms.scale, order=ms.order)
+                              scale=ms.scale)
     if ms.cond_estimate > tol.cond_cap:
         raise ConditioningExceeded(
             f"normalized gram condition estimate {ms.cond_estimate:.3e} "
             f"exceeds {tol.cond_cap:.1e}")
+    product = ms.gram @ coef
     rhs_norm = float(np.linalg.norm(rhs))
     residual = 0.0
     if rhs_norm > 0:
-        residual = float(np.linalg.norm(ms.gram @ coef - rhs)) / rhs_norm
+        residual = float(np.linalg.norm(product - rhs)) / rhs_norm
 
-    freqs = np.conj(family.nodes.ravel())
-    wt = family.weights.transpose(0, 2, 1)
-    amps = (wt @ coef.reshape(-1, family.n, 1)).ravel()
-    closed, re, im = _real_split(freqs, amps)
-    if closed is freqs:
-        # the family coefficients u, W^T u = x, of Re f and Im f; W^T is
-        # upper triangular in each block, so the solve does no pivoting
-        re, im = (np.linalg.solve(wt, x.reshape(-1, family.n, 1)).ravel()
-                  for x in (re, im))
-    norm, imag = _norm_and_residual(closed, re, im, ms.duration, tol,
-                                    ms.gram if closed is freqs else None)
+    # f = sum_a alpha_a phi_a + conj(alpha_a phi_a) over block k's functions
+    c = coef.reshape(family.k_max, 2, family.n)
+    plain = family.self_mirrored
+    alpha = np.where(plain, c[:, 0], (c[:, 0] - 1j * c[:, 1]) / 2.0)
+    amps = (family.weights[family.k_max:].transpose(0, 2, 1)
+            @ alpha[:, :, None])[..., 0]
+    mirrored = np.where(plain, c[:, 1], np.conj(amps))
     return ControlSignal(
-        duration=ms.duration, frequencies=freqs, amplitudes=amps,
-        realification_residual=imag, moment_residual=residual, norm=norm)
+        duration=ms.duration, frequencies=np.conj(family.nodes.ravel()),
+        amplitudes=np.concatenate([mirrored[::-1], amps]).ravel(),
+        realification_residual=0.0, moment_residual=residual,
+        norm=math.sqrt(max(float(coef @ product), 0.0)))
 
 
 def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
@@ -436,7 +472,10 @@ def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
     freqs, re, im = _real_split(signal.frequencies, signal.amplitudes)
     norm, resid = signal.norm, signal.realification_residual
     if norm is None or resid is None:
-        norm, resid = _norm_and_residual(freqs, re, im, signal.duration, tol)
+        re2, im2 = _sq_norms(gram_entry(freqs, freqs[:, None],
+                                        signal.duration, tol=tol), re, im)
+        norm = math.sqrt(re2 + im2)
+        resid = math.sqrt(im2) / max(norm, 1e-300)
     order = np.lexsort((freqs.imag, freqs.real))
     return ControlSignal(
         duration=signal.duration, frequencies=freqs[order], amplitudes=re[order],

@@ -111,13 +111,19 @@ class EddFamily:
     """Divided-difference families of every signed block, one row per block.
 
     Row r belongs to mode ``signed_modes(k_max)[r]``; ``perm[r]`` maps
-    eigenvalue order into the order of ``nodes[r]``.  ``build_edd`` sorts
-    them ascending by (Re, Im), except that nodes with Im > 0 (growing
-    functions e^{Im x t}, which would dominate every divided difference
-    after them) come last by Im; row l of the lower triangular
-    ``weights[r]`` holds the order-(l + 1) function over the first l + 1
-    nodes, whose diagonal weight grows like |k|^l in clustered blocks.
-    ``build_raw`` keeps eigenvalue order with identity weights (order one).
+    eigenvalue order into the order of ``nodes[r]``.  Block -k is the mirror
+    of block k: at each position it holds -conj(x) for the node x of block
+    k, so its exponentials are the conjugates of block k's and its
+    functions are +-conj of theirs.  A self-mirrored node (x = -conj(x),
+    purely imaginary: lambda_l <= -k^2) is paired with its negation instead
+    and is a plain exponential, in no other function's divided difference.
+    ``build_edd`` sorts block k ascending by (Re, Im), except that nodes
+    with Im > 0 (growing functions e^{Im x t}, which would dominate every
+    divided difference after them) come after the others by Im, and the
+    self-mirrored ones last; row l of the lower triangular ``weights[r]``
+    holds the order-(l + 1) function over the first l + 1 nodes, whose
+    diagonal weight grows like |k|^l in clustered blocks.  ``build_raw``
+    keeps block k in eigenvalue order with identity weights (order one).
     """
 
     k_max: int
@@ -126,12 +132,38 @@ class EddFamily:
     perm: np.ndarray
     weights: np.ndarray
 
+    @property
+    def self_mirrored(self) -> np.ndarray:
+        """(k_max, n) mask of the self-mirrored nodes of blocks k = 1..k_max."""
+        return self.nodes[self.k_max:].real == 0
+
+
+def _mirrored(grid: FrequencyGrid, perm: np.ndarray) -> tuple:
+    """(nodes, perm) of every signed block from the order ``perm`` of the
+    blocks k = 1..K: block -k takes the mirrors of block k's nodes, position
+    by position (a self-mirrored node's negation).  Raises ValueError when
+    some node has no mirror in its block -k, which a real A rules out."""
+    w = grid.omega
+    # conj(omega_{k,l}) = omega_{k,l'} exactly for a conjugate pair
+    # lambda_l' = conj(lambda_l); a purely imaginary omega keeps its level
+    match = (w[:, None, :] == np.conj(w)[:, :, None]) \
+        | (np.eye(grid.n, dtype=bool) & (w.real == 0)[:, :, None])
+    if not match.any(axis=2).all():
+        raise ValueError("frequencies are not closed under w -> -conj(w); "
+                         "the coupling matrix must be real")
+    partner = match.argmax(axis=2)
+    perm = np.concatenate([np.take_along_axis(partner, perm, axis=1)[::-1],
+                           perm])
+    freqs = grid.frequencies().reshape(2 * grid.k_max, grid.n)
+    return np.take_along_axis(freqs, perm, axis=1), perm
+
 
 def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
     """Build the divided-difference family for every signed block.
 
     The weight of node j in the order-(l + 1) function is
-    1 / prod_{i <= l, i != j} (x_j - x_i), the product taken in ascending i.
+    1 / prod_{i <= l, i != j} (x_j - x_i), the product taken in ascending i;
+    the row of a self-mirrored node is its unit row.
 
     Raises
     ------
@@ -140,9 +172,9 @@ def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
         tolerance; the plain divided difference is then undefined.
     """
     coll_tol = tol.coll_scale * (1.0 + grid.k_max)
-    freqs = grid.frequencies().reshape(2 * grid.k_max, grid.n)
-    perm = np.lexsort((freqs.imag, freqs.real, np.maximum(freqs.imag, 0.0)))
-    nodes = np.take_along_axis(freqs, perm, axis=1)
+    w = grid.omega
+    nodes, perm = _mirrored(grid, np.lexsort(
+        (w.imag, w.real, np.maximum(w.imag, 0.0), w.real == 0)))
     # factors[r, i, j] = x_j - x_i, with the excluded i = j set to exactly 1
     factors = -(nodes[:, :, None] - nodes[:, None, :])
     off = ~np.eye(grid.n, dtype=bool)
@@ -153,17 +185,19 @@ def build_edd(grid: FrequencyGrid, tol: Tolerances = DEFAULT) -> EddFamily:
             f"block k={k}: frequency gap at or below {coll_tol:.3e}")
     factors[:, ~off] = 1.0
     weights = np.tril(1.0 / np.cumprod(factors, axis=1))
+    plain = nodes.real == 0
+    weights[plain] = 0.0
+    weights[plain[:, :, None] & ~off] = 1.0
     return EddFamily(k_max=grid.k_max, n=grid.n, nodes=nodes, perm=perm,
                      weights=weights)
 
 
 def build_raw(grid: FrequencyGrid) -> EddFamily:
-    """The order-one family: the grid's exponentials in eigenvalue order,
-    every weight block the N x N identity."""
+    """The order-one family: block k's exponentials in eigenvalue order,
+    block -k's mirrored, every weight block the N x N identity."""
     blocks = 2 * grid.k_max
-    return EddFamily(k_max=grid.k_max, n=grid.n,
-                     nodes=grid.frequencies().reshape(blocks, grid.n),
-                     perm=np.tile(np.arange(grid.n), (blocks, 1)),
+    nodes, perm = _mirrored(grid, np.tile(np.arange(grid.n), (grid.k_max, 1)))
+    return EddFamily(k_max=grid.k_max, n=grid.n, nodes=nodes, perm=perm,
                      weights=np.tile(np.eye(grid.n, dtype=complex),
                                      (blocks, 1, 1)))
 

@@ -17,8 +17,9 @@ _PROFILE_ENV = "WAVEMOMENT_PROFILE"
 class Tolerances:
     # eigensolver residual bound, absolute on unit-norm eigenvectors
     eig_tol: float = 1e-10
-    # Hermitian solve: a Cholesky pivot L_jj^2 at most pivot_tol * ||S||_1
-    # means singular, S the factored matrix (for a Gram: the normalized one)
+    # symmetric solve: a Cholesky pivot L_jj^2 at most pivot_tol * ||S||_1
+    # means singular, S the factored matrix (for a Gram: the normalized real
+    # one)
     pivot_tol: float = 1e-12
     # numeric rank: QR diagonal relative cutoff
     rank_tol: float = 1e-9
@@ -40,7 +41,8 @@ class Tolerances:
     # synthesis cap on the condition estimate of the normalized Gram, the
     # conditioning of the family itself
     cond_cap: float = 1e12
-    # relative Hermiticity check on Gram/solve inputs
+    # relative symmetry check on the real Gram/solve inputs, and relative
+    # mirror-symmetry check on the moments (a real target)
     hermit_rtol: float = 1e-10
     # biorthogonality residual allowed in spectral decomposition
     biorth_tol: float = 1e-9
@@ -60,14 +62,17 @@ PROFILES = {
 }
 
 
-def from_profile(name: str | None = None) -> Tolerances:
-    """Resolve a tolerance profile by name, or from the environment.
+def profile_name() -> str:
+    """The profile name ``WAVEMOMENT_PROFILE`` selects, "default" when
+    unset: the only environment influence on the package."""
+    return os.environ.get(_PROFILE_ENV, "default")
 
-    The only environment influence on the package: ``WAVEMOMENT_PROFILE``
-    selects the default profile name when ``name`` is None.
-    """
+
+def from_profile(name: str | None = None) -> Tolerances:
+    """Resolve a tolerance profile by name, or from the environment
+    (``profile_name``) when ``name`` is None."""
     if name is None:
-        name = os.environ.get(_PROFILE_ENV, "default")
+        name = profile_name()
     try:
         return PROFILES[name]
     except KeyError:

@@ -266,7 +266,7 @@ def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
 
     calls = {}
     count_calls(monkeypatch, calls, coupling, "decompose")
-    count_calls(monkeypatch, calls, linalg, "zpotrf")
+    count_calls(monkeypatch, calls, linalg, "dpotrf")
     count_calls(monkeypatch, calls, moments, "combo_l2_norm")
     count_calls(monkeypatch, calls, waveform, "duhamel_exact")
     config = cli.parse_config(json.dumps(README_EDD_DOC))
@@ -274,7 +274,7 @@ def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     assert report["data"]["verification"]["passed"] is True
     assert (tmp_path / "state.csv").exists()
-    assert calls == {"decompose": 1, "zpotrf": 1, "combo_l2_norm": 0,
+    assert calls == {"decompose": 1, "dpotrf": 1, "combo_l2_norm": 0,
                      "duhamel_exact": 1}
 
 
@@ -284,13 +284,13 @@ def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
     calls = {}
     count_calls(monkeypatch, calls, coupling, "decompose")
     count_calls(monkeypatch, calls, moments, "assemble_gram")
-    count_calls(monkeypatch, calls, linalg, "zpotrf")
+    count_calls(monkeypatch, calls, linalg, "dpotrf")
     doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
     report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
     assert code == cli.EXIT_OK
     rows = report["data"]["sweep"]["rows"]
     assert [row["status"] for row in rows] == ["ok"] * 3
-    assert calls == {"decompose": 1, "assemble_gram": 1, "zpotrf": 1}
+    assert calls == {"decompose": 1, "assemble_gram": 1, "dpotrf": 1}
 
 
 N3_EDD_DOC = {
@@ -371,7 +371,7 @@ def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
 
 
 def test_t_sweep_holds_one_gram_system_at_a_time():
-    # G and the factor take 16 m^2 bytes each (m = 2KN = 512); a row whose
+    # R and the factor take 8 m^2 bytes each (m = 2KN = 512); a row whose
     # system outlived it into the next row's assembly would about double
     # the peak
     import tracemalloc
@@ -388,7 +388,7 @@ def test_t_sweep_holds_one_gram_system_at_a_time():
     assert code == cli.EXIT_OK
     assert [row["status"] for row in report["data"]["sweep"]["rows"]] == \
         ["ok"] * 3
-    assert peak <= 3.25 * 16 * 512 ** 2
+    assert peak <= 3.25 * 8 * 512 ** 2
 
 
 # complex frequencies: a complex eigenvalue pair and an eigenvalue below -1
@@ -591,3 +591,30 @@ def test_profile_environment(monkeypatch):
         cli.run("synthesize", config)
     monkeypatch.delenv("WAVEMOMENT_PROFILE")
     assert from_profile().cond_cap == pytest.approx(1e12)
+
+def test_report_carries_profile_and_tolerances(tmp_path, monkeypatch):
+    # a run reproduces from its report: the profile WAVEMOMENT_PROFILE
+    # selects and every resolved tolerance, overrides included, are in data,
+    # which stays byte-identical across runs
+    import dataclasses
+
+    from wavemoment.tolerances import Tolerances
+
+    monkeypatch.setenv("WAVEMOMENT_PROFILE", "strict")
+    config = cli.parse_config(json.dumps(dict(A2_DOC,
+                                              tolerances={"cond_cap": 1e9})))
+    texts = []
+    for name in ("one", "two"):
+        report, code = cli.run("verify", config, out_dir=str(tmp_path / name))
+        assert code == cli.EXIT_OK
+        texts.append((tmp_path / name / "report.json").read_text())
+    data = json.loads(texts[0])["data"]
+    assert data["profile"] == "strict"
+    want = dataclasses.asdict(from_profile("strict").replace(cond_cap=1e9))
+    assert data["tolerances"] == want
+    assert set(want) == {f.name for f in dataclasses.fields(Tolerances)}
+    assert [json.dumps(json.loads(t)["data"], sort_keys=True)
+            for t in texts] == [json.dumps(data, sort_keys=True)] * 2
+    monkeypatch.delenv("WAVEMOMENT_PROFILE")
+    report, _ = cli.run("analyze", config)
+    assert report["data"]["profile"] == "default"

@@ -91,8 +91,8 @@ def test_eig_rejects_nonfinite():
 
 
 def test_solve_identity():
-    x, cond = solve_hermitian(np.eye(2), np.array([1.0, 2.0j]))
-    assert np.allclose(x, [1.0, 2.0j])
+    x, cond = solve_hermitian(np.eye(2), np.array([1.0, -2.0]))
+    assert np.allclose(x, [1.0, -2.0])
     assert cond == pytest.approx(1.0)
 
 
@@ -105,9 +105,9 @@ def test_solve_random_hpd_residuals():
     rng = np.random.default_rng(3)
     for _ in range(1000):
         n = rng.integers(1, 17)
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = m @ m.conj().T + 0.1 * np.eye(n)
-        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        m = rng.standard_normal((n, n))
+        g = m @ m.T + 0.1 * np.eye(n)
+        rhs = rng.standard_normal(n)
         x, cond = solve_hermitian(g, rhs)
         res = np.linalg.norm(g @ x - rhs)
         assert res <= 1e-10 * cond * np.linalg.norm(rhs)
@@ -116,9 +116,9 @@ def test_solve_random_hpd_residuals():
 def test_solve_with_supplied_factor_is_bitwise_identical():
     rng = np.random.default_rng(5)
     for n in (1, 4, 16, 64):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = m @ m.conj().T + 0.1 * np.eye(n)
-        rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        m = rng.standard_normal((n, n))
+        g = m @ m.T + 0.1 * np.eye(n)
+        rhs = rng.standard_normal(n)
         factor = factor_hermitian(g)
         x, cond = solve_hermitian(g, rhs)
         x_f, cond_f = solve_hermitian(g, rhs, factor=factor)
@@ -129,8 +129,8 @@ def test_solve_with_supplied_factor_is_bitwise_identical():
 def test_factor_in_place_matches_copying_factor():
     # m = 300 spans two column blocks of the Hermitian check and the 1-norm
     rng = np.random.default_rng(9)
-    m = rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300))
-    g = m @ m.conj().T + 0.1 * np.eye(300)
+    m = rng.standard_normal((300, 300))
+    g = m @ m.T + 0.1 * np.eye(300)
     for order in "CF":
         s = np.array(g, order=order)
         kept = s.copy(order="K")
@@ -138,7 +138,7 @@ def test_factor_in_place_matches_copying_factor():
         assert np.array_equal(kept, s)
         assert ref.anorm == np.linalg.norm(s, 1)
         low = np.tril(ref.lu)
-        assert np.allclose(low @ low.conj().T, g, rtol=0,
+        assert np.allclose(low @ low.T, g, rtol=0,
                            atol=1e-13 * ref.anorm)
         got = factor_hermitian(s, overwrite=True)
         assert np.array_equal(got.lu, ref.lu)
@@ -146,18 +146,24 @@ def test_factor_in_place_matches_copying_factor():
         # LAPACK factors a Fortran-ordered buffer in place, copies a C one
         assert np.shares_memory(got.lu, s) == (order == "F")
     g[0, -1] += 1e-6 * np.abs(g).max()
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="not symmetric"):
         factor_hermitian(g)
+    # the Cholesky path is real: a complex matrix or right-hand side is
+    # refused, not cast
+    with pytest.raises(ValueError, match="real"):
+        factor_hermitian(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="real"):
+        solve_hermitian(np.eye(2), np.array([1.0, 1.0j]))
 
 
 def test_leading_blocks_of_the_factor():
     # L[:n, :n] factors S[:n, :n]; a breakdown at column j = 31 zeroes L_jj
     # onward, so the pivot guard fails the blocks with n >= 31 only
     rng = np.random.default_rng(17)
-    m = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-    g = m @ m.conj().T / 40 + 0.1 * np.eye(40)
+    m = rng.standard_normal((40, 40))
+    g = m @ m.T / 40 + 0.1 * np.eye(40)
     g[30, 30] = -1.0
-    rhs = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    rhs = rng.standard_normal(40)
     factor = factor_hermitian(g)
     assert factor.cond == np.inf
     for n in (1, 8, 30, 31, 40):
@@ -178,31 +184,17 @@ def test_leading_blocks_of_the_factor():
             1e-12 * cond * np.linalg.norm(rhs[:n])
 
 
-def test_solve_on_a_permuted_factor():
-    rng = np.random.default_rng(23)
-    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    g = m @ m.conj().T + 0.1 * np.eye(12)
-    rhs = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    d = rng.uniform(0.5, 2.0, size=12)
-    order = rng.permutation(12)
-    s = g * np.multiply.outer(d, d)
-    x, _ = solve_hermitian(g, rhs, scale=d)
-    for factor in (None, factor_hermitian(s[np.ix_(order, order)])):
-        x_p, _ = solve_hermitian(g, rhs, factor=factor, scale=d, order=order)
-        assert np.allclose(x_p, x, rtol=0, atol=1e-12 * np.abs(x).max())
-
-
 def test_scaled_solve_guards_pivots_of_the_scaled_matrix():
     # G = diag(1e-14, 1) fails the pivot guard; with d = diag(G)^(-1/2) the
     # factored matrix is the identity and G x = rhs is solved exactly
     g = np.diag([1e-14, 1.0])
-    rhs = np.array([1e-14, 2.0j])
+    rhs = np.array([1e-14, -2.0])
     with pytest.raises(SingularSystem):
         solve_hermitian(g, rhs)
     d = np.array([1e7, 1.0])
     for factor in (None, factor_hermitian(np.eye(2))):
         x, cond = solve_hermitian(g, rhs, factor=factor, scale=d)
-        assert np.allclose(x, [1.0, 2.0j], rtol=1e-14, atol=0)
+        assert np.allclose(x, [1.0, -2.0], rtol=1e-14, atol=0)
         assert cond == pytest.approx(1.0)
 
 
@@ -263,3 +255,23 @@ def test_rank_invariances():
         assert rank_qr(m[:, perm]) == r
         scales = 10.0 ** rng.uniform(-3, 3, size=n)
         assert rank_qr(m * scales[None, :]) == r
+
+
+def test_cond_estimate_follows_lapack_and_reproduces():
+    # the same Hager-Higham iteration as LAPACK dpocon, whose result
+    # varied in the last bits with the alignment of its work array; here
+    # the estimate does not depend on what else was allocated
+    from scipy.linalg.lapack import dpocon
+
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 40, 512):
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2, size=n)
+        g = m @ m.T + 1e-6 * np.eye(n)
+        factor = factor_hermitian(g)
+        rcond, info = dpocon(factor.lu, factor.anorm, uplo="L")
+        assert info == 0
+        assert factor.cond == pytest.approx(1.0 / rcond, rel=1e-12)
+    held = []
+    for size in rng.integers(1, 3000, size=50):
+        held.append(np.empty(int(size)))
+        assert cond_estimate_1norm(factor.lu, factor.anorm) == factor.cond

@@ -140,7 +140,35 @@ def test_edd_growing_node_last():
     grid = build_frequencies(spec, 1)
     fam = build_edd(grid)
     assert np.allclose(fam.nodes[row(fam, 1)], [2.0, 3.0, 1j])
-    assert np.allclose(fam.nodes[row(fam, -1)], [-3.0, -2.0, -1j])
+    # block -1 mirrors block 1 position by position; the self-mirrored i is
+    # a plain exponential, paired with -i
+    assert np.allclose(fam.nodes[row(fam, -1)], [-2.0, -3.0, -1j])
+    for r in (row(fam, 1), row(fam, -1)):
+        assert np.array_equal(fam.weights[r, 2], [0.0, 0.0, 1.0])
+
+
+def test_negative_blocks_mirror_positive_ones():
+    # a complex pair: block -k holds -conj(x) for block k's nodes x, in the
+    # same order, for the divided differences and the raw family alike
+    spec = decompose(CouplingSystem(np.array([[0.2, 0.7], [-0.7, 0.2]]),
+                                    np.array([1.0, 0.0])))
+    grid = build_frequencies(spec, 3)
+    for fam in (build_edd(grid), build_raw(grid)):
+        assert np.array_equal(fam.nodes[2::-1], -np.conj(fam.nodes[3:]))
+        assert np.array_equal(np.sort_complex(fam.nodes.ravel()),
+                              np.sort_complex(grid.frequencies()))
+        perm = fam.perm + 2 * np.arange(6)[:, None]
+        assert np.array_equal(fam.nodes.ravel(), grid.frequencies()[perm.ravel()])
+    # no mirror without a real coupling matrix
+    from wavemoment.coupling import SpectralDecomposition
+
+    lone = SpectralDecomposition(
+        eigenvalues=np.array([0.5j]), eigenvectors=np.eye(1, dtype=complex),
+        biorthogonal=np.eye(1, dtype=complex), beta=np.ones(1, dtype=complex),
+        min_separation=np.inf)
+    for build in (build_edd, build_raw):
+        with pytest.raises(ValueError, match="not closed"):
+            build(build_frequencies(lone, 2))
 
 
 def test_edd_recurrence_property():
