@@ -342,14 +342,6 @@ def _system(config: ProblemConfig, spec, tol: Tolerances, assembly=None):
     return spec_used, grid, modal, edd, ms
 
 
-def _control(ms, grid, edd, tol: Tolerances):
-    """The control that is written and verified: synthesized, realified and
-    with its growing moments pinned."""
-    control = moments.synthesize(ms, grid, edd=edd, tol=tol)
-    control = moments.realify(control, tol=tol)
-    return moments.pin_growing_moments(control, grid, ms.gamma, tol=tol)
-
-
 def _synthesis_dict(control, ms) -> dict:
     return {
         "basis": ms.basis_kind,
@@ -369,7 +361,7 @@ def _sweep_point(config: ProblemConfig, spec, assembly,
     try:
         spec_used, grid, modal, edd, ms = _system(config, spec, tol, assembly)
         row["cond_estimate"] = ms.cond_estimate
-        control = _control(ms, grid, edd, tol)
+        control = moments.synthesize(ms, grid, edd=edd, tol=tol)
         del ms
         row["control_norm"] = control.l2_norm()
         row["moment_residual"] = control.moment_residual
@@ -475,7 +467,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         spec_used, grid, modal, edd, ms = _system(config, spec, tol)
         timings["setup_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        control = _control(ms, grid, edd, tol)
+        control = moments.synthesize(ms, grid, edd=edd, tol=tol)
         timings["synthesis_s"] = time.perf_counter() - t0
     except ModeOutOfRange as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"

@@ -30,14 +30,13 @@ from .spectrum import EddFamily, FrequencyGrid, build_raw
 from .tolerances import DEFAULT, Tolerances
 
 # a moment whose terminal-state amplification |e^{i omega T}| exceeds this is
-# pinned after synthesis, and the evolution that verifies it runs in long double
+# pinned by synthesis, and the evolution that verifies it runs in long double
 GROWTH_PIN = 1e4
 
 __all__ = [
     "ModalState", "TargetSpec", "MomentSystem", "ControlSignal",
     "N2Normalization", "gram_entry", "assemble_gram", "target_to_modal",
-    "moments_from_target", "synthesize", "realify", "pin_growing_moments",
-    "combo_l2_norm",
+    "moments_from_target", "synthesize", "realify", "combo_l2_norm",
     "n2_normalize_eigvecs", "n2_sharp_targets", "n2_edd_coefficients",
 ]
 
@@ -152,10 +151,12 @@ class MomentSystem:
 class ControlSignal:
     """Finite exponential combination f(t) = sum_j amp_j * exp(i*freq_j*t).
 
-    ``norm`` (||f|| in L2(0, duration)) comes from the assembled Gram R and
-    ``realification_residual`` (||Im f|| / ||f||) is 0 for a synthesized
-    control, which is real; a combination built by hand computes them from
-    its own kernel.
+    For a synthesized control ``norm`` (||f|| in L2(0, duration)) is the
+    solved combination's, from the assembled Gram R (the tiny pinned extra
+    terms left out), and ``realification_residual`` (||Im f|| / ||f||) is
+    0: the control is real.  ``realify`` measures both for a combination
+    built by hand on its own kernel, and ``l2_norm`` falls back to that
+    kernel when ``norm`` is None.
     """
 
     duration: float
@@ -172,10 +173,6 @@ class ControlSignal:
             raise ValueError("frequencies and amplitudes must align")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-
-    @property
-    def combo(self) -> list:
-        return list(zip(self.frequencies.tolist(), self.amplitudes.tolist()))
 
     def evaluate(self, t) -> np.ndarray:
         # one sum per sample (a matrix product sums a lone row another way)
@@ -224,26 +221,6 @@ def combo_l2_norm(frequencies, amplitudes, duration: float,
     if f.size == 0:
         return 0.0
     return math.sqrt(_sq_norms(gram_entry(f, f[:, None], duration, tol=tol), a)[0])
-
-
-def _real_split(freqs: np.ndarray, amps: np.ndarray) -> tuple:
-    """(freqs, re, im) with Re f and Im f as combinations on the same terms.
-
-    conj(f) puts conj(amps[j]) on the term P[j] with freqs[P] == -conj(freqs)
-    exactly, so Im f is formed per amplitude, free of cancellation in L2.  A
-    set not closed under w -> -conj(w) (no grid of a real A) gets its mirror.
-    """
-    mirror = -np.conj(freqs)
-    pair = np.lexsort((freqs.imag, freqs.real))[
-        np.argsort(np.lexsort((mirror.imag, mirror.real)))]
-    if not np.array_equal(freqs[pair], mirror):
-        n = freqs.size
-        freqs = np.concatenate([freqs, mirror])
-        amps = np.concatenate([amps, np.zeros_like(amps)])
-        pair = np.roll(np.arange(2 * n), n)
-    conj_amps = np.empty_like(amps)
-    conj_amps[pair] = np.conj(amps)
-    return freqs, (amps + conj_amps) / 2.0, (amps - conj_amps) / 2j
 
 
 def _real_basis(family: EddFamily) -> np.ndarray:
@@ -397,15 +374,15 @@ def _real_moments(gamma: np.ndarray, family: EddFamily,
                   tol: Tolerances) -> np.ndarray:
     """The real basis' moments (f, Re phi_a) = Re (f, phi_a) and
     (f, Im phi_a) = -Im (f, phi_a), |k| by |k|, from the moments gamma of
-    the plain exponentials; a self-mirrored phi_a's partner takes its own.
+    the plain exponentials in family order (one row per signed block); a
+    self-mirrored phi_a's partner takes its own.
 
     They are the moments of a real f only when gamma is mirror-symmetric,
     the moment of e_j's conjugate being conj(gamma_j), which a real target
     gives; otherwise (within ``tol.hermit_rtol``) raises ValueError.
     """
-    k_max, n = family.k_max, family.n
-    moments = gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
-    pair = np.stack([moments[k_max:], moments[k_max - 1::-1]])
+    k_max = family.k_max
+    pair = np.stack([gamma[k_max:], gamma[k_max - 1::-1]])
     plain = family.self_mirrored
     mirror = np.conj(np.where(plain, pair, pair[::-1]))
     if np.linalg.norm(pair - mirror) > tol.hermit_rtol * np.linalg.norm(gamma):
@@ -419,23 +396,29 @@ def _real_moments(gamma: np.ndarray, family: EddFamily,
 def synthesize(ms: MomentSystem, grid: FrequencyGrid,
                edd: EddFamily | None = None,
                tol: Tolerances = DEFAULT) -> ControlSignal:
-    """Minimal-norm control in the span of the assembled family.
+    """The real minimal-norm control in the span of the assembled family,
+    as it is written and verified.
 
     Solves S y = D b, b the real basis' moments (ValueError unless the
     moments are those of a real target), on the stored Cholesky factor of
-    the normalized Gram S = D R D and expands c = D y into a plain
-    exponential combination whose amplitudes on mirrored frequencies are
-    exact conjugates: a real control, with norm sqrt(c^T R c) and moment
-    residual ||R c - b|| / ||b||.  The family is ``build_raw(grid)`` for
-    "raw" and ``edd`` for "edd".  Raises SingularSystem when a pivot L_jj^2
-    of S is at most ``tol.pivot_tol * ||S||_1`` (resonance or insufficient
-    control time) and ConditioningExceeded when the condition estimate of S
-    is above ``tol.cond_cap``.
+    the normalized Gram S = D R D and expands c = D y into exponentials
+    sorted by (Re, Im), with exact conjugate amplitudes on mirrored
+    frequencies; norm sqrt(c^T R c), moment residual ||R c - b|| / ||b||.
+    Moments amplified beyond GROWTH_PIN (by e^{i omega T}) are then pinned:
+    the miss of the control's moments against those decaying representers,
+    taken in long double, is met by tiny extra terms on them, mirrored by
+    family position and appended.  The family is ``build_raw(grid)`` for
+    "raw" and ``edd`` for "edd".  Raises SingularSystem when a pivot
+    L_jj^2 of S is at most ``tol.pivot_tol * ||S||_1`` (resonance or
+    insufficient control time) and ConditioningExceeded when the condition
+    estimate of S is above ``tol.cond_cap``.
     """
     if ms.gamma is None:
         raise ValueError("moment system has no gamma attached")
     family = _family(grid, ms.basis_kind, edd)
-    rhs = _real_moments(ms.gamma, family, tol)
+    k_max, n = family.k_max, family.n
+    moments = ms.gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
+    rhs = _real_moments(moments, family, tol)
     coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor,
                               scale=ms.scale)
     if ms.cond_estimate > tol.cond_cap:
@@ -448,63 +431,70 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
     if rhs_norm > 0:
         residual = float(np.linalg.norm(product - rhs)) / rhs_norm
 
-    # f = sum_a alpha_a phi_a + conj(alpha_a phi_a) over block k's functions
-    c = coef.reshape(family.k_max, 2, family.n)
+    # f = sum_a alpha_a phi_a + conj(alpha_a phi_a) over block k's functions;
+    # a self-mirrored pair takes its two real coefficients
+    c = coef.reshape(k_max, 2, n)
     plain = family.self_mirrored
-    alpha = np.where(plain, c[:, 0], (c[:, 0] - 1j * c[:, 1]) / 2.0)
-    amps = (family.weights[family.k_max:].transpose(0, 2, 1)
-            @ alpha[:, :, None])[..., 0]
+    alpha = (c[:, 0] - 1j * c[:, 1]) / 2.0
+    amps = np.where(plain, c[:, 0], (family.weights[k_max:].transpose(0, 2, 1)
+                                     @ alpha[:, :, None])[..., 0])
     mirrored = np.where(plain, c[:, 1], np.conj(amps))
+    # terms in (Re, Im) order, as control_modes.json lists them
+    reps = np.conj(family.nodes)
+    order = np.lexsort((reps.imag.ravel(), reps.real.ravel()))
+    freqs = reps.ravel()[order]
+    amps = np.concatenate([mirrored[::-1], amps]).ravel()[order]
+
+    pin = reps.imag * ms.duration > math.log(GROWTH_PIN)
+    if pin.any():
+        held = gram_entry(freqs.astype(np.clongdouble),
+                          reps[pin, None].astype(np.clongdouble),
+                          ms.duration, tol=tol) @ amps.astype(np.clongdouble)
+        block = gram_entry(reps[pin], reps[pin, None], ms.duration, tol=tol)
+        extra = np.zeros(reps.shape, dtype=complex)
+        extra[pin] = np.linalg.solve(block,
+                                     (moments[pin] - held).astype(complex))
+        # block -k takes the conjugates of block k's, position by position;
+        # a self-mirrored node, pinned on block -k only, its real part
+        extra[k_max - 1::-1] = np.where(plain, extra[k_max - 1::-1].real,
+                                        np.conj(extra[k_max:]))
+        freqs = np.concatenate([freqs, reps[pin]])
+        amps = np.concatenate([amps, extra[pin]])
     return ControlSignal(
-        duration=ms.duration, frequencies=np.conj(family.nodes.ravel()),
-        amplitudes=np.concatenate([mirrored[::-1], amps]).ravel(),
+        duration=ms.duration, frequencies=freqs, amplitudes=amps,
         realification_residual=0.0, moment_residual=residual,
         norm=math.sqrt(max(float(coef @ product), 0.0)))
 
 
 def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
-    """Project a control onto its real part, as an exponential combination.
+    """Project a hand-built combination onto its real part, on the same terms.
 
-    Each amplitude is averaged with the conjugate amplitude of its mirror
-    frequency -conj(nu); terms come sorted by (Re, Im).  The output records
-    the input's relative imaginary content, reused when stored.
+    Re f = (f + conj(f)) / 2, where conj(f) puts conj(amps[j]) on the mirror
+    frequency -conj(freqs[j]); a set not closed under the mirror gets the
+    missing terms.  Terms come sorted by (Re, Im).  The output records the
+    input's relative imaginary content ||Im f|| / ||f|| and, as its norm,
+    ||Re f||, both quadratic forms on the kernel of the terms.
     """
-    freqs, re, im = _real_split(signal.frequencies, signal.amplitudes)
-    norm, resid = signal.norm, signal.realification_residual
-    if norm is None or resid is None:
-        re2, im2 = _sq_norms(gram_entry(freqs, freqs[:, None],
-                                        signal.duration, tol=tol), re, im)
-        norm = math.sqrt(re2 + im2)
-        resid = math.sqrt(im2) / max(norm, 1e-300)
+    freqs, amps = signal.frequencies, signal.amplitudes
+    mirror = -np.conj(freqs)
+    pair = np.lexsort((freqs.imag, freqs.real))[
+        np.argsort(np.lexsort((mirror.imag, mirror.real)))]
+    if not np.array_equal(freqs[pair], mirror):
+        n = freqs.size
+        freqs = np.concatenate([freqs, mirror])
+        amps = np.concatenate([amps, np.zeros_like(amps)])
+        pair = np.roll(np.arange(2 * n), n)
+    conj_amps = np.empty_like(amps)
+    conj_amps[pair] = np.conj(amps)
+    re = (amps + conj_amps) / 2.0
+    re2, im2 = _sq_norms(gram_entry(freqs, freqs[:, None], signal.duration,
+                                    tol=tol), re, (amps - conj_amps) / 2j)
+    resid = math.sqrt(im2) / max(math.sqrt(re2 + im2), 1e-300)
     order = np.lexsort((freqs.imag, freqs.real))
     return ControlSignal(
         duration=signal.duration, frequencies=freqs[order], amplitudes=re[order],
         realification_residual=resid, moment_residual=signal.moment_residual,
-        norm=norm * math.sqrt(max(1.0 - resid * resid, 0.0)))
-
-
-def pin_growing_moments(signal: ControlSignal, grid: FrequencyGrid,
-                        gamma: np.ndarray,
-                        tol: Tolerances = DEFAULT) -> ControlSignal:
-    """Meet the moments whose state amplification e^{i omega T} exceeds
-    GROWTH_PIN: the control's moments against those (decaying)
-    representers are taken in long double, and the miss is met by extra
-    real terms on them, appended; their amplitudes are tiny, so their own
-    rounding does not matter.  Norm and residuals are left as they are."""
-    freqs = np.conj(grid.frequencies())
-    pin = freqs.imag * signal.duration > math.log(GROWTH_PIN)
-    if not pin.any():
-        return signal
-    held = gram_entry(signal.frequencies.astype(np.clongdouble),
-                      freqs[pin, None].astype(np.clongdouble),
-                      signal.duration, tol=tol) \
-        @ signal.amplitudes.astype(np.clongdouble)
-    miss = (gamma[pin] - held).astype(complex)
-    block = gram_entry(freqs[pin], freqs[pin, None], signal.duration, tol=tol)
-    extra, amps, _ = _real_split(freqs[pin], np.linalg.solve(block, miss))
-    return dataclasses.replace(
-        signal, frequencies=np.concatenate([signal.frequencies, extra]),
-        amplitudes=np.concatenate([signal.amplitudes, amps]))
+        norm=math.sqrt(re2))
 
 
 @dataclasses.dataclass

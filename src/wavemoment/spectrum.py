@@ -1,12 +1,14 @@
 """Mode frequencies and exponential divided-difference families.
 
 Each sine mode k and eigenvalue index l carries a frequency with
-omega^2 = k^2 + conj(lambda_l), extended to negative k by omega_{-k,l} =
--omega_{k,l}.  Within one k the N frequencies cluster as k grows (gaps decay
-like 1/k), which ruins the conditioning of any plain exponential family built
-from them.  Divided differences of the exponentials restore a uniformly
-independent family; the weights here are the standard inverse Newton products,
-and the identity for the order-one family of the plain exponentials.
+omega^2 = k^2 + lambda_l, that of the modal equation
+a'' + (k^2 + lambda_l) a = (2k/pi) beta_l f of u_tt - u_xx + A u = 0,
+extended to negative k by omega_{-k,l} = -omega_{k,l}.  Within one k the N
+frequencies cluster as k grows (gaps decay like 1/k), which ruins the
+conditioning of any plain exponential family built from them.  Divided
+differences of the exponentials restore a uniformly independent family; the
+weights here are the standard inverse Newton products, and the identity for
+the order-one family of the plain exponentials.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ def _principal_branch(z: np.ndarray) -> np.ndarray:
 
 
 def build_frequencies(spec: SpectralDecomposition, k_max: int) -> FrequencyGrid:
-    """Tabulate omega_{k,l} = sqrt(k^2 + conj(lambda_l)) for k = 1..k_max."""
+    """Tabulate omega_{k,l} = sqrt(k^2 + lambda_l) for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     lam = spec.eigenvalues
     k = np.arange(1, k_max + 1, dtype=float)
-    z = k[:, None] ** 2 + np.conj(lam)[None, :]
+    z = k[:, None] ** 2 + lam[None, :]
     return FrequencyGrid(k_max=k_max, n=lam.shape[0],
                          omega=_principal_branch(z))
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from wavemoment._kernels import ramp_integral
 
@@ -40,7 +41,7 @@ def inner_product(f, omega, duration):
 def duhamel(k, lam, beta, f, duration):
     """Terminal (a, adot) for one mode by adaptive quadrature of the
     sine/cosine convolution kernels.  Handles omega = 0 by the t-limit."""
-    w2 = k * k + np.conj(lam)
+    w2 = k * k + lam
     w = np.sqrt(complex(w2))
     if w.real < 0 or (w.real == 0 and w.imag < 0):
         w = -w
@@ -54,6 +55,33 @@ def duhamel(k, lam, beta, f, duration):
     a = gain * quad_complex(lambda t: f(t) * s_ker(t), 0.0, duration)
     adot = gain * quad_complex(lambda t: f(t) * c_ker(t), 0.0, duration)
     return a, adot
+
+
+def physical_state(a, b, modes, frequencies, amplitudes, duration):
+    """Terminal sine coefficients (u_n(T), u_n'(T)), rows n = 1..modes, of
+    u_tt - u_xx + A u = 0 driven from rest by the boundary control
+    f(t) = sum_j amp_j exp(i nu_j t), in physical coordinates.
+
+    Mode n obeys y' = M y + g f with M = [[0, I], [-(n^2 I + A), 0]] and
+    g = [0; (2n/pi) b]; the response to one term e^{i nu t} over [0, T] is
+    the top-right column of expm([[M, g], [0, i nu]] T) (Van Loan, IEEE
+    TAC 23, 1978).  A is never diagonalized: no eigenvalue, beta or omega.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[0]
+    nus = np.asarray(frequencies, dtype=complex)
+    amps = np.asarray(amplitudes, dtype=complex)
+    aug = np.zeros((nus.size, 2 * n + 1, 2 * n + 1), dtype=complex)
+    aug[:, :n, n:2 * n] = np.eye(n)
+    aug[:, 2 * n, 2 * n] = 1j * nus
+    u = np.empty((modes, n), dtype=complex)
+    ut = np.empty_like(u)
+    for mode in range(1, modes + 1):
+        aug[:, n:2 * n, :n] = -(mode * mode * np.eye(n) + a)
+        aug[:, n:2 * n, 2 * n] = (2.0 * mode / np.pi) * b
+        y = amps @ expm(aug * duration)[:, :2 * n, 2 * n]
+        u[mode - 1], ut[mode - 1] = y[:n], y[n:]
+    return u, ut
 
 
 def poly_root_bisection(coeffs, lo, hi, iters=200):

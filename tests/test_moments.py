@@ -15,8 +15,7 @@ from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, combo_l2_norm, gram_entry,
                                 moments_from_target, n2_edd_coefficients,
                                 n2_normalize_eigvecs, n2_sharp_targets,
-                                pin_growing_moments, realify, synthesize,
-                                target_to_modal)
+                                realify, synthesize, target_to_modal)
 from wavemoment.spectrum import build_edd, build_frequencies, build_raw
 from wavemoment.tolerances import DEFAULT
 from wavemoment.waveform import verify
@@ -91,6 +90,24 @@ def real_gram_reference(family, duration):
     dense = np.conj(coef) @ family_kernel(family, duration) @ coef.T
     assert np.abs(dense.imag).max() <= 1e-13 * np.abs(dense).max()
     return dense.real
+
+
+def family_moments(gamma, family):
+    """Moments of the plain exponentials in family order, one row per
+    signed block."""
+    return np.stack([gamma[family.n * r + p]
+                     for r, p in enumerate(family.perm)])
+
+
+def mirror_of(signal, family):
+    """Index of each term's mirror term, at frequency -conj(nu): among the
+    family's terms for those, among the appended pinned extras for these."""
+    freqs = signal.frequencies
+    out = []
+    for lo, hi in ((0, family.nodes.size), (family.nodes.size, freqs.size)):
+        where = {complex(x): lo + i for i, x in enumerate(freqs[lo:hi])}
+        out += [where[complex(-np.conj(x))] for x in freqs[lo:hi]]
+    return np.array(out, dtype=int)
 
 
 def l2_distance(sig_a, sig_b):
@@ -175,7 +192,8 @@ def test_edd_gram_single_level_matches_raw():
 def test_raw_system_is_the_order_one_family():
     # identity weights: R is the Gram of the real and imaginary parts of
     # block k's plain exponentials, and the amplitudes are the solved
-    # coefficients (c_re - i c_im) / 2 and their conjugates, bit for bit
+    # coefficients (c_re - i c_im) / 2 and their conjugates, bit for bit,
+    # with the terms sorted by (Re, Im)
     from wavemoment.moments import _real_moments
 
     pair = [[0.0, 1.0], [-1.0, 0.0]]
@@ -186,15 +204,17 @@ def test_raw_system_is_the_order_one_family():
         want = real_gram_reference(raw, duration)
         assert np.allclose(ms.gram, want, rtol=0,
                            atol=1e-14 * np.abs(want).max())
-        rhs = _real_moments(ms.gamma, raw, DEFAULT)
+        rhs = _real_moments(family_moments(ms.gamma, raw), raw, DEFAULT)
         coef, _ = solve_hermitian(ms.gram, rhs, factor=ms.factor,
                                   scale=ms.scale)
         c = coef.reshape(4, 2, 2)
         amps = (c[:, 0] - 1j * c[:, 1]) / 2.0
         signal = synthesize(ms, grid)
+        freqs = np.conj(raw.nodes.ravel())
+        order = np.lexsort((freqs.imag, freqs.real))
         assert np.array_equal(signal.amplitudes, np.concatenate(
-            [np.conj(amps)[::-1], amps]).ravel())
-        assert np.array_equal(signal.frequencies, np.conj(raw.nodes.ravel()))
+            [np.conj(amps)[::-1], amps]).ravel()[order])
+        assert np.array_equal(signal.frequencies, freqs[order])
         assert np.array_equal(np.sort_complex(signal.frequencies),
                               np.sort_complex(np.conj(grid.frequencies())))
 
@@ -223,8 +243,8 @@ def test_edd_block_maps_match_dense_reference():
     dense = np.conj(coef) @ gamma[perm]
     scale = (np.abs(coef) @ np.abs(gamma[perm])).max()
     assert np.abs(dense.imag).max() <= 1e-13 * scale
-    assert np.allclose(_real_moments(gamma, edd, DEFAULT), dense.real,
-                       rtol=0, atol=1e-13 * scale)
+    assert np.allclose(_real_moments(family_moments(gamma, edd), edd, DEFAULT),
+                       dense.real, rtol=0, atol=1e-13 * scale)
 
 
 def test_assembly_peak_memory_in_gram_units():
@@ -294,13 +314,12 @@ def test_restriction_matches_assembly_at_k():
 
 def kernel_forms(signal, family):
     """(||f||, ||Im f|| / ||f||) of a synthesized control as quadratic forms
-    on the kernel of its family's exponentials (Im f is formed per mirrored
-    amplitude pair)."""
-    from wavemoment.moments import _real_split
-
-    closed, re, im = _real_split(signal.frequencies, signal.amplitudes)
-    assert closed is signal.frequencies
-    kernel = family_kernel(family, signal.duration)
+    on the kernel of its terms, pinned extras included (Im f is formed per
+    mirrored amplitude pair)."""
+    freqs, amps = signal.frequencies, signal.amplitudes
+    conj_amps = np.conj(amps[mirror_of(signal, family)])
+    re, im = (amps + conj_amps) / 2.0, (amps - conj_amps) / 2j
+    kernel = gram_entry(freqs, freqs[:, None], signal.duration)
     re2, im2 = (max(float(np.vdot(x, kernel @ x).real), 0.0) for x in (re, im))
     norm = math.sqrt(re2 + im2)
     return norm, math.sqrt(im2) / max(norm, 1e-300)
@@ -341,19 +360,21 @@ def test_norm_and_residual_from_gram_match_kernel_forms():
 
 def test_synthesized_control_is_exactly_real():
     # a real A and a real target: the amplitudes on mirrored frequencies
-    # -conj(nu) are exact conjugates (a self-mirrored one is real), so the
-    # reported realification residual reads 0
+    # -conj(nu) are exact conjugates (a self-mirrored one is real), pinned
+    # extras included, so the reported realification residual reads 0
     from wavemoment import cli
 
+    pinned = 0
     for a, b, k_max, duration, z0, z1 in REAL_SYSTEMS:
         for basis in ("raw", "edd"):
             _, grid, edd, ms = pipeline(a, b, k_max, duration, basis=basis,
                                         z0=z0, z1=z1)
+            family = edd or build_raw(grid)
             signal = synthesize(ms, grid, edd=edd)
-            freqs, amps = signal.frequencies, signal.amplitudes
-            where = {complex(x): i for i, x in enumerate(freqs)}
-            mirror = [where[complex(-np.conj(x))] for x in freqs]
-            assert np.array_equal(amps[mirror], np.conj(amps))
+            amps = signal.amplitudes
+            pinned += amps.size > family.nodes.size
+            assert np.array_equal(amps[mirror_of(signal, family)],
+                                  np.conj(amps))
             doc = {"A": np.asarray(a).tolist(), "b": list(b), "T": duration,
                    "K": k_max, "method": basis,
                    "target": {"z0": [[n, list(v)] for n, v in z0.items()],
@@ -363,6 +384,7 @@ def test_synthesized_control_is_exactly_real():
             assert code == cli.EXIT_OK
             assert report["data"]["synthesis"]["realification_residual"] \
                 == 0.0
+    assert pinned == 2
 
 
 def test_synthesize_refuses_a_nonreal_target():
@@ -542,10 +564,9 @@ def test_synthesize_real_for_real_data():
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is double on this platform")
 def test_pin_growing_moments():
-    # real frequencies amplify nothing: the same control comes back
+    # real frequencies amplify nothing: no extra term
     _, grid, _, ms = pipeline(A2, B2, 3, 2 * TWO_PI, z0={1: [1.0, 0.0]})
-    control = realify(synthesize(ms, grid))
-    assert pin_growing_moments(control, grid, ms.gamma) is control
+    assert synthesize(ms, grid).frequencies.size == 2 * 3 * 2
 
     # lambda = -2.5: the k = -1 representer is e^{-mu t}, mu = sqrt(1.5), and
     # its state is the moment times e^{mu T} = 1e10 at T = 6 pi
@@ -554,13 +575,45 @@ def test_pin_growing_moments():
     spec, grid, _, ms = pipeline([[-2.5]], [1.0], 4, duration,
                                  z0=target.z0, z1=target.z1)
     modal = target_to_modal(target, spec, grid)
-    control = realify(synthesize(ms, grid))
-    pinned = pin_growing_moments(control, grid, ms.gamma)
-    assert pinned.frequencies.size == control.frequencies.size + 1
+    pinned = synthesize(ms, grid)
+    assert pinned.frequencies.size == 2 * 4 + 1
     assert pinned.frequencies[-1] == pytest.approx(1j * mu)
-    assert abs(pinned.amplitudes[-1]) <= 1e-14 * control.l2_norm()
+    assert abs(pinned.amplitudes[-1]) <= 1e-14 * pinned.l2_norm()
     assert pinned.amplitudes[-1].imag == 0.0
     assert verify(spec, grid, pinned, modal, duration).max_rel_error <= 1e-9
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double on this platform")
+def test_pinned_complex_pair_is_mirrored_by_family_position():
+    # lambda = -0.9 +- 2i at T = 4 pi + 1: the k = +-1 representers of one
+    # level decay, e^{Im T} = 5e5, and are pinned in pairs; block -1's extra
+    # amplitude is the conjugate of block 1's at the same family position
+    from wavemoment.moments import GROWTH_PIN
+
+    a = [[-0.9, 2.0], [-2.0, -0.9]]
+    duration = 2 * TWO_PI + 1.0
+    target = TargetSpec({1: [1.0, 0.5]}, {2: [0.0, -0.3]})
+    for basis in ("raw", "edd"):
+        spec, grid, edd, ms = pipeline(a, B2, 8, duration, basis=basis,
+                                       z0=target.z0, z1=target.z1)
+        family = edd or build_raw(grid)
+        signal = synthesize(ms, grid, edd=edd)
+        reps = np.conj(family.nodes)
+        pin = reps.imag * duration > math.log(GROWTH_PIN)
+        assert pin.sum() == 2 and not family.self_mirrored.any()
+        assert np.array_equal(pin[7::-1], pin[8:])
+        m = family.nodes.size
+        assert np.array_equal(signal.frequencies[m:], reps[pin])
+        amps = signal.amplitudes
+        assert np.array_equal(amps[mirror_of(signal, family)], np.conj(amps))
+        extra = np.zeros(reps.shape, dtype=complex)
+        extra[pin] = amps[m:]
+        assert np.array_equal(extra[7::-1], np.conj(extra[8:]))
+        assert np.abs(amps[m:]).max() <= 1e-12 * signal.l2_norm()
+        modal = target_to_modal(target, spec, grid)
+        assert verify(spec, grid, signal, modal, duration).max_rel_error \
+            <= 1e-9
 
 
 def test_synthesize_raw_vs_edd_same_control():
@@ -787,7 +840,6 @@ def test_control_signal_api():
     assert np.array_equal(t, np.linspace(0.0, TWO_PI, 9))
     assert np.allclose(values, np.cos(t), atol=1e-12)
     assert np.array_equal(values, sig.evaluate(t))
-    assert sig.combo == [(1.0 + 0j, 0.5 + 0j), (-1.0 + 0j, 0.5 + 0j)]
     with pytest.raises(ValueError):
         ControlSignal(TWO_PI, [1.0], [0.5, 0.5])
     with pytest.raises(ValueError):

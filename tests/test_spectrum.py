@@ -52,7 +52,7 @@ def test_frequency_branch_and_square():
         lam = rng.standard_normal(n) * 3 + 1j * rng.standard_normal(n)
         spec = spec_for([0.0])  # placeholder, omega built directly below
         k = np.arange(1, 13, dtype=float)
-        z = k[:, None] ** 2 + np.conj(lam)[None, :]
+        z = k[:, None] ** 2 + lam[None, :]
         from wavemoment.spectrum import _principal_branch
 
         w = _principal_branch(z)

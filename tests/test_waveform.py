@@ -9,7 +9,7 @@ from wavemoment.exceptions import GridTooCoarse
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, moments_from_target, synthesize,
                                 target_to_modal)
-from wavemoment.spectrum import build_frequencies
+from wavemoment.spectrum import build_edd, build_frequencies
 from wavemoment.tolerances import DEFAULT
 from wavemoment.waveform import (duhamel_exact, evolve, evolve_quadrature,
                                  reconstruct, sobolev_norm, verify,
@@ -301,6 +301,48 @@ def test_verify_closed_loop():
     tiny = dataclasses.replace(
         signal, amplitudes=signal.amplitudes + np.eye(len(signal.amplitudes))[0] * 1e-10)
     assert verify(spec, grid, tiny, modal, 2 * TWO_PI).passed
+
+
+# (A, T, z0, z1, tolerance): complex pairs lambda = 0.2 +- 0.7i, -0.9 +- 2i
+# (k = +-1 pinned: e^{|Im omega| T} = 5.6e5, and the double-precision oracle
+# itself loses about that many ulps) and 0.3 +- 0.4i beside 1.4.  Measured
+# misses: 4e-14, 1.8e-10 and 1e-12
+COMPLEX_PAIRS = [
+    ([[0.2, 0.7], [-0.7, 0.2]], 2 * TWO_PI, {1: [1.0, 0.5]}, {2: [0.0, -0.3]},
+     1e-12),
+    ([[-0.9, 2.0], [-2.0, -0.9]], 2 * TWO_PI + 1.0, {1: [1.0, 0.5]},
+     {2: [0.0, -0.3]}, 1e-9),
+    ([[0.3, 0.4, 0.0], [-0.4, 0.3, 0.0], [1.0, 0.5, 1.4]], 3 * TWO_PI + 1.0,
+     {1: [1.0, 0.5, -0.2]}, {2: [0.0, -0.3, 0.4]}, 1e-11),
+]
+
+
+@pytest.mark.parametrize("basis", ["raw", "edd"])
+@pytest.mark.parametrize("case", range(len(COMPLEX_PAIRS)))
+def test_complex_pair_control_reaches_the_physical_target(case, basis):
+    # the control of u_tt - u_xx + A u = 0, evolved in physical coordinates
+    # by an oracle that never diagonalizes A, reaches the target on every
+    # mode k <= K; verify shares the package's frequencies, so it cannot see
+    # a wrong model (omega^2 = k^2 + conj(lambda) controls A^T instead)
+    a, duration, z0, z1, rtol = COMPLEX_PAIRS[case]
+    n, k_max = len(a), 8
+    b = np.eye(n)[0]
+    spec = decompose(CouplingSystem(np.array(a), b))
+    grid = build_frequencies(spec, k_max)
+    edd = build_edd(grid) if basis == "edd" else None
+    ms = assemble_gram(grid, duration, basis_kind=basis, edd=edd)
+    target = TargetSpec(z0, z1)
+    modal = target_to_modal(target, spec, grid)
+    ms.gamma = moments_from_target(modal, spec, grid, duration)
+    control = synthesize(ms, grid, edd=edd)
+    assert verify(spec, grid, control, modal, duration).passed
+    want = np.zeros((2, k_max, n))
+    for row, table in zip(want, (target.z0, target.z1)):
+        for mode, vec in table.items():
+            row[mode - 1] = vec.real
+    got = oracles.physical_state(a, b, k_max, control.frequencies,
+                                 control.amplitudes, duration)
+    assert np.linalg.norm(np.array(got) - want) <= rtol * np.linalg.norm(want)
 
 
 def test_verify_zero_control_error():
