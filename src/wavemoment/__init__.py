@@ -18,8 +18,8 @@ from .linalg import (EigenResult, cond_estimate_1norm, eig_dense, rank_qr,
 from .moments import (ControlSignal, ModalState, MomentSystem,
                       N2Normalization, TargetSpec, assemble_gram,
                       combo_l2_norm, gram_entry, moments_from_target,
-                      n2_edd_coefficients, n2_normalize_eigvecs,
-                      n2_sharp_targets, realify, synthesize, target_to_modal)
+                      n2_edd_coefficients, n2_normalize_eigvecs, realify,
+                      synthesize, target_to_modal)
 from .spectrum import (EddFamily, FrequencyGrid, GapReport, build_edd,
                        build_frequencies, detect_collisions, gap_diagnostics)
 from .tolerances import DEFAULT, PROFILES, Tolerances, from_profile
@@ -42,7 +42,7 @@ __all__ = [
     "decompose", "detect_collisions", "duhamel_exact", "eig_dense", "evolve",
     "evolve_quadrature", "from_profile", "gap_diagnostics", "gram_entry",
     "kalman_check", "moments_from_target", "n2_edd_coefficients",
-    "n2_normalize_eigvecs", "n2_sharp_targets", "rank_qr", "realify",
+    "n2_normalize_eigvecs", "rank_qr", "realify",
     "reconstruct", "resonance_check", "sobolev_norm", "solve_hermitian",
     "synthesize", "target_to_modal", "verify", "wellposedness_ratio",
 ]

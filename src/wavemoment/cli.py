@@ -93,6 +93,19 @@ def _check_target_entry(raw, n_comp, label, errors):
     return table
 
 
+def _method_errors(method, n_comp: int, b: np.ndarray) -> list:
+    """Why ``method`` cannot run for N = ``n_comp`` and b (a bad N or b adds
+    nothing: it is reported already)."""
+    if method not in METHODS:
+        return [f"method must be one of {METHODS}"]
+    if method == "n2_sharp" and n_comp and n_comp != 2:
+        return ["method n2_sharp requires a two-component system"]
+    if method == "n2_sharp" and n_comp == 2 and b.shape == (2,):
+        if b[0] == 0 or abs(b[1]) > 1e-12 * abs(b[0]):
+            return ["method n2_sharp requires b proportional to (1, 0)"]
+    return []
+
+
 def parse_config(source: str) -> ProblemConfig:
     """Parse a JSON config from a path or a literal JSON string.
 
@@ -155,9 +168,7 @@ def parse_config(source: str) -> ProblemConfig:
         k_max = 16
 
     method = doc.get("method", "raw")
-    if method not in METHODS:
-        errors.append(f"method must be one of {METHODS}")
-        method = "raw"
+    errors += _method_errors(method, n_comp, b)
 
     target_raw = doc.get("target", {})
     z0, z1 = {}, {}
@@ -214,12 +225,6 @@ def parse_config(source: str) -> ProblemConfig:
                     errors.append("sweep T values must be positive numbers")
                 else:
                     sweep = SweepSpec("T", [float(v) for v in vals])
-
-    if method == "n2_sharp" and n_comp and n_comp != 2:
-        errors.append("method n2_sharp requires a two-component system")
-    if method == "n2_sharp" and n_comp == 2 and b.shape == (2,):
-        if b[0] == 0 or abs(b[1]) > 1e-12 * abs(b[0]):
-            errors.append("method n2_sharp requires b proportional to (1, 0)")
 
     if errors:
         raise BadInput(errors)
@@ -321,36 +326,20 @@ def _write_state_file(out_dir: str, modal, spec):
 
 def _system(config: ProblemConfig, spec, tol: Tolerances, assembly=None):
     """Pipeline head and Gram system at ``config.k_max``: (spec_used, grid,
-    modal, edd, ms).  The system is read from ``assembly`` (one at that K or
-    above, for the same T) or assembled here."""
+    modal, gamma, ms), the system and its family read from ``assembly`` when
+    it covers that K (for the same T), else built and assembled here."""
     grid = spectrum.build_frequencies(spec, config.k_max)
     if config.method == "n2_sharp":
-        norm = moments.n2_normalize_eigvecs(spec, tol=tol, b=config.b)
-        spec_used = norm.decomposition
-        modal = moments.n2_sharp_targets(config.target, norm, grid)
-    else:
-        spec_used = spec
-        modal = moments.target_to_modal(config.target, spec, grid)
-    gamma = moments.moments_from_target(modal, spec_used, grid,
-                                        config.duration, tol=tol)
-    edd = spectrum.build_edd(grid, tol=tol) if config.method != "raw" else None
-    if assembly is None:
-        assembly = moments.assemble_gram(
-            grid, config.duration, "raw" if edd is None else "edd", edd, tol)
-    ms = assembly.restrict(config.k_max)
-    ms.gamma = gamma
-    return spec_used, grid, modal, edd, ms
-
-
-def _synthesis_dict(control, ms) -> dict:
-    return {
-        "basis": ms.basis_kind,
-        "size": int(ms.gram.shape[0]),
-        "cond_estimate": ms.cond_estimate,
-        "control_norm": control.l2_norm(),
-        "moment_residual": control.moment_residual,
-        "realification_residual": control.realification_residual,
-    }
+        spec = moments.n2_normalize_eigvecs(spec, tol=tol,
+                                            b=config.b).decomposition
+    modal = moments.target_to_modal(config.target, spec, grid)
+    gamma = moments.moments_from_target(modal, spec, grid, config.duration,
+                                        tol=tol)
+    if assembly is None or assembly.k_max < config.k_max:
+        family = (spectrum.build_raw(grid) if config.method == "raw"
+                  else spectrum.build_edd(grid, tol=tol))
+        assembly = moments.assemble_gram(family, config.duration, tol)
+    return spec, grid, modal, gamma, assembly.restrict(config.k_max)
 
 
 def _sweep_point(config: ProblemConfig, spec, assembly,
@@ -359,9 +348,9 @@ def _sweep_point(config: ProblemConfig, spec, assembly,
            "cond_estimate": None, "control_norm": None,
            "moment_residual": None, "max_rel_error": None, "error": None}
     try:
-        spec_used, grid, modal, edd, ms = _system(config, spec, tol, assembly)
+        spec_used, grid, modal, gamma, ms = _system(config, spec, tol, assembly)
         row["cond_estimate"] = ms.cond_estimate
-        control = moments.synthesize(ms, grid, edd=edd, tol=tol)
+        control = moments.synthesize(ms, gamma, tol=tol)
         del ms
         row["control_norm"] = control.l2_norm()
         row["moment_residual"] = control.moment_residual
@@ -385,8 +374,9 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
     forced runs are outside the normal report guarantees.
     """
     if method is not None:
-        if method not in METHODS:
-            raise BadInput(f"method must be one of {METHODS}")
+        # the checks parse_config makes of a config's own method
+        if errors := _method_errors(method, config.n, config.b):
+            raise BadInput(errors)
         config = dataclasses.replace(config, method=method)
     profile, tol = _resolve_tolerances(config)
     if out_dir is not None:
@@ -431,8 +421,11 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         key = "duration" if config.sweep.parameter == "T" else "k_max"
         points = [dataclasses.replace(config, **{key: value})
                   for value in config.sweep.values]
-        # a K sweep assembles and factors once, at the largest K whose head
-        # builds, and reads every row's system from there
+        # a K sweep builds its family, assembles and factors once, at the
+        # largest K whose head builds, and reads every smaller row's system
+        # from there: an EDD family that builds at K builds at every smaller
+        # K, whose blocks are among K's and whose collision tolerance
+        # coll_scale * (1 + K) is smaller
         assembly = None
         tops = sorted(points, key=lambda p: -p.k_max) if key == "k_max" else []
         for point in tops:
@@ -464,10 +457,10 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     try:
         t0 = time.perf_counter()
-        spec_used, grid, modal, edd, ms = _system(config, spec, tol)
+        spec_used, grid, modal, gamma, ms = _system(config, spec, tol)
         timings["setup_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        control = moments.synthesize(ms, grid, edd=edd, tol=tol)
+        control = moments.synthesize(ms, gamma, tol=tol)
         timings["synthesis_s"] = time.perf_counter() - t0
     except ModeOutOfRange as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
@@ -476,7 +469,14 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         report["error"] = f"{type(exc).__name__}: {exc}"
         return finish(EXIT_NUMERICAL)
 
-    report["synthesis"] = _synthesis_dict(control, ms)
+    report["synthesis"] = {
+        "basis": "raw" if config.method == "raw" else "edd",
+        "size": int(ms.gram.shape[0]),
+        "cond_estimate": ms.cond_estimate,
+        "control_norm": control.l2_norm(),
+        "moment_residual": control.moment_residual,
+        "realification_residual": control.realification_residual,
+    }
     del ms  # R and the factor, its two m x m arrays, end with synthesis
     if out_dir is not None:
         _write_control_files(out_dir, control, config.samples)

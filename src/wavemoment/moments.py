@@ -26,7 +26,7 @@ from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
 from .linalg import (HermitianFactor, cond_estimate_1norm, factor_hermitian,
                      solve_hermitian)
-from .spectrum import EddFamily, FrequencyGrid, build_raw
+from .spectrum import EddFamily, FrequencyGrid
 from .tolerances import DEFAULT, Tolerances
 
 # a moment whose terminal-state amplification |e^{i omega T}| exceeds this is
@@ -37,7 +37,7 @@ __all__ = [
     "ModalState", "TargetSpec", "MomentSystem", "ControlSignal",
     "N2Normalization", "gram_entry", "assemble_gram", "target_to_modal",
     "moments_from_target", "synthesize", "realify", "combo_l2_norm",
-    "n2_normalize_eigvecs", "n2_sharp_targets", "n2_edd_coefficients",
+    "n2_normalize_eigvecs", "n2_edd_coefficients",
 ]
 
 
@@ -103,37 +103,45 @@ class TargetSpec:
 
 @dataclasses.dataclass
 class MomentSystem:
-    """Assembled real Gram system, 2N unknowns per |k| in |k| order.
+    """The real Gram system of ``family``, 2N unknowns per |k| in |k| order.
 
     The real basis of each |k| holds Re phi and then Im phi of the N family
     functions phi of block k (a self-mirrored phi and, in its Im place, its
     block -k partner, both real).  ``gram`` is their real symmetric Gram R
-    (for "raw": over the plain exponentials); the norms of a control in the
-    span are quadratic forms on it.  R and the factor are its two m x m
-    arrays.  ``scale`` is D = diag(R)^(-1/2), so S = D R D is the Gram of
-    the normalized basis (unit-norm functions); ``factor`` is the one
-    Cholesky factor of S, and ``cond_estimate`` its 1-norm condition
-    estimate, which does not depend on how the basis functions are scaled.
-    ``gamma`` holds the moments of the plain exponentials (signed,
-    eigenvalue-ordered); the family's weights map them at solve time.
+    over [0, duration]; the norms of a control in the span are quadratic
+    forms on it.  R and the factor are its two m x m arrays.  ``scale`` is
+    D = diag(R)^(-1/2), so S = D R D is the Gram of the normalized basis
+    (unit-norm functions); ``factor`` is the one Cholesky factor of S, and
+    ``cond_estimate`` its 1-norm condition estimate, which does not depend
+    on how the basis functions are scaled.
     """
 
-    k_max: int
-    basis_kind: str
+    family: EddFamily
+    duration: float
     gram: np.ndarray
-    cond_estimate: float
-    duration: float = 0.0
-    gamma: np.ndarray | None = None
-    factor: HermitianFactor | None = None
-    scale: np.ndarray | None = None
+    factor: HermitianFactor
+    scale: np.ndarray
+
+    @property
+    def k_max(self) -> int:
+        return self.family.k_max
+
+    @property
+    def cond_estimate(self) -> float:
+        return self.factor.cond
 
     def restrict(self, k_max: int) -> "MomentSystem":
         """The system over |k| <= k_max, 1 <= k_max <= K (else ValueError),
-        with no new assembly: R, D and the factor of S are leading blocks
-        (R and D views, as kernel entries are element-wise and weights
-        block-local; the factor copied when smaller)."""
+        with no new assembly: the family's middle rows, and R, D and the
+        factor of S leading blocks (R and D views, as kernel entries are
+        element-wise and weights block-local; the factor copied when
+        smaller)."""
         if not 1 <= k_max <= self.k_max:
             raise ValueError(f"k_max {k_max} outside 1..{self.k_max}")
+        rows = slice(self.k_max - k_max, self.k_max + k_max)
+        family = dataclasses.replace(
+            self.family, k_max=k_max, nodes=self.family.nodes[rows],
+            perm=self.family.perm[rows], weights=self.family.weights[rows])
         size = self.gram.shape[0] // self.k_max * k_max
         factor, gram = self.factor, self.gram[:size, :size]
         scale = self.scale[:size]
@@ -142,9 +150,7 @@ class MomentSystem:
             anorm = float((scale * (np.abs(gram) @ scale)).max())
             factor = HermitianFactor(lu, anorm,
                                      cond_estimate_1norm(lu, anorm))
-        return dataclasses.replace(
-            self, k_max=k_max, gram=gram, scale=scale, factor=factor,
-            cond_estimate=factor.cond, gamma=None)
+        return MomentSystem(family, self.duration, gram, factor, scale)
 
 
 @dataclasses.dataclass
@@ -280,38 +286,26 @@ def _real_gram(family: EddFamily, duration: float,
     return out.reshape(m, m)
 
 
-def _family(grid: FrequencyGrid, basis_kind: str,
-            edd: EddFamily | None) -> EddFamily:
-    """The family of ``basis_kind``: ``build_raw(grid)`` or ``edd``."""
-    if basis_kind not in ("raw", "edd"):
-        raise ValueError(f"unknown basis_kind {basis_kind!r}")
-    if basis_kind == "edd" and edd is None:
-        raise ValueError("edd family required for basis_kind='edd'")
-    return build_raw(grid) if basis_kind == "raw" else edd
-
-
-def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
-                  edd: EddFamily | None = None,
+def assemble_gram(family: EddFamily, duration: float,
                   tol: Tolerances = DEFAULT) -> MomentSystem:
-    """Build the real symmetric Gram R of the chosen family over [0, duration].
+    """Build the real symmetric Gram R of ``family`` over [0, duration].
 
-    The family is ``build_raw(grid)`` (order one) for ``basis_kind`` "raw"
-    and ``edd`` for "edd"; R is the Gram of its real basis (see
-    ``MomentSystem``).  The one factorization is of S = D R D, with
-    D = diag(R)^(-1/2), the Gram of the normalized basis: scaling a basis
-    function changes neither the span nor the minimal-norm control, so
-    ``cond_estimate`` (the 1-norm estimate of S) measures the family's
-    independence, within a factor m of the best diagonal scaling of R (van
-    der Sluis, 1969).  The unknowns are in |k| order, so the factor serves
-    every smaller K (``restrict``).  A singular Gram still assembles;
-    ``synthesize`` raises on its pivots.  Half the kernel is filled, in row
-    blocks streamed into the basis products and never stored; R is the
-    symmetric part of those rows, and S overwrites the rows and is factored
-    in place, so two m x m real arrays are kept: R and the factor.
+    The family is ``build_raw(grid)`` (order one) or ``build_edd(grid)``; R
+    is the Gram of its real basis (see ``MomentSystem``).  The one
+    factorization is of S = D R D, with D = diag(R)^(-1/2), the Gram of the
+    normalized basis: scaling a basis function changes neither the span nor
+    the minimal-norm control, so ``cond_estimate`` (the 1-norm estimate of
+    S) measures the family's independence, within a factor m of the best
+    diagonal scaling of R (van der Sluis, 1969).  The unknowns are in |k|
+    order, so the factor serves every smaller K (``restrict``).  A singular
+    Gram still assembles; ``synthesize`` raises on its pivots.  Half the
+    kernel is filled, in row blocks streamed into the basis products and
+    never stored; R is the symmetric part of those rows, and S overwrites
+    the rows and is factored in place, so two m x m real arrays are kept: R
+    and the factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
-    family = _family(grid, basis_kind, edd)
     rows = _real_gram(family, duration, tol)
     gram = rows + rows.T
     gram /= 2.0
@@ -320,9 +314,7 @@ def assemble_gram(grid: FrequencyGrid, duration: float, basis_kind: str = "raw",
     np.multiply(gram, scale, out=rows)
     rows *= scale[:, None]
     factor = factor_hermitian(rows.T, tol=tol, overwrite=True)
-    return MomentSystem(k_max=grid.k_max, basis_kind=basis_kind, gram=gram,
-                        cond_estimate=factor.cond, duration=duration,
-                        factor=factor, scale=scale)
+    return MomentSystem(family, duration, gram, factor, scale)
 
 
 def target_to_modal(target: TargetSpec, spec: SpectralDecomposition,
@@ -393,11 +385,11 @@ def _real_moments(gamma: np.ndarray, family: EddFamily,
                     axis=1).ravel()
 
 
-def synthesize(ms: MomentSystem, grid: FrequencyGrid,
-               edd: EddFamily | None = None,
+def synthesize(ms: MomentSystem, gamma: np.ndarray,
                tol: Tolerances = DEFAULT) -> ControlSignal:
     """The real minimal-norm control in the span of the assembled family,
-    as it is written and verified.
+    as it is written and verified, for the moments ``gamma`` of the plain
+    exponentials (signed, eigenvalue-ordered: ``moments_from_target``).
 
     Solves S y = D b, b the real basis' moments (ValueError unless the
     moments are those of a real target), on the stored Cholesky factor of
@@ -407,17 +399,16 @@ def synthesize(ms: MomentSystem, grid: FrequencyGrid,
     Moments amplified beyond GROWTH_PIN (by e^{i omega T}) are then pinned:
     the miss of the control's moments against those decaying representers,
     taken in long double, is met by tiny extra terms on them, mirrored by
-    family position and appended.  The family is ``build_raw(grid)`` for
-    "raw" and ``edd`` for "edd".  Raises SingularSystem when a pivot
+    family position and appended.  Raises SingularSystem when a pivot
     L_jj^2 of S is at most ``tol.pivot_tol * ||S||_1`` (resonance or
     insufficient control time) and ConditioningExceeded when the condition
     estimate of S is above ``tol.cond_cap``.
     """
-    if ms.gamma is None:
-        raise ValueError("moment system has no gamma attached")
-    family = _family(grid, ms.basis_kind, edd)
+    family = ms.family
     k_max, n = family.k_max, family.n
-    moments = ms.gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
+    if np.shape(gamma) != (family.nodes.size,):
+        raise ValueError(f"expected {family.nodes.size} moments")
+    moments = gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
     rhs = _real_moments(moments, family, tol)
     coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor,
                               scale=ms.scale)
@@ -551,39 +542,6 @@ def n2_normalize_eigvecs(spec: SpectralDecomposition,
         min_separation=spec.min_separation)
     return N2Normalization(phi1=phi1, phi2=phi2, alpha=complex(alpha),
                            decomposition=rescaled)
-
-
-def n2_sharp_targets(target: TargetSpec, norm: N2Normalization,
-                     grid: FrequencyGrid) -> ModalState:
-    """Modal tables for a two-component target via the order-one
-    divided-difference back-substitution.
-
-    With the rescaled pair, the combined mode shape for the order-one
-    function is (alpha, 0) and the order-two shape is phi2 * (w_{n,2} -
-    w_{n,1}), so the second target component determines the order-two
-    coefficient alone and the first component then fixes the order-one
-    coefficient.  The result is returned in plain (a, adot) form.
-    """
-    if grid.n != 2:
-        raise ValueError("sharp targets require a two-component grid")
-    top = target.max_mode()
-    if top > grid.k_max:
-        raise ModeOutOfRange(f"target mode {top} exceeds truncation {grid.k_max}")
-    alpha = norm.alpha
-    beta_c = norm.phi2[0]
-    gamma_c = norm.phi2[1]
-    a = np.zeros((grid.k_max, 2), dtype=complex)
-    adot = np.zeros((grid.k_max, 2), dtype=complex)
-    for table, out in ((target.z0, a), (target.z1, adot)):
-        for mode, vec in table.items():
-            if vec.shape != (2,):
-                raise ValueError(f"mode {mode}: expected 2 components")
-            gap = grid.omega_at(mode, 2) - grid.omega_at(mode, 1)
-            t2 = vec[1] / (gamma_c * gap)
-            t1 = (vec[0] - t2 * beta_c * gap) / alpha
-            out[mode - 1, 0] = t1
-            out[mode - 1, 1] = t1 + t2 * gap
-    return ModalState(a, adot)
 
 
 def n2_edd_coefficients(modal: ModalState, grid: FrequencyGrid) -> np.ndarray:

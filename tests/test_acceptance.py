@@ -16,8 +16,8 @@ from wavemoment.coupling import CouplingSystem, analyze, decompose
 from wavemoment.exceptions import SingularSystem
 from wavemoment.moments import (TargetSpec, assemble_gram, moments_from_target,
                                 n2_edd_coefficients, n2_normalize_eigvecs,
-                                n2_sharp_targets, synthesize, target_to_modal)
-from wavemoment.spectrum import build_edd, build_frequencies
+                                synthesize, target_to_modal)
+from wavemoment.spectrum import build_edd, build_frequencies, build_raw
 from wavemoment.waveform import (duhamel_exact, evolve, verify,
                                  wellposedness_ratio)
 
@@ -35,11 +35,10 @@ def _line(num: int, ok: bool, detail: str):
 def _solve_and_verify(a, b, k_max, duration, basis, z0, z1):
     spec = decompose(CouplingSystem(np.asarray(a, float), np.asarray(b, float)))
     grid = build_frequencies(spec, k_max)
-    edd = build_edd(grid) if basis == "edd" else None
+    family = build_edd(grid) if basis == "edd" else build_raw(grid)
     modal = target_to_modal(TargetSpec(z0, z1), spec, grid)
-    ms = assemble_gram(grid, duration, basis_kind=basis, edd=edd)
-    ms.gamma = moments_from_target(modal, spec, grid, duration)
-    control = synthesize(ms, grid, edd=edd)
+    ms = assemble_gram(family, duration)
+    control = synthesize(ms, moments_from_target(modal, spec, grid, duration))
     return verify(spec, grid, control, modal, duration)
 
 
@@ -82,11 +81,10 @@ def test_criterion_3_resonance_negative():
     # the colliding pair
     spec = decompose(CouplingSystem(np.array(doc["A"]), np.array(doc["b"])))
     grid = build_frequencies(spec, 2)
-    ms = assemble_gram(grid, FOUR_PI)
+    ms = assemble_gram(build_raw(grid), FOUR_PI)
     modal = target_to_modal(TargetSpec({1: [1.0, 0.0]}, {}), spec, grid)
-    ms.gamma = moments_from_target(modal, spec, grid, FOUR_PI)
     try:
-        synthesize(ms, grid)
+        synthesize(ms, moments_from_target(modal, spec, grid, FOUR_PI))
         raised = False
     except SingularSystem:
         raised = True
@@ -123,8 +121,7 @@ def test_criterion_5_time_threshold_conditioning():
         out = []
         for k_max in (4, 8, 16):
             grid = build_frequencies(spec, k_max)
-            ms = assemble_gram(grid, duration, basis_kind="edd",
-                               edd=build_edd(grid))
+            ms = assemble_gram(build_edd(grid), duration)
             out.append(ms.cond_estimate)
         return out
 
@@ -147,8 +144,8 @@ def test_criterion_5_time_threshold_conditioning():
 def test_criterion_6_edd_conditioning_advantage():
     spec = decompose(CouplingSystem(A2, B2))
     grid = build_frequencies(spec, 16)
-    raw = assemble_gram(grid, FOUR_PI)
-    edd = assemble_gram(grid, FOUR_PI, basis_kind="edd", edd=build_edd(grid))
+    raw = assemble_gram(build_raw(grid), FOUR_PI)
+    edd = assemble_gram(build_edd(grid), FOUR_PI)
     ok = edd.cond_estimate <= raw.cond_estimate
     _line(6, ok, f"cond edd {edd.cond_estimate:.4e} vs raw "
                  f"{raw.cond_estimate:.4e} at K=16, T=4pi")
@@ -162,14 +159,13 @@ def test_criterion_7_sharp_n2_reachability():
     def setup(k_max):
         grid = build_frequencies(spec, k_max)
         z0 = {n: [1.0 / n, 1.0 / n ** 2] for n in range(1, k_max + 1)}
-        modal = n2_sharp_targets(TargetSpec(z0, {}), norm, grid)
+        modal = target_to_modal(TargetSpec(z0, {}), norm.decomposition, grid)
         return grid, z0, modal
 
     grid, z0, modal = setup(16)
-    edd = build_edd(grid)
-    ms = assemble_gram(grid, FOUR_PI, basis_kind="edd", edd=edd)
-    ms.gamma = moments_from_target(modal, norm.decomposition, grid, FOUR_PI)
-    control = synthesize(ms, grid, edd=edd)
+    ms = assemble_gram(build_edd(grid), FOUR_PI)
+    control = synthesize(ms, moments_from_target(modal, norm.decomposition,
+                                                 grid, FOUR_PI))
     report = verify(norm.decomposition, grid, control, modal, FOUR_PI)
 
     def ratio(k_max):

@@ -279,10 +279,13 @@ def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
 
 
 def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
-    from wavemoment import coupling, linalg, moments
+    # every row reads its system, EDD family included, from the one
+    # assembly at the largest K
+    from wavemoment import coupling, linalg, moments, spectrum
 
     calls = {}
     count_calls(monkeypatch, calls, coupling, "decompose")
+    count_calls(monkeypatch, calls, spectrum, "build_edd")
     count_calls(monkeypatch, calls, moments, "assemble_gram")
     count_calls(monkeypatch, calls, linalg, "dpotrf")
     doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
@@ -290,7 +293,8 @@ def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
     assert code == cli.EXIT_OK
     rows = report["data"]["sweep"]["rows"]
     assert [row["status"] for row in rows] == ["ok"] * 3
-    assert calls == {"decompose": 1, "assemble_gram": 1, "dpotrf": 1}
+    assert calls == {"decompose": 1, "build_edd": 1, "assemble_gram": 1,
+                     "dpotrf": 1}
 
 
 N3_EDD_DOC = {
@@ -476,7 +480,7 @@ def test_force_reaches_numerical_failure():
     assert "SingularSystem" in report["data"]["error"]
 
 
-def test_method_override():
+def test_method_override(tmp_path, capsys):
     config = cli.parse_config(json.dumps(A2_DOC))
     report, code = cli.run("synthesize", config, method="edd")
     assert code == cli.EXIT_OK
@@ -486,6 +490,23 @@ def test_method_override():
         cli.run("synthesize", config, method="fastest")
     with pytest.raises(BadInput):
         cli.run("transmogrify", config)
+    # the override passes the checks a config's own method passes, with the
+    # same messages: N = 3, and b not along (1, 0)
+    for doc, reason in (
+            ({"A": [[0.0, 0, 0], [1, 1, 0], [0, 1, 2]], "b": [1.0, 0, 0],
+              "T": 20.0}, "method n2_sharp requires a two-component system"),
+            (dict(A2_DOC, b=[1.0, 1.0]),
+             "method n2_sharp requires b proportional to (1, 0)")):
+        with pytest.raises(BadInput) as err:
+            cli.parse_config(json.dumps(dict(doc, method="n2_sharp")))
+        assert err.value.errors == [reason]
+        with pytest.raises(BadInput) as err:
+            cli.run("verify", cli.parse_config(json.dumps(doc)),
+                    method="n2_sharp")
+        assert err.value.errors == [reason]
+        assert cli.main(["verify", "--config", write_config(tmp_path, doc),
+                         "--method", "n2_sharp"]) == cli.EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_deterministic_outputs(tmp_path):

@@ -14,8 +14,8 @@ from wavemoment.linalg import factor_hermitian, solve_hermitian
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, combo_l2_norm, gram_entry,
                                 moments_from_target, n2_edd_coefficients,
-                                n2_normalize_eigvecs, n2_sharp_targets,
-                                realify, synthesize, target_to_modal)
+                                n2_normalize_eigvecs, realify, synthesize,
+                                target_to_modal)
 from wavemoment.spectrum import build_edd, build_frequencies, build_raw
 from wavemoment.tolerances import DEFAULT
 from wavemoment.waveform import verify
@@ -43,15 +43,15 @@ def spec_for(eigvals):
 
 
 def pipeline(a, b, k_max, duration, basis="raw", z0=None, z1=None):
-    """Decompose, build the grid and Gram, attach the target moments."""
+    """Decompose, build the grid, the family and its Gram system, and the
+    target moments: (spec, grid, ms, gamma)."""
     spec = decompose(CouplingSystem(np.asarray(a, dtype=float),
                                     np.asarray(b, dtype=float)))
     grid = build_frequencies(spec, k_max)
-    edd = build_edd(grid) if basis == "edd" else None
-    ms = assemble_gram(grid, duration, basis_kind=basis, edd=edd)
+    family = build_edd(grid) if basis == "edd" else build_raw(grid)
+    ms = assemble_gram(family, duration)
     modal = target_to_modal(TargetSpec(z0 or {}, z1 or {}), spec, grid)
-    ms.gamma = moments_from_target(modal, spec, grid, duration)
-    return spec, grid, edd, ms
+    return spec, grid, ms, moments_from_target(modal, spec, grid, duration)
 
 
 def family_kernel(family, duration):
@@ -144,7 +144,7 @@ def test_gram_entry_matches_quadrature():
 
 def test_identity_gram_single_level():
     # the real basis is cos t, sin t, each of squared norm pi on [0, 2 pi]
-    _, grid, _, ms = pipeline([[0.0]], [1.0], 1, TWO_PI)
+    _, _, ms, _ = pipeline([[0.0]], [1.0], 1, TWO_PI)
     assert ms.k_max == 1
     assert ms.duration == TWO_PI
     assert np.allclose(ms.gram, math.pi * np.eye(2), atol=1e-12)
@@ -162,7 +162,7 @@ def test_gram_hermitian_psd():
         spec = spec_for(lams.tolist())
         grid = build_frequencies(spec, int(rng.integers(2, 6)))
         duration = TWO_PI * n * float(rng.uniform(1.0, 1.5))
-        ms = assemble_gram(grid, duration)
+        ms = assemble_gram(build_raw(grid), duration)
         assert ms.gram.dtype == np.float64 and ms.factor.lu.dtype == np.float64
         assert np.array_equal(ms.gram, ms.gram.T)
         eigs = np.linalg.eigvalsh(ms.gram)
@@ -172,7 +172,7 @@ def test_gram_hermitian_psd():
     spec = decompose(CouplingSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                     np.array([1.0, 0.0])))
     grid = build_frequencies(spec, 3)
-    ms = assemble_gram(grid, 2 * TWO_PI)
+    ms = assemble_gram(build_raw(grid), 2 * TWO_PI)
     eigs = np.linalg.eigvalsh(ms.gram)
     assert eigs.min() >= -1e-8 * eigs.max()
 
@@ -180,13 +180,9 @@ def test_gram_hermitian_psd():
 def test_edd_gram_single_level_matches_raw():
     spec = spec_for([0.7])
     grid = build_frequencies(spec, 4)
-    raw = assemble_gram(grid, TWO_PI)
-    edd = assemble_gram(grid, TWO_PI, basis_kind="edd", edd=build_edd(grid))
+    raw = assemble_gram(build_raw(grid), TWO_PI)
+    edd = assemble_gram(build_edd(grid), TWO_PI)
     assert np.allclose(edd.gram, raw.gram, atol=1e-12)
-    with pytest.raises(ValueError):
-        assemble_gram(grid, TWO_PI, basis_kind="edd")
-    with pytest.raises(ValueError):
-        assemble_gram(grid, TWO_PI, basis_kind="chebyshev")
 
 
 def test_raw_system_is_the_order_one_family():
@@ -198,18 +194,18 @@ def test_raw_system_is_the_order_one_family():
 
     pair = [[0.0, 1.0], [-1.0, 0.0]]
     for a, duration in ((A2, 2 * TWO_PI), (pair, 3 * TWO_PI)):
-        _, grid, _, ms = pipeline(a, B2, 4, duration, z0={1: [1.0, 0.5]},
-                                  z1={2: [0.0, -0.3]})
+        _, grid, ms, gamma = pipeline(a, B2, 4, duration, z0={1: [1.0, 0.5]},
+                                      z1={2: [0.0, -0.3]})
         raw = build_raw(grid)
         want = real_gram_reference(raw, duration)
         assert np.allclose(ms.gram, want, rtol=0,
                            atol=1e-14 * np.abs(want).max())
-        rhs = _real_moments(family_moments(ms.gamma, raw), raw, DEFAULT)
+        rhs = _real_moments(family_moments(gamma, raw), raw, DEFAULT)
         coef, _ = solve_hermitian(ms.gram, rhs, factor=ms.factor,
                                   scale=ms.scale)
         c = coef.reshape(4, 2, 2)
         amps = (c[:, 0] - 1j * c[:, 1]) / 2.0
-        signal = synthesize(ms, grid)
+        signal = synthesize(ms, gamma)
         freqs = np.conj(raw.nodes.ravel())
         order = np.lexsort((freqs.imag, freqs.real))
         assert np.array_equal(signal.amplitudes, np.concatenate(
@@ -228,7 +224,7 @@ def test_edd_block_maps_match_dense_reference():
     grid = build_frequencies(spec, 6)
     edd = build_edd(grid)
     duration = 3 * TWO_PI + 1.0
-    ms = assemble_gram(grid, duration, basis_kind="edd", edd=edd)
+    ms = assemble_gram(edd, duration)
     assert edd.weights.shape == (12, 3, 3)
     # block -k holds the mirrors -conj(x) of block k's nodes x
     assert np.array_equal(edd.nodes[5::-1], -np.conj(edd.nodes[6:]))
@@ -257,13 +253,11 @@ def test_assembly_peak_memory_in_gram_units():
     a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
     spec = decompose(CouplingSystem(a, np.eye(4)[0]))
     grid = build_frequencies(spec, 128)
-    edd = build_edd(grid)
     unit = 8 * (2 * 128 * 4) ** 2
-    for basis in ("edd", "raw"):
+    for basis, family in (("edd", build_edd(grid)), ("raw", build_raw(grid))):
         tracemalloc.start()
         try:
-            ms = assemble_gram(grid, 8 * math.pi + 1.0, basis_kind=basis,
-                               edd=edd)
+            ms = assemble_gram(family, 8 * math.pi + 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -273,21 +267,18 @@ def test_assembly_peak_memory_in_gram_units():
 
 
 def test_restriction_matches_assembly_at_k():
-    # the K = 3 system read from a K = 6 assembly: R, D and the factor are
-    # its leading blocks, the unknowns being in |k| order (the kernel's
-    # K = 3 exponentials are its middle blocks)
+    # the K = 3 system read from a K = 6 assembly: the family is its middle
+    # rows, bit for bit, and R, D and the factor are its leading blocks, the
+    # unknowns being in |k| order (the kernel's K = 3 exponentials are its
+    # middle blocks)
     spec = spec_for([0.5, -0.3, 1.7])
     duration = 3 * TWO_PI + 1.0
     for basis in ("raw", "edd"):
         big_grid, grid = build_frequencies(spec, 6), build_frequencies(spec, 3)
         families = [build_raw(g) if basis == "raw" else build_edd(g)
                     for g in (big_grid, grid)]
-        big = assemble_gram(big_grid, duration, basis_kind=basis,
-                            edd=families[0])
-        own = assemble_gram(grid, duration, basis_kind=basis,
-                            edd=families[1])
+        big, own = (assemble_gram(f, duration) for f in families)
         assert big.restrict(6).factor is big.factor
-        assert big.restrict(6).gamma is None
         # S = D R D is factored in place; its strict upper triangle stays
         s = own.gram * own.scale[:, None] * own.scale
         assert np.array_equal(np.triu(own.factor.lu, 1), np.triu(s, 1))
@@ -296,7 +287,11 @@ def test_restriction_matches_assembly_at_k():
                 big.restrict(k_max)
         assert big.restrict(1).gram.shape == (6, 6)
         ms = big.restrict(3)
-        assert ms.k_max == own.k_max == 3
+        assert ms.k_max == own.k_max == ms.family.k_max == 3
+        for name in ("nodes", "perm", "weights"):
+            got, want = getattr(ms.family, name), getattr(families[1], name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
         assert np.shares_memory(ms.gram, big.gram)
         assert np.array_equal(ms.gram, big.gram[:18, :18])
         assert np.array_equal(ms.scale, big.scale[:18])
@@ -340,20 +335,22 @@ def test_norm_and_residual_from_gram_match_kernel_forms():
     # the kernel forms on the amplitudes agree, and Im f is exactly zero
     for a, b, k_max, duration, z0, z1 in REAL_SYSTEMS:
         for basis in ("raw", "edd"):
-            spec, grid, edd, ms = pipeline(a, b, k_max, duration, basis=basis,
-                                           z0=z0, z1=z1)
-            signal = synthesize(ms, grid, edd=edd)
-            norm, imag = kernel_forms(signal, edd or build_raw(grid))
+            spec, grid, ms, gamma = pipeline(a, b, k_max, duration,
+                                             basis=basis, z0=z0, z1=z1)
+            signal = synthesize(ms, gamma)
+            norm, imag = kernel_forms(signal, ms.family)
             assert signal.norm == pytest.approx(norm, rel=1e-12)
             assert signal.realification_residual == imag == 0.0
-    # a K-sweep row: the K = 8 system read from the K = 16 assembly above
-    grid = build_frequencies(spec, 8)
-    edd = build_edd(grid)
+    # a K-sweep row: the K = 8 system, family included, read from the
+    # K = 16 assembly above; the K = 16 moments do not fit it
     row = ms.restrict(8)
-    row.gamma = moments_from_target(
+    with pytest.raises(ValueError, match="expected 48 moments"):
+        synthesize(row, gamma)
+    grid = build_frequencies(spec, 8)
+    gamma = moments_from_target(
         target_to_modal(TargetSpec(z0, z1), spec, grid), spec, grid, duration)
-    signal = synthesize(row, grid, edd=edd)
-    norm, imag = kernel_forms(signal, edd)
+    signal = synthesize(row, gamma)
+    norm, imag = kernel_forms(signal, row.family)
     assert signal.norm == pytest.approx(norm, rel=1e-12)
     assert signal.realification_residual == imag == 0.0
 
@@ -367,10 +364,10 @@ def test_synthesized_control_is_exactly_real():
     pinned = 0
     for a, b, k_max, duration, z0, z1 in REAL_SYSTEMS:
         for basis in ("raw", "edd"):
-            _, grid, edd, ms = pipeline(a, b, k_max, duration, basis=basis,
-                                        z0=z0, z1=z1)
-            family = edd or build_raw(grid)
-            signal = synthesize(ms, grid, edd=edd)
+            _, _, ms, gamma = pipeline(a, b, k_max, duration, basis=basis,
+                                       z0=z0, z1=z1)
+            family = ms.family
+            signal = synthesize(ms, gamma)
             amps = signal.amplitudes
             pinned += amps.size > family.nodes.size
             assert np.array_equal(amps[mirror_of(signal, family)],
@@ -392,17 +389,17 @@ def test_synthesize_refuses_a_nonreal_target():
     # target (a library caller's, the CLI parses real ones) would be missed
     for a, z0, k_max in ((A2, {1: [1.0, 0.5j]}, 4), ([[-2.5]], {1: [1j]}, 2)):
         for basis in ("raw", "edd"):
-            _, grid, edd, ms = pipeline(a, [1.0, 0.0][:len(a)], k_max,
-                                        3 * TWO_PI, basis=basis, z0=z0)
+            _, _, ms, gamma = pipeline(a, [1.0, 0.0][:len(a)], k_max,
+                                       3 * TWO_PI, basis=basis, z0=z0)
             with pytest.raises(ValueError, match="not mirror-symmetric"):
-                synthesize(ms, grid, edd=edd)
+                synthesize(ms, gamma)
 
 
 def test_edd_gram_matches_quadrature():
     spec = decompose(CouplingSystem(A2, B2))
     grid = build_frequencies(spec, 3)
     edd = build_edd(grid)
-    ms = assemble_gram(grid, 2 * TWO_PI, basis_kind="edd", edd=edd)
+    ms = assemble_gram(edd, 2 * TWO_PI)
 
     # explicit real basis functions, in moment-system order: per |k|, Re
     # and then Im of block k's divided differences (no self-mirrored node)
@@ -504,16 +501,16 @@ def test_moments_beta_zero():
 
 
 def test_synthesize_zero_target():
-    _, grid, _, ms = pipeline(A2, B2, 3, 2 * TWO_PI)
-    signal = synthesize(ms, grid)
+    _, _, ms, gamma = pipeline(A2, B2, 3, 2 * TWO_PI)
+    signal = synthesize(ms, gamma)
     assert np.allclose(signal.amplitudes, 0.0)
     assert signal.moment_residual == 0.0
     assert signal.l2_norm() == 0.0
 
 
 def test_synthesize_diagonal_example():
-    _, grid, _, ms = pipeline([[0.0]], [1.0], 1, TWO_PI, z1={1: [1.0]})
-    signal = synthesize(ms, grid)
+    _, _, ms, gamma = pipeline([[0.0]], [1.0], 1, TWO_PI, z1={1: [1.0]})
+    signal = synthesize(ms, gamma)
     assert np.allclose(signal.amplitudes, 0.25, atol=1e-12)
     t = np.linspace(0.0, TWO_PI, 7)
     assert np.allclose(signal.evaluate(t), 0.5 * np.cos(t), atol=1e-12)
@@ -528,22 +525,23 @@ def test_synthesize_diagonal_example():
 def test_synthesize_moment_consistency_quadrature():
     z0 = {1: [1.0, 0.0], 3: [0.0, 0.4]}
     z1 = {2: [0.2, 0.0]}
-    _, grid, _, ms = pipeline(A2, B2, 3, 2 * TWO_PI, z0=z0, z1=z1)
-    signal = synthesize(ms, grid)
+    _, grid, ms, gamma = pipeline(A2, B2, 3, 2 * TWO_PI, z0=z0, z1=z1)
+    signal = synthesize(ms, gamma)
     assert signal.moment_residual <= 1e-10
     f = oracles.combo(signal.frequencies, signal.amplitudes)
     freqs = grid.frequencies()
     for j in range(len(freqs)):
         got = oracles.inner_product(f, freqs[j], ms.duration)
-        assert abs(got - ms.gamma[j]) <= 1e-7 * (1.0 + abs(ms.gamma[j]))
+        assert abs(got - gamma[j]) <= 1e-7 * (1.0 + abs(gamma[j]))
 
     # the divided-difference route must satisfy the same raw moments
-    _, _, edd, ms_e = pipeline(A2, B2, 3, 2 * TWO_PI, basis="edd", z0=z0, z1=z1)
-    sig_e = synthesize(ms_e, grid, edd=edd)
+    _, _, ms_e, gamma_e = pipeline(A2, B2, 3, 2 * TWO_PI, basis="edd",
+                                   z0=z0, z1=z1)
+    sig_e = synthesize(ms_e, gamma_e)
     f_e = oracles.combo(sig_e.frequencies, sig_e.amplitudes)
     for j in (0, 3, 5, 7, 9, 11):
         got = oracles.inner_product(f_e, freqs[j], ms.duration)
-        assert abs(got - ms.gamma[j]) <= 1e-7 * (1.0 + abs(ms.gamma[j]))
+        assert abs(got - gamma[j]) <= 1e-7 * (1.0 + abs(gamma[j]))
 
 
 def test_synthesize_real_for_real_data():
@@ -551,8 +549,8 @@ def test_synthesize_real_for_real_data():
     for _ in range(10):
         z0 = {1: rng.standard_normal(2), 2: rng.standard_normal(2)}
         z1 = {1: rng.standard_normal(2)}
-        _, grid, _, ms = pipeline(A2, B2, 4, 2 * TWO_PI, z0=z0, z1=z1)
-        signal = synthesize(ms, grid)
+        _, _, ms, gamma = pipeline(A2, B2, 4, 2 * TWO_PI, z0=z0, z1=z1)
+        signal = synthesize(ms, gamma)
         assert signal.realification_residual <= 1e-8
         fixed = realify(signal)
         assert l2_distance(signal, fixed) <= 1e-8 * signal.l2_norm()
@@ -565,17 +563,17 @@ def test_synthesize_real_for_real_data():
                     reason="long double is double on this platform")
 def test_pin_growing_moments():
     # real frequencies amplify nothing: no extra term
-    _, grid, _, ms = pipeline(A2, B2, 3, 2 * TWO_PI, z0={1: [1.0, 0.0]})
-    assert synthesize(ms, grid).frequencies.size == 2 * 3 * 2
+    _, _, ms, gamma = pipeline(A2, B2, 3, 2 * TWO_PI, z0={1: [1.0, 0.0]})
+    assert synthesize(ms, gamma).frequencies.size == 2 * 3 * 2
 
     # lambda = -2.5: the k = -1 representer is e^{-mu t}, mu = sqrt(1.5), and
     # its state is the moment times e^{mu T} = 1e10 at T = 6 pi
     duration, mu = 3 * TWO_PI, math.sqrt(1.5)
     target = TargetSpec({1: [1.0]}, {2: [0.5]})
-    spec, grid, _, ms = pipeline([[-2.5]], [1.0], 4, duration,
-                                 z0=target.z0, z1=target.z1)
+    spec, grid, ms, gamma = pipeline([[-2.5]], [1.0], 4, duration,
+                                     z0=target.z0, z1=target.z1)
     modal = target_to_modal(target, spec, grid)
-    pinned = synthesize(ms, grid)
+    pinned = synthesize(ms, gamma)
     assert pinned.frequencies.size == 2 * 4 + 1
     assert pinned.frequencies[-1] == pytest.approx(1j * mu)
     assert abs(pinned.amplitudes[-1]) <= 1e-14 * pinned.l2_norm()
@@ -595,10 +593,10 @@ def test_pinned_complex_pair_is_mirrored_by_family_position():
     duration = 2 * TWO_PI + 1.0
     target = TargetSpec({1: [1.0, 0.5]}, {2: [0.0, -0.3]})
     for basis in ("raw", "edd"):
-        spec, grid, edd, ms = pipeline(a, B2, 8, duration, basis=basis,
-                                       z0=target.z0, z1=target.z1)
-        family = edd or build_raw(grid)
-        signal = synthesize(ms, grid, edd=edd)
+        spec, grid, ms, gamma = pipeline(a, B2, 8, duration, basis=basis,
+                                         z0=target.z0, z1=target.z1)
+        family = ms.family
+        signal = synthesize(ms, gamma)
         reps = np.conj(family.nodes)
         pin = reps.imag * duration > math.log(GROWTH_PIN)
         assert pin.sum() == 2 and not family.self_mirrored.any()
@@ -618,10 +616,10 @@ def test_pinned_complex_pair_is_mirrored_by_family_position():
 
 def test_synthesize_raw_vs_edd_same_control():
     z0 = {1: [0.3, -0.2], 4: [0.0, 1.0]}
-    _, grid, _, ms_r = pipeline(A2, B2, 6, 2 * TWO_PI, z0=z0)
-    _, _, edd, ms_e = pipeline(A2, B2, 6, 2 * TWO_PI, basis="edd", z0=z0)
-    sig_r = synthesize(ms_r, grid)
-    sig_e = synthesize(ms_e, grid, edd=edd)
+    _, _, ms_r, gamma = pipeline(A2, B2, 6, 2 * TWO_PI, z0=z0)
+    _, _, ms_e, _ = pipeline(A2, B2, 6, 2 * TWO_PI, basis="edd", z0=z0)
+    sig_r = synthesize(ms_r, gamma)
+    sig_e = synthesize(ms_e, gamma)
     assert l2_distance(sig_r, sig_e) <= 1e-6 * sig_r.l2_norm()
 
 
@@ -633,48 +631,35 @@ def test_cond_estimate_is_that_of_the_normalized_gram():
     z1 = {1: [0.0, 1.0]}
     controls = []
     for basis in ("raw", "edd"):
-        _, grid, edd, ms = pipeline(A2, B2, 16, 2 * TWO_PI, basis=basis,
-                                    z0=z0, z1=z1)
+        _, _, ms, gamma = pipeline(A2, B2, 16, 2 * TWO_PI, basis=basis,
+                                   z0=z0, z1=z1)
         d = 1.0 / np.sqrt(ms.gram.diagonal().real)
         want = factor_hermitian(ms.gram * np.multiply.outer(d, d)).cond
         assert ms.cond_estimate == pytest.approx(want, rel=1e-12, abs=0)
-        controls.append(synthesize(ms, grid, edd=edd))
+        controls.append(synthesize(ms, gamma))
     sig_r, sig_e = controls
     assert l2_distance(sig_r, sig_e) <= 1e-6 * sig_r.l2_norm()
 
 
 def test_synthesize_singular_on_resonance():
     # eigenvalue gap 3 = 2^2 - 1^2 duplicates a frequency across levels
-    _, grid, _, ms = pipeline([[0.0, 0.0], [1.0, 3.0]], [1.0, 0.0], 2,
-                              2 * TWO_PI, z0={1: [1.0, 0.0]})
+    _, _, ms, gamma = pipeline([[0.0, 0.0], [1.0, 3.0]], [1.0, 0.0], 2,
+                               2 * TWO_PI, z0={1: [1.0, 0.0]})
     with pytest.raises(SingularSystem):
-        synthesize(ms, grid)
+        synthesize(ms, gamma)
 
 
 def test_synthesize_singular_on_zero_mode_pair():
     # omega = 0 at k = +-1 collapses the two basis functions into one
-    _, grid, _, ms = pipeline([[-1.0]], [1.0], 1, TWO_PI, z1={1: [1.0]})
+    _, _, ms, gamma = pipeline([[-1.0]], [1.0], 1, TWO_PI, z1={1: [1.0]})
     with pytest.raises(SingularSystem):
-        synthesize(ms, grid)
+        synthesize(ms, gamma)
 
 
 def test_synthesize_conditioning_cap():
-    _, grid, _, ms = pipeline([[0.0]], [1.0], 1, TWO_PI, z1={1: [1.0]})
+    _, _, ms, gamma = pipeline([[0.0]], [1.0], 1, TWO_PI, z1={1: [1.0]})
     with pytest.raises(ConditioningExceeded):
-        synthesize(ms, grid, tol=DEFAULT.replace(cond_cap=0.5))
-
-
-def test_synthesize_requires_gamma_and_family():
-    spec = spec_for([0.0])
-    grid = build_frequencies(spec, 2)
-    ms = assemble_gram(grid, TWO_PI)
-    with pytest.raises(ValueError):
-        synthesize(ms, grid)
-    edd = build_edd(grid)
-    ms_e = assemble_gram(grid, TWO_PI, basis_kind="edd", edd=edd)
-    ms_e.gamma = np.zeros(4, dtype=complex)
-    with pytest.raises(ValueError):
-        synthesize(ms_e, grid)
+        synthesize(ms, gamma, tol=DEFAULT.replace(cond_cap=0.5))
 
 
 def test_minimal_norm_monotone_bounded():
@@ -683,9 +668,9 @@ def test_minimal_norm_monotone_bounded():
     z0 = {1: [1.0, 0.0], 2: [0.0, 0.5], 3: [0.2, 0.0]}
     norms = []
     for k_max in (4, 8, 16):
-        _, grid, edd, ms = pipeline(A2, B2, k_max, 2 * TWO_PI, basis="edd",
-                                    z0=z0)
-        norms.append(synthesize(ms, grid, edd=edd).l2_norm())
+        _, _, ms, gamma = pipeline(A2, B2, k_max, 2 * TWO_PI, basis="edd",
+                                   z0=z0)
+        norms.append(synthesize(ms, gamma).l2_norm())
     assert norms[0] <= norms[1] * (1 + 1e-9)
     assert norms[1] <= norms[2] * (1 + 1e-9)
     assert norms[2] <= 2.0 * norms[0]
@@ -699,9 +684,9 @@ def test_realification_residual_matches_quadrature():
     a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.eye(4, k=-1)
     duration = 4 * TWO_PI + 1.0
     e1, e2 = np.eye(4)[0], np.eye(4)[1]
-    _, grid, edd, ms = pipeline(a, e1, 32, duration, basis="edd",
-                                z0={1: e1, 2: e2}, z1={1: e2})
-    signal = synthesize(ms, grid, edd=edd)
+    _, _, ms, gamma = pipeline(a, e1, 32, duration, basis="edd",
+                               z0={1: e1, 2: e2}, z1={1: e2})
+    signal = synthesize(ms, gamma)
     t = np.linspace(0.0, duration, 20001)
     vals = np.exp(1j * np.multiply.outer(t, signal.frequencies)) \
         @ signal.amplitudes
@@ -775,41 +760,26 @@ def test_n2_normalize_degenerate():
         n2_normalize_eigvecs(spec_for([1.0]))
 
 
-def test_n2_sharp_matches_projection():
-    spec = decompose(CouplingSystem(A2, B2))
-    norm = n2_normalize_eigvecs(spec, b=B2)
-    grid = build_frequencies(spec, 4)
-    rng = np.random.default_rng(31)
-    for _ in range(15):
-        z0 = {int(n): rng.standard_normal(2) + 1j * rng.standard_normal(2)
-              for n in rng.integers(1, 5, size=2)}
-        z1 = {int(n): rng.standard_normal(2) for n in rng.integers(1, 5, size=1)}
-        target = TargetSpec(z0, z1)
-        sharp = n2_sharp_targets(target, norm, grid)
-        proj = target_to_modal(target, norm.decomposition, grid)
-        assert np.allclose(sharp.a, proj.a, atol=1e-10)
-        assert np.allclose(sharp.adot, proj.adot, atol=1e-10)
-
-
 def test_n2_sharp_examples():
     spec = decompose(CouplingSystem(A2, B2))
     norm = n2_normalize_eigvecs(spec, b=B2)
     grid = build_frequencies(spec, 2)
 
-    sharp = n2_sharp_targets(TargetSpec({1: [1.0, 0.0]}, {}), norm, grid)
+    spec2 = norm.decomposition
+    sharp = target_to_modal(TargetSpec({1: [1.0, 0.0]}, {}), spec2, grid)
     assert np.allclose(sharp.a[0], [1.25, 1.25], atol=1e-12)
     assert np.allclose(sharp.adot, 0.0)
 
-    sharp = n2_sharp_targets(TargetSpec({1: [0.0, 1.0]}, {}), norm, grid)
+    sharp = target_to_modal(TargetSpec({1: [0.0, 1.0]}, {}), spec2, grid)
     assert np.allclose(sharp.a[0], [-1.0, 0.0], atol=1e-12)
 
-    sharp = n2_sharp_targets(TargetSpec({}, {}), norm, grid)
+    sharp = target_to_modal(TargetSpec({}, {}), spec2, grid)
     assert np.allclose(sharp.a, 0.0) and np.allclose(sharp.adot, 0.0)
 
     with pytest.raises(ModeOutOfRange):
-        n2_sharp_targets(TargetSpec({3: [1.0, 0.0]}, {}), norm, grid)
+        target_to_modal(TargetSpec({3: [1.0, 0.0]}, {}), spec2, grid)
     with pytest.raises(ValueError):
-        n2_sharp_targets(TargetSpec({1: [1.0]}, {}), norm, grid)
+        target_to_modal(TargetSpec({1: [1.0]}, {}), spec2, grid)
 
 
 def test_n2_edd_coefficients():
@@ -818,7 +788,8 @@ def test_n2_edd_coefficients():
     grid = build_frequencies(spec, 3)
     gap = grid.omega_at(1, 2) - grid.omega_at(1, 1)
 
-    modal = n2_sharp_targets(TargetSpec({1: [0.0, 1.0]}, {}), norm, grid)
+    modal = target_to_modal(TargetSpec({1: [0.0, 1.0]}, {}),
+                            norm.decomposition, grid)
     tilde = n2_edd_coefficients(modal, grid)
     assert tilde[0, 0] == pytest.approx(-1.0)
     assert tilde[0, 1] == pytest.approx(1.0 / gap)

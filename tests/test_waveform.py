@@ -9,7 +9,7 @@ from wavemoment.exceptions import GridTooCoarse
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
                                 assemble_gram, moments_from_target, synthesize,
                                 target_to_modal)
-from wavemoment.spectrum import build_edd, build_frequencies
+from wavemoment.spectrum import build_edd, build_frequencies, build_raw
 from wavemoment.tolerances import DEFAULT
 from wavemoment.waveform import (duhamel_exact, evolve, evolve_quadrature,
                                  reconstruct, sobolev_norm, verify,
@@ -285,9 +285,8 @@ def test_verify_closed_loop():
     grid = build_frequencies(spec, 4)
     target = TargetSpec({1: [1.0, 0.0], 2: [0.0, 0.5]}, {1: [0.0, 0.3]})
     modal = target_to_modal(target, spec, grid)
-    ms = assemble_gram(grid, 2 * TWO_PI)
-    ms.gamma = moments_from_target(modal, spec, grid, 2 * TWO_PI)
-    signal = synthesize(ms, grid)
+    ms = assemble_gram(build_raw(grid), 2 * TWO_PI)
+    signal = synthesize(ms, moments_from_target(modal, spec, grid, 2 * TWO_PI))
     report = verify(spec, grid, signal, modal, 2 * TWO_PI)
     assert report.passed
     assert report.max_rel_error <= 1e-10
@@ -329,12 +328,11 @@ def test_complex_pair_control_reaches_the_physical_target(case, basis):
     b = np.eye(n)[0]
     spec = decompose(CouplingSystem(np.array(a), b))
     grid = build_frequencies(spec, k_max)
-    edd = build_edd(grid) if basis == "edd" else None
-    ms = assemble_gram(grid, duration, basis_kind=basis, edd=edd)
+    family = build_edd(grid) if basis == "edd" else build_raw(grid)
+    ms = assemble_gram(family, duration)
     target = TargetSpec(z0, z1)
     modal = target_to_modal(target, spec, grid)
-    ms.gamma = moments_from_target(modal, spec, grid, duration)
-    control = synthesize(ms, grid, edd=edd)
+    control = synthesize(ms, moments_from_target(modal, spec, grid, duration))
     assert verify(spec, grid, control, modal, duration).passed
     want = np.zeros((2, k_max, n))
     for row, table in zip(want, (target.z0, target.z1)):
