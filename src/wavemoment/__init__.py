@@ -15,11 +15,11 @@ from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          WaveMomentError)
 from .linalg import (EigenResult, cond_estimate_1norm, eig_dense, rank_qr,
                      solve_hermitian)
-from .moments import (ControlSignal, ModalState, MomentSystem,
-                      N2Normalization, TargetSpec, assemble_gram,
-                      combo_l2_norm, gram_entry, moments_from_target,
-                      n2_edd_coefficients, n2_normalize_eigvecs, realify,
-                      synthesize, target_to_modal)
+from .moments import (ControlSignal, ModalState, MomentSystem, TargetSpec,
+                      assemble_gram, combo_l2_norm, gram_entry,
+                      moments_from_target, n2_edd_coefficients,
+                      n2_normalize_eigvecs, realify, synthesize,
+                      target_to_modal)
 from .spectrum import (EddFamily, FrequencyGrid, GapReport, build_edd,
                        build_frequencies, detect_collisions, gap_diagnostics)
 from .tolerances import DEFAULT, PROFILES, Tolerances, from_profile
@@ -35,7 +35,7 @@ __all__ = [
     "DegenerateEigenvector", "DimensionTooLarge", "EddFamily",
     "EigenResult", "EvolutionResult", "FrequencyGrid", "GapReport",
     "GridTooCoarse", "ModalState", "ModeOutOfRange", "MomentSystem",
-    "N2Normalization", "NonConvergence", "PROFILES", "RepeatedEigenvalues",
+    "NonConvergence", "PROFILES", "RepeatedEigenvalues",
     "SingularSystem", "SpectralDecomposition", "TargetSpec", "Tolerances",
     "VerifyReport", "WaveMomentError", "analyze", "assemble_gram",
     "build_edd", "build_frequencies", "combo_l2_norm", "cond_estimate_1norm",

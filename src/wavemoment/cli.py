@@ -23,10 +23,10 @@ from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, DegenerateEigenvector,
                          GridTooCoarse, ModeOutOfRange, NonConvergence,
                          RepeatedEigenvalues, SingularSystem)
+from .linalg import MAX_DENSE_DIM
 from .tolerances import Tolerances, from_profile, profile_name
 
-__all__ = ["ProblemConfig", "SweepSpec", "parse_config", "serialize_config",
-           "run", "main"]
+__all__ = ["ProblemConfig", "SweepSpec", "parse_config", "run", "main"]
 
 EXIT_OK = 0
 EXIT_CONDITIONS = 2
@@ -145,6 +145,9 @@ def parse_config(source: str) -> ProblemConfig:
         n_comp = a.shape[0]
     else:
         errors.append("A must be a nonempty square matrix of finite numbers")
+    if n_comp > MAX_DENSE_DIM:
+        errors.append(f"A is {n_comp} x {n_comp}; at most {MAX_DENSE_DIM} x "
+                      f"{MAX_DENSE_DIM} is supported")
 
     b_raw = doc.get("b")
     b = np.zeros(0)
@@ -235,29 +238,6 @@ def parse_config(source: str) -> ProblemConfig:
         sweep=sweep)
 
 
-def serialize_config(config: ProblemConfig) -> dict:
-    """Inverse of parse_config, up to field ordering."""
-    doc = {
-        "A": [[float(x) for x in row] for row in config.a],
-        "b": [float(x) for x in config.b],
-        "T": config.duration,
-        "K": config.k_max,
-        "method": config.method,
-        "target": {
-            "z0": [[n, [float(c.real) for c in config.target.z0[n]]]
-                   for n in sorted(config.target.z0)],
-            "z1": [[n, [float(c.real) for c in config.target.z1[n]]]
-                   for n in sorted(config.target.z1)],
-        },
-        "samples": config.samples,
-        "tolerances": dict(sorted(config.tolerance_overrides.items())),
-    }
-    if config.sweep is not None:
-        doc["sweep"] = {"parameter": config.sweep.parameter,
-                        "values": list(config.sweep.values)}
-    return doc
-
-
 def _resolve_tolerances(config: ProblemConfig) -> tuple:
     """(profile name, its tolerances with the config's overrides)."""
     name = profile_name()
@@ -324,21 +304,25 @@ def _write_state_file(out_dir: str, modal, spec):
                np.column_stack([x, u.real, ut.real]).tolist())
 
 
+def _assemble(config: ProblemConfig, grid, tol: Tolerances):
+    """Gram system of the family ``config.method`` builds on ``grid``."""
+    family = (spectrum.build_raw(grid) if config.method == "raw"
+              else spectrum.build_edd(grid, tol=tol))
+    return moments.assemble_gram(family, config.duration, tol)
+
+
 def _system(config: ProblemConfig, spec, tol: Tolerances, assembly=None):
     """Pipeline head and Gram system at ``config.k_max``: (spec_used, grid,
     modal, gamma, ms), the system and its family read from ``assembly`` when
     it covers that K (for the same T), else built and assembled here."""
     grid = spectrum.build_frequencies(spec, config.k_max)
     if config.method == "n2_sharp":
-        spec = moments.n2_normalize_eigvecs(spec, tol=tol,
-                                            b=config.b).decomposition
+        spec = moments.n2_normalize_eigvecs(spec, config.b)
     modal = moments.target_to_modal(config.target, spec, grid)
     gamma = moments.moments_from_target(modal, spec, grid, config.duration,
                                         tol=tol)
     if assembly is None or assembly.k_max < config.k_max:
-        family = (spectrum.build_raw(grid) if config.method == "raw"
-                  else spectrum.build_edd(grid, tol=tol))
-        assembly = moments.assemble_gram(family, config.duration, tol)
+        assembly = _assemble(config, grid, tol)
     return spec, grid, modal, gamma, assembly.restrict(config.k_max)
 
 
@@ -430,7 +414,8 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         tops = sorted(points, key=lambda p: -p.k_max) if key == "k_max" else []
         for point in tops:
             try:
-                *_, assembly = _system(point, spec, tol)
+                assembly = _assemble(point, spectrum.build_frequencies(
+                    spec, point.k_max), tol)
             except _NUMERICAL_ERRORS:
                 continue
             break

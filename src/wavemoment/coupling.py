@@ -135,9 +135,9 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
 
     Returns tuples ``(k, l, i, j, defect)`` with mode numbers k != l >= 1,
     eigenvalue indices i != j (1-based, ascending eigenvalue order) and
-    ``defect = |(k^2 - l^2) - (lam_i - lam_j)|``.  The enumeration is
-    exhaustive over ``|k^2 - l^2| <= max_{i != j} |lam_i - lam_j| + 1`` and
-    the output is symmetric: (k, l, i, j) is reported iff (l, k, j, i) is.
+    ``defect = |(k^2 - l^2) - (lam_i - lam_j)|``.  The search is exhaustive
+    over ``|k^2 - l^2| <= max_{i != j} |lam_i - lam_j| + 1`` and the output
+    is symmetric: (k, l, i, j) is reported iff (l, k, j, i) is.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     n = lam.shape[0]
@@ -147,21 +147,27 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
     bound = float(diffs.max()) + 1.0
 
     found = []
-    lo = 1
-    while 2 * lo + 1 <= bound:  # smallest gap for this lo is (lo+1)^2 - lo^2
-        hi = lo + 1
-        while hi * hi - lo * lo <= bound:
-            gap = hi * hi - lo * lo
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    defect = abs(gap - (lam[i] - lam[j]))
-                    if defect <= tol.res_tol:
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            diff = lam[i] - lam[j]
+            # the defect is at least |gap - Re(diff)|, so only the integers
+            # within res_tol of Re(diff) can match (one spare on each side
+            # against rounding); the smallest gap is 2^2 - 1^2
+            first = max(3, math.floor(diff.real - tol.res_tol))
+            last = min(math.floor(bound), math.ceil(diff.real + tol.res_tol))
+            for gap in range(first, last + 1):
+                defect = abs(gap - diff)
+                if defect > tol.res_tol:
+                    continue
+                # every split gap = (k - l)(k + l) with k > l >= 1
+                for p in range(1, math.isqrt(gap) + 1):
+                    q, rem = divmod(gap, p)
+                    if rem == 0 and q > p and (q - p) % 2 == 0:
+                        hi, lo = (q + p) // 2, (q - p) // 2
                         found.append((hi, lo, i + 1, j + 1, float(defect)))
                         found.append((lo, hi, j + 1, i + 1, float(defect)))
-            hi += 1
-        lo += 1
     found.sort(key=lambda t: t[:4])
     return found
 

@@ -35,7 +35,7 @@ GROWTH_PIN = 1e4
 
 __all__ = [
     "ModalState", "TargetSpec", "MomentSystem", "ControlSignal",
-    "N2Normalization", "gram_entry", "assemble_gram", "target_to_modal",
+    "gram_entry", "assemble_gram", "target_to_modal",
     "moments_from_target", "synthesize", "realify", "combo_l2_norm",
     "n2_normalize_eigvecs", "n2_edd_coefficients",
 ]
@@ -488,30 +488,18 @@ def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
         norm=math.sqrt(re2))
 
 
-@dataclasses.dataclass
-class N2Normalization:
-    """Rescaled eigenvector pair for the two-component sharp construction.
-
-    ``phi1 + phi2 = (alpha, 0)``; the second components are +1 and -1.  The
-    attached decomposition carries the rescaled biorthogonal family and beta.
-    """
-
-    phi1: np.ndarray
-    phi2: np.ndarray
-    alpha: complex
-    decomposition: SpectralDecomposition
-
-
 def n2_normalize_eigvecs(spec: SpectralDecomposition,
-                         tol: Tolerances = DEFAULT,
-                         b: np.ndarray | None = None) -> N2Normalization:
+                         b: np.ndarray) -> SpectralDecomposition:
     """Rescale a two-component eigenvector pair so the second components cancel.
 
-    The rescaled pair has second components +1 and -1 (in some order, fixed
-    so that Re(alpha) > 0, with ties broken toward Im(alpha) >= 0).  Requires
-    both eigenvectors to have nonzero second components (this is forced by
-    the rank condition when the control direction is the first coordinate
-    axis); raises DegenerateEigenvector otherwise.
+    Returns a copy of ``spec`` whose eigenvector columns phi1, phi2 have
+    second components +1 and -1 (in some order, fixed so that
+    phi1 + phi2 = (alpha, 0) with Re(alpha) > 0, ties broken toward
+    Im(alpha) >= 0), with the biorthogonal family and the beta of control
+    direction ``b`` in that basis.  Requires both eigenvectors to have
+    nonzero second components (this is forced by the rank condition when the
+    control direction is the first coordinate axis); raises
+    DegenerateEigenvector otherwise.
     """
     if spec.n != 2:
         raise ValueError("normalization applies to two-component systems only")
@@ -527,21 +515,15 @@ def n2_normalize_eigvecs(spec: SpectralDecomposition,
     if abs(alpha) <= 1e-12:
         raise DegenerateEigenvector("rescaled eigenvectors are parallel")
     if alpha.real < 0 or (alpha.real == 0 and alpha.imag < 0):
-        phi1, phi2, alpha = -phi1, -phi2, -alpha
+        phi1, phi2 = -phi1, -phi2
     vp = np.column_stack([phi1, phi2])
     wp = np.linalg.inv(vp)
-    if b is None:
-        # recover b from the original decomposition: b = V beta
-        b = spec.eigenvectors @ spec.beta
-    beta = wp @ np.asarray(b, dtype=complex)
-    rescaled = SpectralDecomposition(
+    return SpectralDecomposition(
         eigenvalues=spec.eigenvalues.copy(),
         eigenvectors=vp,
         biorthogonal=wp.conj().T,
-        beta=beta,
+        beta=wp @ np.asarray(b, dtype=complex),
         min_separation=spec.min_separation)
-    return N2Normalization(phi1=phi1, phi2=phi2, alpha=complex(alpha),
-                           decomposition=rescaled)
 
 
 def n2_edd_coefficients(modal: ModalState, grid: FrequencyGrid) -> np.ndarray:

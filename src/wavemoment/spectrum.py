@@ -44,15 +44,6 @@ class FrequencyGrid:
     n: int
     omega: np.ndarray
 
-    def omega_at(self, k: int, l: int) -> complex:
-        """Frequency at signed mode k (1-based |k| <= k_max) and level l (1-based)."""
-        if k == 0 or abs(k) > self.k_max:
-            raise ValueError(f"mode index {k} outside +-1..{self.k_max}")
-        if not 1 <= l <= self.n:
-            raise ValueError(f"level index {l} outside 1..{self.n}")
-        w = self.omega[abs(k) - 1, l - 1]
-        return complex(w if k > 0 else -w)
-
     def signed_indices(self) -> list:
         """Index pairs (k, l) ordered by k ascending over -K..-1, 1..K, then l."""
         return [(k, l) for k in signed_modes(self.k_max)

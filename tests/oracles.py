@@ -194,3 +194,31 @@ def duhamel_per_mode(spec, grid, control, duration, tol):
             a[ki, li] = gain * (amps @ s_kernel)
             adot[ki, li] = gain * (amps @ c_kernel)
     return a, adot
+
+
+def resonances_enumerated(lams, res_tol):
+    """resonance_check by walking every (k, l) with 0 < k^2 - l^2 <= the
+    eigenvalue spread + 1 against every ordered eigenvalue pair."""
+    lam = np.asarray(lams, dtype=complex)
+    n = lam.shape[0]
+    if n < 2:
+        return []
+    bound = float(np.abs(lam[None, :] - lam[:, None]).max()) + 1.0
+    found = []
+    lo = 1
+    while 2 * lo + 1 <= bound:  # smallest gap for this lo is (lo+1)^2 - lo^2
+        hi = lo + 1
+        while hi * hi - lo * lo <= bound:
+            gap = hi * hi - lo * lo
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    defect = abs(gap - (lam[i] - lam[j]))
+                    if defect <= res_tol:
+                        found.append((hi, lo, i + 1, j + 1, float(defect)))
+                        found.append((lo, hi, j + 1, i + 1, float(defect)))
+            hi += 1
+        lo += 1
+    found.sort(key=lambda t: t[:4])
+    return found

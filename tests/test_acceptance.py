@@ -154,19 +154,18 @@ def test_criterion_6_edd_conditioning_advantage():
 
 def test_criterion_7_sharp_n2_reachability():
     spec = decompose(CouplingSystem(A2, B2))
-    norm = n2_normalize_eigvecs(spec, b=B2)
+    sharp = n2_normalize_eigvecs(spec, B2)
 
     def setup(k_max):
         grid = build_frequencies(spec, k_max)
         z0 = {n: [1.0 / n, 1.0 / n ** 2] for n in range(1, k_max + 1)}
-        modal = target_to_modal(TargetSpec(z0, {}), norm.decomposition, grid)
+        modal = target_to_modal(TargetSpec(z0, {}), sharp, grid)
         return grid, z0, modal
 
     grid, z0, modal = setup(16)
     ms = assemble_gram(build_edd(grid), FOUR_PI)
-    control = synthesize(ms, moments_from_target(modal, norm.decomposition,
-                                                 grid, FOUR_PI))
-    report = verify(norm.decomposition, grid, control, modal, FOUR_PI)
+    control = synthesize(ms, moments_from_target(modal, sharp, grid, FOUR_PI))
+    report = verify(sharp, grid, control, modal, FOUR_PI)
 
     def ratio(k_max):
         grid_k, z0_k, modal_k = setup(k_max)

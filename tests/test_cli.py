@@ -1,12 +1,14 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavemoment import cli
 from wavemoment.exceptions import BadInput
+from wavemoment.linalg import MAX_DENSE_DIM
 from wavemoment.tolerances import from_profile
 
 FOUR_PI = 4 * math.pi
@@ -46,25 +48,26 @@ def test_parse_minimal_defaults():
     assert config.tolerance_overrides == {}
 
 
-def test_parse_round_trip():
+def test_parse_fields():
     doc = dict(A2_DOC, method="edd", samples=512,
                tolerances={"cond_cap": 1e10},
                sweep={"parameter": "K", "values": [4, 8]})
     config = cli.parse_config(json.dumps(doc))
-    back = cli.parse_config(json.dumps(cli.serialize_config(config)))
-    assert np.array_equal(back.a, config.a)
-    assert np.array_equal(back.b, config.b)
-    assert back.duration == config.duration
-    assert back.k_max == config.k_max
-    assert back.method == config.method
-    assert back.samples == config.samples
-    assert back.tolerance_overrides == config.tolerance_overrides
-    assert back.sweep.parameter == "K" and back.sweep.values == [4, 8]
-    assert {n: list(v.real) for n, v in back.target.z0.items()} == \
-        {n: list(v.real) for n, v in config.target.z0.items()}
+    assert np.array_equal(config.a, [[0.5, 0.0], [1.0, -0.3]])
+    assert np.array_equal(config.b, [1.0, 0.0])
+    assert config.duration == FOUR_PI
+    assert config.k_max == 4
+    assert config.method == "edd"
+    assert config.samples == 512
+    assert config.tolerance_overrides == {"cond_cap": 1e10}
+    assert config.sweep == cli.SweepSpec("K", [4, 8])
+    assert {n: v.tolist() for n, v in config.target.z0.items()} == \
+        {1: [1.0, 0.0]}
+    assert {n: v.tolist() for n, v in config.target.z1.items()} == \
+        {2: [0.0, 0.25]}
 
 
-def test_parse_collects_errors():
+def test_parse_collects_errors(capsys):
     doc = {
         "A": [[0.0, 1.0]],          # not square
         "b": "nope",                # not a list
@@ -81,6 +84,18 @@ def test_parse_collects_errors():
     for needle in ("square", "b must be", "T must be", "K must be",
                    "method", "samples", "bogus", "cond_cap", "extra"):
         assert needle in messages
+
+    # an A beyond the dense eigensolver's limit is bad input, not a traceback
+    n = MAX_DENSE_DIM + 1
+    big = {"A": np.diag(np.arange(n) / n).tolist(), "b": [1.0] * n,
+           "T": 2 * math.pi * n}
+    message = "A is 33 x 33; at most 32 x 32 is supported"
+    with pytest.raises(BadInput) as err:
+        cli.parse_config(json.dumps(big))
+    assert err.value.errors == [message]
+    assert cli.main(["analyze", "--config", json.dumps(big)]) == \
+        cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parse_target_validation():
@@ -207,14 +222,14 @@ def test_synthesize_writes_files(tmp_path):
     assert report["data"]["synthesis"]["size"] == 16
     assert report["data"]["synthesis"]["moment_residual"] <= 1e-10
 
-    lines = open(os.path.join(out, "control.csv")).read().splitlines()
+    lines = Path(out, "control.csv").read_text().splitlines()
     assert lines[0] == "t,f"
     assert len(lines) == 1 + 64
     assert lines[1].split(",")[0] == "0"
     last_t = float(lines[-1].split(",")[0])
     assert last_t == pytest.approx(FOUR_PI)
 
-    modes = json.load(open(os.path.join(out, "control_modes.json")))
+    modes = json.loads(Path(out, "control_modes.json").read_text())
     assert modes["duration"] == pytest.approx(FOUR_PI)
     assert len(modes["terms"]) == 16
     assert os.path.exists(os.path.join(out, "report.json"))
@@ -229,7 +244,7 @@ def test_verify_writes_state(tmp_path):
     assert report["data"]["verification"]["passed"] is True
     assert report["data"]["verification"]["max_rel_error"] <= 1e-8
 
-    lines = open(os.path.join(out, "state.csv")).read().splitlines()
+    lines = Path(out, "state.csv").read_text().splitlines()
     assert lines[0] == "x,u1,u2,ut1,ut2"
     assert len(lines) == 1 + cli.STATE_POINTS
     # terminal displacement should match the target shape at the midpoint:
@@ -280,13 +295,15 @@ def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
 
 def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
     # every row reads its system, EDD family included, from the one
-    # assembly at the largest K
+    # assembly at the largest K, which computes no moments of its own
     from wavemoment import coupling, linalg, moments, spectrum
 
     calls = {}
     count_calls(monkeypatch, calls, coupling, "decompose")
     count_calls(monkeypatch, calls, spectrum, "build_edd")
     count_calls(monkeypatch, calls, moments, "assemble_gram")
+    count_calls(monkeypatch, calls, moments, "target_to_modal")
+    count_calls(monkeypatch, calls, moments, "moments_from_target")
     count_calls(monkeypatch, calls, linalg, "dpotrf")
     doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
     report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
@@ -294,6 +311,7 @@ def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
     rows = report["data"]["sweep"]["rows"]
     assert [row["status"] for row in rows] == ["ok"] * 3
     assert calls == {"decompose": 1, "build_edd": 1, "assemble_gram": 1,
+                     "target_to_modal": 3, "moments_from_target": 3,
                      "dpotrf": 1}
 
 
@@ -518,10 +536,11 @@ def test_deterministic_outputs(tmp_path):
         assert code == cli.EXIT_OK
         outs.append(out)
     for fname in ("control.csv", "control_modes.json", "state.csv"):
-        first = open(os.path.join(outs[0], fname), "rb").read()
-        second = open(os.path.join(outs[1], fname), "rb").read()
+        first = Path(outs[0], fname).read_bytes()
+        second = Path(outs[1], fname).read_bytes()
         assert first == second
-    reports = [json.load(open(os.path.join(o, "report.json"))) for o in outs]
+    reports = [json.loads(Path(o, "report.json").read_text())
+               for o in outs]
     assert json.dumps(reports[0]["data"], sort_keys=True) == \
         json.dumps(reports[1]["data"], sort_keys=True)
     assert "timings" in reports[0]
@@ -538,7 +557,7 @@ def test_sweep_outputs(tmp_path):
     assert all(row["status"] == "ok" for row in rows)
     assert rows[0]["cond_estimate"] <= rows[1]["cond_estimate"]
 
-    lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+    lines = Path(out, "sweep.csv").read_text().splitlines()
     assert lines[0] == "T,K,cond_estimate,control_norm,moment_residual," \
         "max_rel_error,status"
     assert len(lines) == 3

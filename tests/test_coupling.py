@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from wavemoment.coupling import (CouplingSystem, analyze, decompose,
                                  kalman_check, resonance_check)
 from wavemoment.exceptions import RepeatedEigenvalues
+from wavemoment.tolerances import DEFAULT
 
 import oracles
 
@@ -160,6 +162,39 @@ def test_resonance_symmetry_and_oracle():
 def test_resonance_complex_gaps_never_match():
     lam = np.array([1.0j, -1.0j])  # gap +-2i, never equal to real k^2-l^2
     assert resonance_check(lam) == []
+
+
+@pytest.mark.parametrize("res_tol", [1e-12, 0.3, 2.5])
+def test_resonance_matches_enumeration(res_tol):
+    # integers, half-integers, generic reals and complex-conjugate pairs
+    # (some with an imaginary part below res_tol), against the walk over
+    # every (k, l) up to the spread
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        n = int(rng.integers(2, 5))
+        kind = rng.integers(0, 3, size=n)
+        lam = np.where(kind == 0, rng.integers(-20, 21, size=n),
+                       np.where(kind == 1, rng.integers(-40, 41, size=n) / 2,
+                                rng.uniform(-20, 20, size=n))).astype(complex)
+        if n >= 3 and rng.random() < 0.5:
+            im = float(rng.choice([1e-13, 0.1, 2.0]))
+            lam[-1] = lam[-2].real - 1j * im
+            lam[-2] = lam[-2].real + 1j * im
+        assert resonance_check(lam, DEFAULT.replace(res_tol=res_tol)) == \
+            oracles.resonances_enumerated(lam, res_tol)
+
+
+def test_resonance_large_spread():
+    # 10^9 = (k - l)(k + l) with both factors even, (k - l)(k + l) / 4 =
+    # 2^7 5^9 = p q with p < q in 40 ways; the walk over every (k, l) up to
+    # the spread would take hours
+    started = time.perf_counter()
+    hits = resonance_check(np.array([0.0, 1e9]))
+    assert len({h[:4] for h in hits}) == len(hits) == 2 * 40
+    assert all(k * k - l * l == (10 ** 9 if i == 2 else -10 ** 9)
+               for k, l, i, j, defect in hits)
+    assert resonance_check(np.array([0.0, 1e9 + 0.5])) == []
+    assert time.perf_counter() - started < 1.0
 
 
 def test_analyze_benchmark_controllable():

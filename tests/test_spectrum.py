@@ -34,15 +34,16 @@ def row(fam, k):
 
 def test_frequency_examples():
     grid = build_frequencies(spec_for([3.0]), 1)
-    assert grid.omega_at(1, 1) == pytest.approx(2.0)
+    assert grid.omega[0, 0] == pytest.approx(2.0)
 
     grid = build_frequencies(spec_for([0.0]), 8)
+    freqs = dict(zip(grid.signed_indices(), grid.frequencies()))
     for k in range(1, 9):
-        assert grid.omega_at(k, 1) == pytest.approx(k)
-        assert grid.omega_at(-k, 1) == pytest.approx(-k)
+        assert grid.omega[k - 1, 0] == pytest.approx(k)
+        assert freqs[-k, 1] == pytest.approx(-k)
 
     grid = build_frequencies(spec_for([-2.0]), 1)
-    assert grid.omega_at(1, 1) == pytest.approx(1.0j)
+    assert grid.omega[0, 0] == pytest.approx(1.0j)
 
 
 def test_frequency_branch_and_square():
@@ -63,20 +64,18 @@ def test_frequency_branch_and_square():
 def test_sign_extension_exact():
     spec = spec_for([-0.3, 0.5])
     grid = build_frequencies(spec, 6)
-    for k in range(1, 7):
-        for l in (1, 2):
-            assert grid.omega_at(-k, l) == -grid.omega_at(k, l)
     freqs = grid.frequencies()
     idx = grid.signed_indices()
     assert len(freqs) == len(idx) == 4 * 6
     for (k, l), w in zip(idx, freqs):
-        assert w == grid.omega_at(k, l)
+        assert w == (grid.omega[k - 1, l - 1] if k > 0
+                     else -grid.omega[-k - 1, l - 1])
     assert grid.signed_k().tolist() == [k for k, _ in idx]
 
 
 def test_zero_mode_detection():
     grid = build_frequencies(spec_for([-1.0]), 2)
-    assert grid.omega_at(1, 1) == 0 and grid.omega_at(-1, 1) == 0
+    assert grid.omega[0, 0] == 0
     zero = np.abs(grid.frequencies()) <= DEFAULT.zero_tol
     assert [grid.signed_indices()[i] for i in np.flatnonzero(zero)] == \
         [(-1, 1), (1, 1)]
