@@ -25,6 +25,21 @@ def row_blocks(rows: int, width: int) -> list:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
+def mirror_index(freqs):
+    """The permutation j -> j' with freqs[j'] == -conj(freqs[j]), or None
+    when the frequency set is not closed under that mirror.
+
+    Equal frequencies pair in their order, so the map is an involution: a
+    self-mirrored (purely imaginary) frequency maps to itself or to an equal
+    partner.  For a real control the terms on j and j' are conjugates.
+    """
+    freqs = np.asarray(freqs)
+    mirror = -np.conj(freqs)
+    pair = np.lexsort((freqs.imag, freqs.real))[
+        np.argsort(np.lexsort((mirror.imag, mirror.real)))]
+    return pair if np.array_equal(freqs[pair], mirror) else None
+
+
 def phase_integral(delta, duration, switch=SERIES_SWITCH):
     """Integral of e^{i*delta*t} dt over [0, duration].
 

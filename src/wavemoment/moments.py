@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._kernels import phase_integral, row_blocks
+from ._kernels import mirror_index, phase_integral, row_blocks
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
@@ -181,19 +181,36 @@ class ControlSignal:
             raise ValueError("duration must be positive")
 
     def evaluate(self, t) -> np.ndarray:
-        # one sum per sample (a matrix product sums a lone row another way)
+        return self._evaluate(t, mirror_index(self.frequencies))
+
+    def _evaluate(self, t, mirror) -> np.ndarray:
+        # the points x terms table of e^{i nu_j t}; with the pairing
+        # ``mirror`` one column of each mirror pair is exponentiated and the
+        # other written as its conjugate, e^{-i conj(nu) t} bit for bit
         t = np.asarray(t, dtype=float)
-        return np.vecdot(np.conj(self.amplitudes),
-                         np.exp(1j * np.multiply.outer(t, self.frequencies)))
+        freqs = self.frequencies
+        if mirror is None:
+            table = np.exp(1j * np.multiply.outer(t, freqs))
+        else:
+            table = np.empty(t.shape + freqs.shape, dtype=complex)
+            own = mirror >= np.arange(freqs.size)
+            table[..., own] = np.exp(1j * np.multiply.outer(t, freqs[own]))
+            table[..., ~own] = np.conj(table[..., mirror[~own]])
+        # one sum per sample (a matrix product sums a lone row another way);
+        # the table stays C-ordered, as vecdot sums a column-gathered
+        # (F-ordered) table of the same entries in another order
+        return np.vecdot(np.conj(self.amplitudes), table)
 
     def sample(self, count: int) -> tuple:
         """(t, f(t)) on ``count`` uniform points of [0, duration]; row blocks
-        keep the points x terms exponential table small."""
+        keep the points x terms exponential table small, and the mirror
+        pairing of the terms (``evaluate``) is found once."""
         if count < 2:
             raise ValueError("need at least two samples")
         t = np.linspace(0.0, self.duration, count)
-        return t, np.concatenate([self.evaluate(t[rows]) for rows in
-                                  row_blocks(count, self.frequencies.size)])
+        mirror = mirror_index(self.frequencies)
+        return t, np.concatenate([self._evaluate(t[rows], mirror) for rows
+                                  in row_blocks(count, self.frequencies.size)])
 
     def l2_norm(self) -> float:
         if self.norm is None:
@@ -467,12 +484,10 @@ def realify(signal: ControlSignal, tol: Tolerances = DEFAULT) -> ControlSignal:
     ||Re f||, both quadratic forms on the kernel of the terms.
     """
     freqs, amps = signal.frequencies, signal.amplitudes
-    mirror = -np.conj(freqs)
-    pair = np.lexsort((freqs.imag, freqs.real))[
-        np.argsort(np.lexsort((mirror.imag, mirror.real)))]
-    if not np.array_equal(freqs[pair], mirror):
+    pair = mirror_index(freqs)
+    if pair is None:
         n = freqs.size
-        freqs = np.concatenate([freqs, mirror])
+        freqs = np.concatenate([freqs, -np.conj(freqs)])
         amps = np.concatenate([amps, np.zeros_like(amps)])
         pair = np.roll(np.arange(2 * n), n)
     conj_amps = np.empty_like(amps)

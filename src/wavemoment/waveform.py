@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from ._kernels import (phase_integral, ramp_integral, row_blocks,
-                       segment_moment)
+from ._kernels import (mirror_index, phase_integral, ramp_integral,
+                       row_blocks, segment_moment)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
 from .moments import GROWTH_PIN, ControlSignal, ModalState
@@ -54,8 +54,13 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     a_{k,l}(T) = (2k/pi) beta_l * int f(s) sin(w (T-s))/w ds and adot with the
     cosine kernel; the sine and cosine split into phase integrals, and modes
     with |w| <= tol.zero_tol use the exact w -> 0 limit (ramp kernel).  When
-    some mode's amplification e^{|Im w| T} exceeds GROWTH_PIN, its
-    terms are that much larger than its state, and all run in long double.
+    the control's frequencies are closed under the mirror nu -> -conj(nu)
+    (``mirror_index``), a block of modes with real w reads its backward
+    integrals as conjugates of its forward ones, nu_j + w = -conj(nu_j' - w),
+    bit for bit as evaluated; a block with a complex or imaginary w
+    evaluates both.  When some mode's amplification e^{|Im w| T} exceeds
+    GROWTH_PIN, its terms are that much larger than its state, and all run
+    in long double.
     """
     growing = np.abs(grid.omega.imag) * duration > math.log(GROWTH_PIN)
     dtype = np.clongdouble if growing.any() else complex
@@ -69,12 +74,19 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     # keeps the summation order of each mode's integral
     modes = list(zip(*np.nonzero(~zero)))
     ws = grid.omega[~zero].astype(dtype)
+    mirror = mirror_index(control.frequencies)
     for rows in row_blocks(len(modes), nus.size):
         w = ws[rows, None]
-        fwd = np.exp(1j * w * duration) \
-            * phase_integral(nus - w, duration, switch=tol.series_switch)
-        bwd = np.exp(-1j * w * duration) \
-            * phase_integral(nus + w, duration, switch=tol.series_switch)
+        fwd = phase_integral(nus - w, duration, switch=tol.series_switch)
+        if mirror is not None and not w.imag.any():
+            bwd = fwd[:, mirror]
+            np.conj(bwd, out=bwd)
+        else:
+            bwd = phase_integral(nus + w, duration, switch=tol.series_switch)
+        # in place, in the operand order of a product into a new array (the
+        # other order rounds differently)
+        np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
+        np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
         s_kernel = (fwd - bwd) / (2j * w)
         c_kernel = (fwd + bwd) / 2.0
         for (ki, li), s_row, c_row in zip(modes[rows], s_kernel, c_kernel):

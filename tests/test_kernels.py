@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 
 from wavemoment import _kernels
-from wavemoment._kernels import SERIES_SWITCH, phase_integral, row_blocks
+from wavemoment._kernels import (SERIES_SWITCH, mirror_index, phase_integral,
+                                row_blocks)
 
 import oracles
 
@@ -47,3 +48,18 @@ def test_row_blocks_cover_rows_within_block_size(monkeypatch):
     monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 7)
     assert row_blocks(5, 3) == [slice(0, 2), slice(2, 4), slice(4, 5)]
     assert row_blocks(2, 8) == [slice(0, 1), slice(1, 2)]
+
+
+def test_mirror_index_pairs_each_frequency_with_its_mirror():
+    # an involution j -> j' with freqs[j'] == -conj(freqs[j]); equal
+    # frequencies (a duplicated pair, a self-mirrored 2j and 0 twice) pair
+    # in their order
+    freqs = np.array([1.5, 2j, -1.5 + 0.25j, 0.0, -1.5, 1.5 + 0.25j, 0.0,
+                      1.5, 2j, -1.5])
+    pair = mirror_index(freqs)
+    assert np.array_equal(freqs[pair], -np.conj(freqs))
+    assert np.array_equal(pair[pair], np.arange(freqs.size))
+    assert np.array_equal(pair, [4, 1, 5, 3, 0, 2, 6, 9, 8, 7])
+    for broken in (np.append(freqs, 0.5), np.append(freqs, 0.5j)[1:],
+                   np.array([1.0 + 0.5j, -1.0 - 0.5j])):
+        assert mirror_index(broken) is None

@@ -384,6 +384,25 @@ def test_synthesized_control_is_exactly_real():
     assert pinned == 2
 
 
+def test_samples_of_a_synthesized_control_are_direct_sums():
+    # sample exponentiates one term of each mirror pair and conjugates it
+    # into the other's column: bitwise the vecdot over the directly
+    # exponentiated C-ordered table, pinned extras included
+    from wavemoment._kernels import mirror_index
+
+    for a, b, k_max, duration, z0, z1 in REAL_SYSTEMS:
+        for basis in ("raw", "edd"):
+            _, _, ms, gamma = pipeline(a, b, k_max, duration, basis=basis,
+                                       z0=z0, z1=z1)
+            signal = synthesize(ms, gamma)
+            assert mirror_index(signal.frequencies) is not None
+            t, values = signal.sample(401)
+            table = np.exp(1j * np.multiply.outer(t, signal.frequencies))
+            assert table.flags.c_contiguous
+            assert np.array_equal(
+                values, np.vecdot(np.conj(signal.amplitudes), table))
+
+
 def test_synthesize_refuses_a_nonreal_target():
     # the real system meets the moments of a real control only; a complex
     # target (a library caller's, the CLI parses real ones) would be missed

@@ -118,7 +118,9 @@ def test_zero_frequency_mode():
 
 @pytest.mark.parametrize("block", [None, 40])
 def test_duhamel_matches_per_mode_reference(block, monkeypatch):
-    # modes in blocks of phase integrals, bitwise as one call per mode
+    # modes in blocks of phase integrals, bitwise as one call per mode; a
+    # control closed under the mirror nu -> -conj(nu) reads the backward
+    # integrals of blocks of real modes as conjugates, bitwise as evaluated
     from wavemoment import _kernels
 
     if block is not None:  # 40 entries: one mode per block
@@ -127,21 +129,34 @@ def test_duhamel_matches_per_mode_reference(block, monkeypatch):
     systems = [
         (np.array([[-1.0, 0.0], [1.0, 0.5]]), 0),  # omega_{1,1} = 0
         (np.array([[0.2, 0.7], [-0.7, 0.2]]), 16),  # complex pair
+        (np.array([[-1.1, 0.0], [1.0, 0.5]]), 1),  # omega_{1,1} imaginary
     ]
     for a, complex_modes in systems:
         spec = decompose(CouplingSystem(a, B2))
         grid = build_frequencies(spec, 8)
         assert np.count_nonzero(grid.omega.imag) == complex_modes
-        assert (grid.omega == 0).any() == (complex_modes == 0)
+        assert (grid.omega == 0).any() == (a[0, 0] == -1.0)
+        # not closed: 2.5 - 0.3j has no mirror
         freqs = np.concatenate([grid.frequencies(), [0.0, 2.5 - 0.3j]])
         amps = rng.standard_normal(freqs.size) \
             + 1j * rng.standard_normal(freqs.size)
-        ctrl = ControlSignal(3 * TWO_PI + 1.0, freqs, amps)
-        got = duhamel_exact(spec, grid, ctrl, ctrl.duration)
-        want_a, want_adot = oracles.duhamel_per_mode(
-            spec, grid, ctrl, ctrl.duration, DEFAULT)
-        assert np.array_equal(got.a, want_a)
-        assert np.array_equal(got.adot, want_adot)
+        # closed, with conjugate amplitudes on mirrors: the positive-k
+        # frequencies and their mirrors, a duplicated pair as pinned extras
+        # add, and a self-mirrored imaginary term with a real amplitude
+        half = np.append(grid.omega.ravel(), grid.omega[2, 1])
+        coef = rng.standard_normal(half.size) \
+            + 1j * rng.standard_normal(half.size)
+        closed = (np.concatenate([half, -np.conj(half), [0.4j]]),
+                  np.concatenate([coef, np.conj(coef), [0.7]]))
+        for freqs, amps, pairing in ((freqs, amps, False),
+                                     (*closed, True)):
+            assert (_kernels.mirror_index(freqs) is not None) == pairing
+            ctrl = ControlSignal(3 * TWO_PI + 1.0, freqs, amps)
+            got = duhamel_exact(spec, grid, ctrl, ctrl.duration)
+            want_a, want_adot = oracles.duhamel_per_mode(
+                spec, grid, ctrl, ctrl.duration, DEFAULT)
+            assert np.array_equal(got.a, want_a)
+            assert np.array_equal(got.adot, want_adot)
 
 
 def test_quadrature_exact_for_piecewise_linear():
