@@ -108,8 +108,9 @@ class MomentSystem:
     The real basis of each |k| holds Re phi and then Im phi of the N family
     functions phi of block k (a self-mirrored phi and, in its Im place, its
     block -k partner, both real).  ``gram`` is their real symmetric Gram R
-    over [0, duration]; the norms of a control in the span are quadratic
-    forms on it.  R and the factor are its two m x m arrays.  ``scale`` is
+    over [0, duration], filled block-lower and exactly symmetric; the norms
+    of a control in the span are quadratic forms on it.  R and the factor
+    are its two m x m arrays.  ``scale`` is
     D = diag(R)^(-1/2), so S = D R D is the Gram of the normalized basis
     (unit-norm functions); ``factor`` is the one Cholesky factor of S, and
     ``cond_estimate`` its 1-norm condition estimate, which does not depend
@@ -266,14 +267,17 @@ def _real_basis(family: EddFamily) -> np.ndarray:
 
 def _real_gram(family: EddFamily, duration: float,
                tol: Tolerances) -> np.ndarray:
-    """Rows of the real Gram R[p, q] = (psi_q, psi_p) of the real basis psi,
-    as filled (symmetric up to rounding), C-ordered m x m.
+    """The real Gram R[p, q] = (psi_q, psi_p) of the real basis psi,
+    exactly symmetric, C-ordered m x m.
 
     Only block k's rows of the kernel B[i, j] = (e_j, e_i) are filled, a
-    row block of whole |k| at a time, and taken through conj(W) on the left
-    and C^T on the right: Z[a, q] = (psi_q, phi_a) for block k's functions
+    row block of whole |k| at a time against the column groups |k'| up to
+    its last |k| (block-lower), and taken through conj(W) on the left and
+    C^T on the right: Z[a, q] = (psi_q, phi_a) for block k's functions
     phi_a, whose Re is the row of Re phi_a and whose -Im that of Im phi_a.
-    The rows of self-mirrored block -k partners are filled on their own.
+    The few rows of self-mirrored block -k partners are filled whole on
+    their own.  The lower triangle is then copied into the upper, a block
+    of rows at a time.
     """
     k_max, n = family.k_max, family.n
     pos, neg = family.nodes[k_max:], family.nodes[k_max - 1::-1]
@@ -282,25 +286,34 @@ def _real_gram(family: EddFamily, duration: float,
     right = _real_basis(family).transpose(0, 2, 1)
 
     def to_basis(rows):
-        # (r, m) kernel-side rows -> (r, m) rows against psi, |k| by |k|
-        groups = rows.reshape(-1, k_max, 2 * n).transpose(1, 0, 2)
-        return np.matmul(groups, right).transpose(1, 0, 2).reshape(-1, m)
+        # (r, width) kernel-side rows over the first width / 2N |k| ->
+        # the same rows against psi, |k| by |k|
+        groups = rows.reshape(rows.shape[0], -1, 2 * n).transpose(1, 0, 2)
+        return np.matmul(groups, right[:groups.shape[0]]) \
+            .transpose(1, 0, 2).reshape(rows.shape)
 
     out = np.empty((k_max, 2, n, m))
     w = np.conj(family.weights[k_max:])
     for rows in row_blocks(k_max, n * m):
-        kernel = gram_entry(cols, np.conj(pos[rows]).reshape(-1, 1),
+        width = 2 * n * rows.stop
+        kernel = gram_entry(cols[:width], np.conj(pos[rows]).reshape(-1, 1),
                             duration, tol=tol)
-        z = to_basis(np.matmul(w[rows], kernel.reshape(-1, n, m)))
-        z = z.reshape(-1, n, m)
-        out[rows, 0] = z.real
-        np.negative(z.imag, out=out[rows, 1])
+        z = to_basis(np.matmul(w[rows], kernel.reshape(-1, n, width))
+                     .reshape(-1, width)).reshape(-1, n, width)
+        out[rows, 0, :, :width] = z.real
+        np.negative(z.imag, out=out[rows, 1, :, :width])
     plain = family.self_mirrored
     if plain.any():
         kernel = gram_entry(cols, np.conj(neg[plain])[:, None], duration,
                             tol=tol)
         out[:, 1][plain] = to_basis(kernel).real
-    return out.reshape(m, m)
+    gram = out.reshape(m, m)
+    for rows in row_blocks(m, m):
+        gram[rows, rows.stop:] = gram[rows.stop:, rows].T
+        square = gram[rows, rows]
+        upper = np.triu_indices(len(square), 1)
+        square[upper] = square.T[upper]
+    return gram
 
 
 def assemble_gram(family: EddFamily, duration: float,
@@ -315,22 +328,20 @@ def assemble_gram(family: EddFamily, duration: float,
     S) measures the family's independence, within a factor m of the best
     diagonal scaling of R (van der Sluis, 1969).  The unknowns are in |k|
     order, so the factor serves every smaller K (``restrict``).  A singular
-    Gram still assembles; ``synthesize`` raises on its pivots.  Half the
-    kernel is filled, in row blocks streamed into the basis products and
-    never stored; R is the symmetric part of those rows, and S overwrites
-    the rows and is factored in place, so two m x m real arrays are kept: R
-    and the factor.
+    Gram still assembles; ``synthesize`` raises on its pivots.  Only the
+    kernel's block-lower half is filled, in row blocks streamed into the
+    basis products and never stored, and R's upper triangle is copied from
+    its lower; S is the second array and is factored in place, so two
+    m x m real arrays are kept: R and the factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
-    rows = _real_gram(family, duration, tol)
-    gram = rows + rows.T
-    gram /= 2.0
+    gram = _real_gram(family, duration, tol)
     scale = 1.0 / np.sqrt(gram.diagonal())
-    # S in the rows' buffer, transposed: its Fortran-ordered view is S
-    np.multiply(gram, scale, out=rows)
-    rows *= scale[:, None]
-    factor = factor_hermitian(rows.T, tol=tol, overwrite=True)
+    # S, transposed: its Fortran-ordered view is S
+    s = np.multiply(gram, scale)
+    s *= scale[:, None]
+    factor = factor_hermitian(s.T, tol=tol, overwrite=True)
     return MomentSystem(family, duration, gram, factor, scale)
 
 

@@ -243,6 +243,31 @@ def test_edd_block_maps_match_dense_reference():
                        dense.real, rtol=0, atol=1e-13 * scale)
 
 
+@pytest.mark.parametrize("block", [None, 200])
+def test_block_lower_gram_matches_dense_kernel(block, monkeypatch):
+    # R is filled block-lower and its upper triangle copied from the lower,
+    # so it is exactly symmetric; it matches the real basis over the dense
+    # kernel of all exponentials, self-mirrored nodes (lambda < -1) included
+    from wavemoment import _kernels
+
+    if block is not None:  # 200 entries: row blocks of a few |k| and rows
+        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)
+    systems = [(spec_for([0.5, -0.3, 1.7]), 0),
+               (decompose(CouplingSystem(np.array([[0.2, 0.7], [-0.7, 0.2]]),
+                                         B2)), 0),
+               (spec_for([-5.5, 0.5, 1.7]), 2)]
+    for spec, plain in systems:
+        grid = build_frequencies(spec, 6)
+        duration = 2 * TWO_PI * spec.n
+        for family in (build_raw(grid), build_edd(grid)):
+            assert np.count_nonzero(family.self_mirrored) == plain
+            ms = assemble_gram(family, duration)
+            assert np.array_equal(ms.gram, ms.gram.T)
+            want = real_gram_reference(family, duration)
+            assert np.allclose(ms.gram, want, rtol=0,
+                               atol=1e-13 * want.diagonal().max())
+
+
 def test_assembly_peak_memory_in_gram_units():
     # large-edd's system at K = 128 (m = 1024).  The assembly keeps two
     # m x m real arrays (R, LU of S): half the kernel is streamed into the

@@ -1,8 +1,10 @@
-"""Write every output of the seed-7 benchmark commands to one directory tree.
+"""Write every output of the seed-7 benchmark commands to one directory tree,
+or compare two such trees.
 
 Usage, from the root of a checkout:
 
     python3 tools/dump_outputs.py <src_dir> <out_dir>
+    python3 tools/dump_outputs.py --compare <old_dir> <new_dir>
 
 ``src_dir`` is the ``src`` directory whose ``wavemoment`` is run, so one
 checkout's workloads can drive another checkout's package.  Every command
@@ -17,13 +19,21 @@ of every workload in ``perfbench/workloads.py`` (seed 7) goes through
 
 Two trees written from two source trees are byte-identical exactly when
 ``diff -r`` prints nothing, which is how a refactor shows that it kept every
-output.
+output.  ``--compare`` says how a change that moves outputs moved them: it
+prints every changed exit code, the number of commands with any changed
+file, and, for each ``report.json`` data field that changed, the largest
+relative change |new - old| / |old| over the commands (list items share
+one field, as ``sweep.rows[].cond_estimate``; a change that is not between
+two numbers counts as ``changed``).  It exits 1 when anything differs.
 """
 
 from __future__ import annotations
 
+import filecmp
 import json
+import math
 import os
+import re
 import sys
 
 SEED = 7
@@ -59,7 +69,79 @@ def dump(cli, workloads, out_dir: str) -> int:
     return count
 
 
+def _leaves(doc, path: str = "") -> dict:
+    """{path: value} of the scalars of a JSON document."""
+    if isinstance(doc, dict):
+        items = [(f"{path}.{key}" if path else key, value)
+                 for key, value in doc.items()]
+    elif isinstance(doc, list):
+        items = [(f"{path}[{i}]", value) for i, value in enumerate(doc)]
+    else:
+        return {path: doc}
+    return {leaf: value for key, item in items
+            for leaf, value in _leaves(item, key).items()}
+
+
+def _read(case: str, name: str):
+    path = os.path.join(case, name)
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh) if name.endswith(".json") else fh.read().strip()
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def compare(old_dir: str, new_dir: str) -> int:
+    """Print how the outputs in ``new_dir`` differ from those in
+    ``old_dir``; returns the number of commands with any changed file."""
+    cases = sorted({os.path.join(name, index)
+                    for root in (old_dir, new_dir)
+                    for name in os.listdir(root)
+                    for index in os.listdir(os.path.join(root, name))})
+    changed, fields = 0, {}
+    for case in cases:
+        old, new = (os.path.join(root, case) for root in (old_dir, new_dir))
+        names = set()
+        for d in (old, new):
+            names.update(os.listdir(d) if os.path.isdir(d) else ())
+        _, mismatch, errors = filecmp.cmpfiles(old, new, sorted(names),
+                                               shallow=False)
+        if not (mismatch or errors):
+            continue
+        changed += 1
+        codes = [_read(d, "exit_code") for d in (old, new)]
+        if codes[0] != codes[1]:
+            print(f"exit code {case}: {codes[0]} -> {codes[1]}")
+        before, after = (_leaves((_read(d, "report.json") or {})
+                                 .get("data", {})) for d in (old, new))
+        for path in before.keys() | after.keys():
+            a, b = before.get(path), after.get(path)
+            if a == b:
+                continue
+            rel = delta = math.inf
+            if _number(a) and _number(b):
+                delta = abs(b - a)
+                rel = delta / abs(a) if a else math.inf
+            field = re.sub(r"\[\d+\]", "[]", path)
+            worst_rel, worst_delta, count = fields.get(field, (0.0, 0.0, 0))
+            fields[field] = (max(worst_rel, rel), max(worst_delta, delta),
+                             count + 1)
+    print(f"{changed} of {len(cases)} commands changed")
+    for field, (rel, delta, count) in sorted(fields.items()):
+        if math.isinf(delta):
+            print(f"  {field}: changed in {count} commands")
+        else:
+            print(f"  {field}: largest relative change {rel:.2e}, largest "
+                  f"absolute {delta:.2e}, in {count} commands")
+    return changed
+
+
 def main(argv: list) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return 1 if compare(*argv[1:]) else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
