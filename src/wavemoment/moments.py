@@ -110,11 +110,11 @@ class MomentSystem:
     block -k partner, both real).  ``gram`` is their real symmetric Gram R
     over [0, duration], filled block-lower and exactly symmetric; the norms
     of a control in the span are quadratic forms on it.  R and the factor
-    are its two m x m arrays.  ``scale`` is
-    D = diag(R)^(-1/2), so S = D R D is the Gram of the normalized basis
-    (unit-norm functions); ``factor`` is the one Cholesky factor of S, and
-    ``cond_estimate`` its 1-norm condition estimate, which does not depend
-    on how the basis functions are scaled.
+    are its two m x m arrays.  ``scale`` is D = diag(R)^(-1/2), so
+    S = D R D is the Gram of the normalized basis (unit-norm functions);
+    ``factor`` is the one Cholesky factor of S, and ``cond_estimate`` its
+    1-norm condition estimate, which does not depend on how the basis
+    functions are scaled.
     """
 
     family: EddFamily

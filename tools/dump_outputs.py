@@ -132,10 +132,10 @@ def compare(old_dir: str, new_dir: str) -> int:
     print(f"{changed} of {len(cases)} commands changed")
     for field, (rel, delta, count) in sorted(fields.items()):
         if math.isinf(delta):
-            print(f"  {field}: changed in {count} commands")
+            print(f"  {field}: changed in {count} values")
         else:
             print(f"  {field}: largest relative change {rel:.2e}, largest "
-                  f"absolute {delta:.2e}, in {count} commands")
+                  f"absolute {delta:.2e}, in {count} values")
     return changed
 
 
