@@ -266,7 +266,8 @@ def _json_safe(value):
 
 def _write_csv(path: str, header: list, rows):
     """A header line, then one line per row: a cell is "" for None, text as
-    is, and a number to 17 significant digits."""
+    is, and a number to 17 significant digits (the sweep's rows; tables of
+    numbers only take ``_write_table``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -275,24 +276,50 @@ def _write_csv(path: str, header: list, rows):
                      + "\n")
 
 
+def _write_table(path: str, header: list, table: np.ndarray):
+    """``_write_csv`` of a 2-D float array, formatted in one pass: "%.17g"
+    of a float is its format(v, ".17g"), so the bytes are the same."""
+    rows, cols = table.shape
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((",".join(["%.17g"] * cols) + "\n") * rows
+                 % tuple(table.ravel().tolist()))
+
+
 def _write_json(path: str, doc: dict):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_json_safe(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+_TERM = ('    {\n      "amplitude_im": %s,\n      "amplitude_re": %s,\n'
+         '      "frequency_im": %s,\n      "frequency_re": %s\n    }')
+
+
+def _write_terms(path: str, control):
+    """control_modes.json, byte for byte ``_write_json`` of {"duration",
+    "terms": [{"amplitude_im", "amplitude_re", "frequency_im",
+    "frequency_re"}, ...]}, in that indented layout written out here: the
+    numbers go through ``_json_safe`` (non-finite ones become "nan", "inf",
+    "-inf") and then, as one list, through the standard library's C
+    encoder, which writes a float as float.__repr__ as the indented
+    encoder does."""
+    cells = np.column_stack([control.amplitudes.imag, control.amplitudes.real,
+                             control.frequencies.imag,
+                             control.frequencies.real]).ravel().tolist()
+    duration, *cells = json.dumps(
+        _json_safe([control.duration] + cells))[1:-1].split(", ")
+    terms = ",\n".join([_TERM] * control.frequencies.size) % tuple(cells)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write('{\n  "duration": %s,\n  "terms": %s\n}\n'
+                 % (duration, f"[\n{terms}\n  ]" if terms else "[]"))
+
+
 def _write_control_files(out_dir: str, control, samples: int):
     t, values = control.sample(samples)
-    _write_csv(os.path.join(out_dir, "control.csv"), ["t", "f"],
-               zip(t.tolist(), values.real.tolist()))
-    _write_json(os.path.join(out_dir, "control_modes.json"), {
-        "duration": control.duration,
-        "terms": [
-            {"frequency_re": float(nu.real), "frequency_im": float(nu.imag),
-             "amplitude_re": float(am.real), "amplitude_im": float(am.imag)}
-            for nu, am in zip(control.frequencies, control.amplitudes)
-        ],
-    })
+    _write_table(os.path.join(out_dir, "control.csv"), ["t", "f"],
+                 np.column_stack([t, values.real]))
+    _write_terms(os.path.join(out_dir, "control_modes.json"), control)
 
 
 def _write_state_file(out_dir: str, modal, spec):
@@ -300,8 +327,8 @@ def _write_state_file(out_dir: str, modal, spec):
     u, ut = waveform.reconstruct(modal, spec, x)
     header = ["x"] + [f"{name}{j}" for name in ("u", "ut")
                       for j in range(1, u.shape[1] + 1)]
-    _write_csv(os.path.join(out_dir, "state.csv"), header,
-               np.column_stack([x, u.real, ut.real]).tolist())
+    _write_table(os.path.join(out_dir, "state.csv"), header,
+                 np.column_stack([x, u.real, ut.real]))
 
 
 def _assemble(config: ProblemConfig, grid, tol: Tolerances):
@@ -372,6 +399,13 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
               "profile": profile, "tolerances": dataclasses.asdict(tol)}
     started = time.perf_counter()
 
+    def write(writer, *args):
+        # output_s: the control, state and sweep files, samples included
+        t0 = time.perf_counter()
+        writer(*args)
+        timings["output_s"] = (timings.get("output_s", 0.0)
+                               + time.perf_counter() - t0)
+
     def finish(code: int) -> tuple:
         timings["total_s"] = time.perf_counter() - started
         out = {"data": report, "timings": timings}
@@ -429,8 +463,8 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         if out_dir is not None:
             cols = ["T", "K", "cond_estimate", "control_norm",
                     "moment_residual", "max_rel_error", "status"]
-            _write_csv(os.path.join(out_dir, "sweep.csv"), cols,
-                       ([row[col] for col in cols] for row in rows))
+            write(_write_csv, os.path.join(out_dir, "sweep.csv"), cols,
+                  ([row[col] for col in cols] for row in rows))
         return finish(EXIT_OK)
 
     if command not in ("synthesize", "verify"):
@@ -464,7 +498,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
     }
     del ms  # R and the factor, its two m x m arrays, end with synthesis
     if out_dir is not None:
-        _write_control_files(out_dir, control, config.samples)
+        write(_write_control_files, out_dir, control, config.samples)
 
     if command == "synthesize":
         return finish(EXIT_OK)
@@ -479,7 +513,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         "wellposedness_ratio": result.wellposedness_ratio,
     }
     if out_dir is not None:
-        _write_state_file(out_dir, result.achieved, spec_used)
+        write(_write_state_file, out_dir, result.achieved, spec_used)
     return finish(EXIT_OK if result.passed else EXIT_NUMERICAL)
 
 

@@ -182,36 +182,38 @@ class ControlSignal:
             raise ValueError("duration must be positive")
 
     def evaluate(self, t) -> np.ndarray:
-        return self._evaluate(t, mirror_index(self.frequencies))
-
-    def _evaluate(self, t, mirror) -> np.ndarray:
-        # the points x terms table of e^{i nu_j t}; with the pairing
-        # ``mirror`` one column of each mirror pair is exponentiated and the
-        # other written as its conjugate, e^{-i conj(nu) t} bit for bit
-        t = np.asarray(t, dtype=float)
-        freqs = self.frequencies
-        if mirror is None:
-            table = np.exp(1j * np.multiply.outer(t, freqs))
-        else:
-            table = np.empty(t.shape + freqs.shape, dtype=complex)
-            own = mirror >= np.arange(freqs.size)
-            table[..., own] = np.exp(1j * np.multiply.outer(t, freqs[own]))
-            table[..., ~own] = np.conj(table[..., mirror[~own]])
-        # one sum per sample (a matrix product sums a lone row another way);
-        # the table stays C-ordered, as vecdot sums a column-gathered
-        # (F-ordered) table of the same entries in another order
+        """f at the points ``t`` (any shape), from the points x terms table
+        of e^{i nu_j t}: one sum per point (a matrix product would sum a
+        lone point another way), so a point gives the same bits alone as
+        inside a vector."""
+        table = np.exp(1j * np.multiply.outer(np.asarray(t, dtype=float),
+                                              self.frequencies))
         return np.vecdot(np.conj(self.amplitudes), table)
 
     def sample(self, count: int) -> tuple:
-        """(t, f(t)) on ``count`` uniform points of [0, duration]; row blocks
-        keep the points x terms exponential table small, and the mirror
-        pairing of the terms (``evaluate``) is found once."""
+        """(t, f(t)) on ``count`` uniform points of [0, duration], step dt.
+
+        The points run in blocks of B = ceil(sqrt(count)), and
+        f(t_b + q dt) = sum_j (amp_j e^{i nu_j t_b}) e^{i nu_j q dt}: one
+        B x terms table of steps and a row of leads per block (leads taken
+        a row block at a time) replace ``evaluate``'s count x terms table.
+        Sample b B + q is taken at t_b + q dt, t_b = t[b B], which differs
+        from the returned t by a few ulps.  Each sample is one sum over the
+        terms, so the values do not depend on the row blocks.
+        """
         if count < 2:
             raise ValueError("need at least two samples")
-        t = np.linspace(0.0, self.duration, count)
-        mirror = mirror_index(self.frequencies)
-        return t, np.concatenate([self._evaluate(t[rows], mirror) for rows
-                                  in row_blocks(count, self.frequencies.size)])
+        t, dt = np.linspace(0.0, self.duration, count, retstep=True)
+        width = math.isqrt(count - 1) + 1
+        freqs = self.frequencies
+        # conjugated, as vecdot conjugates its first argument
+        steps = np.conj(np.exp(1j * np.multiply.outer(np.arange(width) * dt,
+                                                      freqs)))
+        leads = t[::width]
+        values = [np.vecdot(steps, self.amplitudes * np.exp(
+            1j * np.multiply.outer(leads[rows], freqs))[:, None, :])
+            for rows in row_blocks(leads.size, freqs.size)]
+        return t, np.concatenate(values).ravel()[:count]
 
     def l2_norm(self) -> float:
         if self.norm is None:

@@ -26,6 +26,41 @@ def combo(frequencies, amplitudes):
     return f
 
 
+def sample_rounding_bound(signal, t):
+    """Bound on |f_s - f_d| at each point of ``t`` between the samples f_s
+    of ``signal.sample(t.size)`` (points t = linspace, step dt) and the
+    direct sums f_d = ``signal.evaluate(t)``: the same exact sum, rounded
+    two ways.
+
+    First order in u = eps / 2, per term j of size m_j = |a_j e^{i nu_j t}|,
+    n terms:
+    - time: the sample is taken at fl(b B dt) + fl(q dt), each within u of
+      its exact value, and the written t = fl(i dt) (the last, T, is within
+      u T of (count - 1) dt): they differ by at most 2u t;
+    - arguments: fl(nu s) is within u |nu| s, once for the direct sum at t
+      and twice for the sample (s = t_b and q dt, adding up to t); with the
+      time this moves each term by at most 4u |nu_j| t m_j;
+    - exponentials: numpy's e^x (cos y + i sin y) is within 5u of itself
+      per component (each real function within 1 ulp, 2u, and one product
+      rounding): 15u m_j for the sample's lead and step and the direct
+      table's entry;
+    - the product a_j e^{i nu_j t_b}: within sqrt(5) u < 3u (Brent,
+      Percival and Zimmermann, Math. Comp. 76, 2007);
+    - the two sums over the terms (the sample's of leads times steps, the
+      direct one of amplitudes times the table): a complex inner product of
+      length n is within sqrt(2) gamma_{n+2} sum_j |x_j| |y_j| of its value,
+      products included (Higham, Accuracy and Stability, section 3.6), at
+      most 1.5 (n + 2) u sum_j m_j each.
+    Together u sum_j m_j (4 |nu_j| t + 24 + 3n), which is at most
+    C eps sum_j m_j (1 + |nu_j| t) with C = 12 + 1.5 n.
+    """
+    t = np.asarray(t, dtype=float)
+    freqs, amps = signal.frequencies, signal.amplitudes
+    terms = np.abs(amps * np.exp(1j * np.multiply.outer(t, freqs)))
+    scale = (terms * (1.0 + np.abs(freqs) * t[:, None])).sum(axis=-1)
+    return (12.0 + 1.5 * freqs.size) * np.finfo(float).eps * scale
+
+
 def quad_complex(func, lo, hi):
     re = quad(lambda t: func(t).real, lo, hi, limit=400)[0]
     im = quad(lambda t: func(t).imag, lo, hi, limit=400)[0]

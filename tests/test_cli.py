@@ -11,6 +11,8 @@ from wavemoment.exceptions import BadInput
 from wavemoment.linalg import MAX_DENSE_DIM
 from wavemoment.tolerances import from_profile
 
+import oracles
+
 FOUR_PI = 4 * math.pi
 
 A2_DOC = {
@@ -464,10 +466,14 @@ def test_control_samples_do_not_depend_on_row_blocks(tmp_path, monkeypatch):
     values = control.evaluate(t)
     assert all(control.evaluate(t[i:i + 1])[0] == values[i]
                and control.evaluate(t[i]) == values[i] for i in range(1001))
+    _, sampled = control.sample(1001)
+    assert np.all(np.abs(sampled - values)
+                  <= oracles.sample_rounding_bound(control, t))
     written = []
-    # 1001 samples in one block, in blocks of 1, 2, 7, 100 (the last of 1)
-    # and 500 rows (the last of 1), and at the default
-    for block in (10 ** 9, 64, 2 * 64, 7 * 64, 100 * 64, 500 * 64, None):
+    # 1001 samples in 32 blocks of 32 points (the last of 9), their 32 lead
+    # rows of 64 terms in one row block, in row blocks of 1, 2, 7 (the last
+    # of 4) and 30 (the last of 2), and at the default
+    for block in (10 ** 9, 64, 2 * 64, 7 * 64, 30 * 64, None):
         if block is not None:
             monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)
         else:
@@ -478,6 +484,109 @@ def test_control_samples_do_not_depend_on_row_blocks(tmp_path, monkeypatch):
         written.append((out / "control.csv").read_bytes())
     assert len(written[0].splitlines()) == 1002
     assert all(w == written[0] for w in written)
+
+
+def test_table_writer_matches_the_cell_writer(tmp_path, monkeypatch):
+    # control.csv and state.csv are formatted in one pass, byte for byte as
+    # the per-cell writer formats the same numbers
+    rng = np.random.default_rng(5)
+    table = np.concatenate([
+        rng.integers(0, 2 ** 64, size=3000, dtype=np.uint64).view(float),
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1]])
+    table = table.reshape(-1, 2)
+    cli._write_table(str(tmp_path / "one.csv"), ["a", "b"], table)
+    cli._write_csv(str(tmp_path / "cells.csv"), ["a", "b"], table.tolist())
+    assert (tmp_path / "one.csv").read_bytes() \
+        == (tmp_path / "cells.csv").read_bytes()
+
+    config = cli.parse_config(json.dumps(README_EDD_DOC))
+    outs = [str(tmp_path / name) for name in ("one", "cells")]
+    assert cli.run("verify", config, out_dir=outs[0])[1] == cli.EXIT_OK
+    monkeypatch.setattr(cli, "_write_table", lambda path, header, table:
+                        cli._write_csv(path, header, table.tolist()))
+    assert cli.run("verify", config, out_dir=outs[1])[1] == cli.EXIT_OK
+    for name in ("control.csv", "state.csv"):
+        assert Path(outs[0], name).read_bytes() \
+            == Path(outs[1], name).read_bytes()
+
+
+def terms_doc(control) -> bytes:
+    """control_modes.json as the indented standard encoder writes it."""
+    doc = {"duration": control.duration, "terms": [
+        {"frequency_re": float(nu.real), "frequency_im": float(nu.imag),
+         "amplitude_re": float(am.real), "amplitude_im": float(am.imag)}
+        for nu, am in zip(control.frequencies, control.amplitudes)]}
+    return (json.dumps(cli._json_safe(doc), indent=2, sort_keys=True)
+            + "\n").encode()
+
+
+LARGE_EDD_DOC = {
+    "A": [[0.5, 0.0, 0.0, 0.0], [1.0, -0.3, 0.0, 0.0],
+          [0.0, 1.0, 1.7, 0.0], [0.0, 0.0, 1.0, 2.9]],
+    "b": [1.0, 0.0, 0.0, 0.0], "T": 8.0 * math.pi + 1.0, "K": 256,
+    "method": "edd", "samples": 64,
+    "target": {"z0": [[1, [-0.74286, -0.001444, 0.202997, -0.942622]],
+                      [2, [0.856422, -0.859159, -0.740452, 0.896657]]],
+               "z1": [[1, [0.02278, 0.325686, -0.449382, -0.724064]]]},
+}
+
+
+def test_terms_writer_matches_json_dump(tmp_path):
+    from wavemoment.moments import ControlSignal
+
+    # the N = 4, K = 256 EDD control (2048 terms), read back exactly
+    out = tmp_path / "large"
+    config = cli.parse_config(json.dumps(LARGE_EDD_DOC))
+    assert cli.run("synthesize", config, out_dir=str(out))[1] == cli.EXIT_OK
+    doc = json.loads((out / "control_modes.json").read_text())
+    large = ControlSignal(
+        doc["duration"],
+        [complex(t["frequency_re"], t["frequency_im"]) for t in doc["terms"]],
+        [complex(t["amplitude_re"], t["amplitude_im"]) for t in doc["terms"]])
+    assert large.frequencies.size == 2048
+    assert (out / "control_modes.json").read_bytes() == terms_doc(large)
+    nonfinite = ControlSignal(
+        np.float64(2.5), [1.0, -1.0, 2.0 + 1j, -0.0],
+        [math.nan, complex(math.inf, -math.inf), complex(-0.0, math.nan),
+         -0.0])
+    for control in (large, nonfinite, ControlSignal(1.0, [-0.0], [3.0]),
+                    ControlSignal(FOUR_PI, [], [])):
+        path = tmp_path / "control_modes.json"
+        cli._write_terms(str(path), control)
+        assert path.read_bytes() == terms_doc(control)
+    assert b'"amplitude_re": "nan"' in terms_doc(nonfinite)
+
+
+# numpy warns of the nan products; the writers must write them, not raise
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_writers_take_nonfinite_amplitudes(tmp_path, monkeypatch):
+    from wavemoment import moments
+
+    synthesize = moments.synthesize
+
+    def broken(*args, **kwargs):
+        control = synthesize(*args, **kwargs)
+        control.amplitudes[:3] = [math.nan, math.inf, -math.inf]
+        return control
+
+    monkeypatch.setattr(moments, "synthesize", broken)
+    out = tmp_path / "out"
+    report, code = cli.run("verify", cli.parse_config(json.dumps(A2_DOC)),
+                           out_dir=str(out))
+    assert code == cli.EXIT_NUMERICAL
+    assert "nan" in (out / "control.csv").read_text()
+    assert '"amplitude_re": "inf"' in (out / "control_modes.json").read_text()
+    assert (out / "state.csv").exists()
+
+
+def test_output_time_is_reported_with_files_only(tmp_path):
+    config = cli.parse_config(json.dumps(A2_DOC))
+    report, code = cli.run("verify", config, out_dir=str(tmp_path / "out"))
+    assert code == cli.EXIT_OK
+    assert report["timings"]["output_s"] > 0.0
+    report, code = cli.run("verify", config)
+    assert code == cli.EXIT_OK
+    assert "output_s" not in report["timings"]
 
 
 def test_conditions_gate_blocks_synthesis(tmp_path):

@@ -409,23 +409,21 @@ def test_synthesized_control_is_exactly_real():
     assert pinned == 2
 
 
-def test_samples_of_a_synthesized_control_are_direct_sums():
-    # sample exponentiates one term of each mirror pair and conjugates it
-    # into the other's column: bitwise the vecdot over the directly
-    # exponentiated C-ordered table, pinned extras included
-    from wavemoment._kernels import mirror_index
-
+def test_samples_of_a_synthesized_control_are_direct_sums_to_rounding():
+    # sample sums block leads times steps, evaluate the direct table: the
+    # same sum within the rounding bound derived in oracles, pinned extras
+    # included, in one block (count 2) and in 21 blocks of 21 points whose
+    # last holds 2 (count 401)
     for a, b, k_max, duration, z0, z1 in REAL_SYSTEMS:
         for basis in ("raw", "edd"):
             _, _, ms, gamma = pipeline(a, b, k_max, duration, basis=basis,
                                        z0=z0, z1=z1)
             signal = synthesize(ms, gamma)
-            assert mirror_index(signal.frequencies) is not None
-            t, values = signal.sample(401)
-            table = np.exp(1j * np.multiply.outer(t, signal.frequencies))
-            assert table.flags.c_contiguous
-            assert np.array_equal(
-                values, np.vecdot(np.conj(signal.amplitudes), table))
+            for count in (2, 401):
+                t, values = signal.sample(count)
+                assert np.array_equal(t, np.linspace(0.0, duration, count))
+                assert np.all(np.abs(values - signal.evaluate(t))
+                              <= oracles.sample_rounding_bound(signal, t))
 
 
 def test_synthesize_refuses_a_nonreal_target():
@@ -848,7 +846,8 @@ def test_control_signal_api():
     t, values = sig.sample(9)
     assert np.array_equal(t, np.linspace(0.0, TWO_PI, 9))
     assert np.allclose(values, np.cos(t), atol=1e-12)
-    assert np.array_equal(values, sig.evaluate(t))
+    assert np.all(np.abs(values - sig.evaluate(t))
+                  <= oracles.sample_rounding_bound(sig, t))
     with pytest.raises(ValueError):
         ControlSignal(TWO_PI, [1.0], [0.5, 0.5])
     with pytest.raises(ValueError):

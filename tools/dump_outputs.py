@@ -1,14 +1,15 @@
-"""Write every output of the seed-7 benchmark commands to one directory tree,
-or compare two such trees.
+"""Write every output of one seed's benchmark commands to one directory
+tree, or compare two such trees.
 
 Usage, from the root of a checkout:
 
-    python3 tools/dump_outputs.py <src_dir> <out_dir>
+    python3 tools/dump_outputs.py [--seed N] <src_dir> <out_dir>
     python3 tools/dump_outputs.py --compare <old_dir> <new_dir>
 
 ``src_dir`` is the ``src`` directory whose ``wavemoment`` is run, so one
 checkout's workloads can drive another checkout's package.  Every command
-of every workload in ``perfbench/workloads.py`` (seed 7) goes through
+of every workload in ``perfbench/workloads.py`` (seed ``N``, 7 when not
+given) goes through
 ``cli.parse_config`` and ``cli.run`` with BLAS and OpenMP threads pinned to
 1, as the benchmark runs it, and gets its own directory
 ``<out_dir>/<workload>/<index>`` holding:
@@ -21,7 +22,8 @@ Two trees written from two source trees are byte-identical exactly when
 ``diff -r`` prints nothing, which is how a refactor shows that it kept every
 output.  ``--compare`` says how a change that moves outputs moved them: it
 prints every changed exit code, the number of commands with any changed
-file, and, for each ``report.json`` data field that changed, the largest
+file, the number of commands in which each file name changed, and, for
+each ``report.json`` data field that changed, the largest
 relative change |new - old| / |old| over the commands (list items share
 one field, as ``sweep.rows[].cond_estimate``; a change that is not between
 two numbers counts as ``changed``).  It exits 1 when anything differs.
@@ -36,18 +38,19 @@ import os
 import re
 import sys
 
-SEED = 7
+DEFAULT_SEED = 7
 # the thread variables perfbench/run.py pins; they are set before numpy
 # loads, so they are not read from run.py, whose import loads numpy
 PINNED = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
           "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def dump(cli, workloads, out_dir: str) -> int:
-    """Run every command into ``out_dir``; returns the number of commands."""
+def dump(cli, workloads, out_dir: str, seed: int) -> int:
+    """Run every command of ``seed`` into ``out_dir``; returns the number of
+    commands."""
     count = 0
     for name in sorted(workloads.WORKLOADS):
-        for index, problem in enumerate(workloads.generate(name, SEED)):
+        for index, problem in enumerate(workloads.generate(name, seed)):
             case = os.path.join(out_dir, name, f"{index:03d}")
             os.makedirs(case)
             config = cli.parse_config(json.dumps(problem.config))
@@ -101,7 +104,7 @@ def compare(old_dir: str, new_dir: str) -> int:
                     for root in (old_dir, new_dir)
                     for name in os.listdir(root)
                     for index in os.listdir(os.path.join(root, name))})
-    changed, fields = 0, {}
+    changed, files, fields = 0, {}, {}
     for case in cases:
         old, new = (os.path.join(root, case) for root in (old_dir, new_dir))
         names = set()
@@ -112,6 +115,8 @@ def compare(old_dir: str, new_dir: str) -> int:
         if not (mismatch or errors):
             continue
         changed += 1
+        for name in mismatch + errors:
+            files[name] = files.get(name, 0) + 1
         codes = [_read(d, "exit_code") for d in (old, new)]
         if codes[0] != codes[1]:
             print(f"exit code {case}: {codes[0]} -> {codes[1]}")
@@ -130,6 +135,8 @@ def compare(old_dir: str, new_dir: str) -> int:
             fields[field] = (max(worst_rel, rel), max(worst_delta, delta),
                              count + 1)
     print(f"{changed} of {len(cases)} commands changed")
+    for name, count in sorted(files.items()):
+        print(f"  {name}: changed in {count} commands")
     for field, (rel, delta, count) in sorted(fields.items()):
         if math.isinf(delta):
             print(f"  {field}: changed in {count} values")
@@ -142,6 +149,9 @@ def compare(old_dir: str, new_dir: str) -> int:
 def main(argv: list) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return 1 if compare(*argv[1:]) else 0
+    seed = DEFAULT_SEED
+    if len(argv) == 4 and argv[0] == "--seed" and argv[1].isdigit():
+        seed, argv = int(argv[1]), argv[2:]
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -161,7 +171,8 @@ def main(argv: list) -> int:
         print(f"wavemoment imported from {cli.__file__}, not {src_dir}",
               file=sys.stderr)
         return 2
-    print(f"{dump(cli, workloads, out_dir)} commands written to {out_dir}")
+    print(f"{dump(cli, workloads, out_dir, seed)} commands of seed {seed} "
+          f"written to {out_dir}")
     return 0
 
 
