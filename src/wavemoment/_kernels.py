@@ -8,13 +8,18 @@ limit: at delta == 0 the formulas below return the exact limits.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 SERIES_SWITCH = 1e-6
 
 # Entries per block of a blocked dense evaluation: a complex temporary of a
 # block takes 256 KiB whatever the problem size, so the few that a block
-# needs stay in a core's L2 cache.
+# needs stay in a core's L2 cache.  Each worker of ``map_blocks`` holds its
+# own block's temporaries, so W workers hold W blocks' worth at once.
 BLOCK_ELEMENTS = 1 << 14
 
 
@@ -23,6 +28,58 @@ def row_blocks(rows: int, width: int) -> list:
     most BLOCK_ELEMENTS entries (at least one row)."""
     step = max(1, BLOCK_ELEMENTS // max(width, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def workers() -> int:
+    """The number of CPUs this process may run on (its affinity mask, which
+    ``taskset`` narrows), or the machine's CPU count where the mask cannot
+    be read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def map_blocks(body, blocks) -> list:
+    """``[body(block) for block in blocks]``, on ``workers()`` threads when
+    there are at least two blocks per worker, else in this thread.
+
+    Each thread takes the next block not yet taken until none is left, so a
+    slow thread takes fewer.  The results come back in block order, and the
+    exception of the first block (in that order) whose body raised is raised
+    here.  A body must write only its own block's slices, so the output is
+    the same bits whatever the number of workers, and must call no function
+    that perfbench/spans.py traces, whose span stack is one per process.
+    numpy's exponentials and copies release the GIL, which is what runs the
+    blocks at once.  The threads live for this call only.
+    """
+    blocks = list(blocks)
+    count = workers()
+    if count < 2 or len(blocks) < 2 * count:
+        return [body(block) for block in blocks]
+    results = [None] * len(blocks)
+    errors = []
+    lock = threading.Lock()
+    order = iter(range(len(blocks)))
+
+    def work():
+        while True:
+            with lock:
+                index = next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = body(blocks[index])
+            except BaseException as exc:  # re-raised by the caller below
+                errors.append((index, exc))
+                return
+
+    with ThreadPoolExecutor(count) as pool:
+        for done in [pool.submit(work) for _ in range(count)]:
+            done.result()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return results
 
 
 def mirror_index(freqs):

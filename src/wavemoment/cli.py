@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import coupling, moments, spectrum, waveform
+from . import _kernels, coupling, moments, spectrum, waveform
 from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, DegenerateEigenvector,
                          GridTooCoarse, ModeOutOfRange, NonConvergence,
@@ -408,6 +408,8 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     def finish(code: int) -> tuple:
         timings["total_s"] = time.perf_counter() - started
+        # the threads of the dense row-block stages (map_blocks)
+        timings["workers"] = _kernels.workers()
         out = {"data": report, "timings": timings}
         if out_dir is not None:
             _write_json(os.path.join(out_dir, "report.json"), out)

@@ -18,6 +18,9 @@ from .exceptions import NonConvergence, RepeatedEigenvalues
 from .linalg import eig_dense, rank_qr
 from .tolerances import DEFAULT, Tolerances
 
+# trial divisors per numpy pass of the resonance search
+DIVISOR_CHUNK = 1 << 16
+
 __all__ = [
     "CouplingSystem", "SpectralDecomposition", "ConditionsReport",
     "decompose", "kalman_check", "resonance_check", "analyze",
@@ -162,13 +165,25 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
                 if defect > tol.res_tol:
                     continue
                 # every split gap = (k - l)(k + l) with k > l >= 1
-                for p in range(1, math.isqrt(gap) + 1):
-                    q, rem = divmod(gap, p)
-                    if rem == 0 and q > p and (q - p) % 2 == 0:
+                for p in _divisors_to_root(gap):
+                    q = gap // p
+                    if q > p and (q - p) % 2 == 0:
                         hi, lo = (q + p) // 2, (q - p) // 2
                         found.append((hi, lo, i + 1, j + 1, float(defect)))
                         found.append((lo, hi, j + 1, i + 1, float(defect)))
     found.sort(key=lambda t: t[:4])
+    return found
+
+
+def _divisors_to_root(number: int) -> list:
+    """The divisors p <= sqrt(number) of a positive int64 ``number``,
+    ascending, by trial division over DIVISOR_CHUNK candidates at a time."""
+    root = math.isqrt(number)
+    found = []
+    for start in range(1, root + 1, DIVISOR_CHUNK):
+        trial = np.arange(start, min(start + DIVISOR_CHUNK, root + 1),
+                          dtype=np.int64)
+        found += trial[number % trial == 0].tolist()
     return found
 
 

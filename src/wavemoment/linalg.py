@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.linalg import lu_factor  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._kernels import row_blocks
+from ._kernels import map_blocks, row_blocks
 from .exceptions import DimensionTooLarge, NonConvergence, SingularSystem
 from .tolerances import DEFAULT, Tolerances
 
@@ -159,13 +159,20 @@ def factor_hermitian(g, tol: Tolerances = DEFAULT,
     Raises ValueError if S is complex or not symmetric.
     """
     g = _as_square(g, real=True)
-    scale = asym = 0.0
     col_sums = np.zeros(g.shape[1])
-    for cols in row_blocks(g.shape[1], g.shape[0]):
+
+    def check(cols):
+        # column sums, largest entry and largest asymmetry of a column
+        # block, each symmetric pair read once
         block = np.abs(g[:, cols])
-        scale = max(scale, float(block.max()))
         col_sums[cols] = block.sum(axis=0)
-        asym = max(asym, float(np.abs(g[:, cols] - g[cols].T).max()))
+        return (float(block.max()),
+                float(np.abs(g[cols.start:, cols] - g[cols, cols.start:].T)
+                      .max()))
+
+    scale = asym = 0.0
+    for big, skew in map_blocks(check, row_blocks(g.shape[1], g.shape[0])):
+        scale, asym = max(scale, big), max(asym, skew)
     if scale and asym > tol.hermit_rtol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     anorm = float(col_sums.max(initial=0.0))

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ._kernels import mirror_index, phase_integral, row_blocks
+from ._kernels import map_blocks, mirror_index, phase_integral, row_blocks
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange)
@@ -210,9 +210,12 @@ class ControlSignal:
         steps = np.conj(np.exp(1j * np.multiply.outer(np.arange(width) * dt,
                                                       freqs)))
         leads = t[::width]
-        values = [np.vecdot(steps, self.amplitudes * np.exp(
-            1j * np.multiply.outer(leads[rows], freqs))[:, None, :])
-            for rows in row_blocks(leads.size, freqs.size)]
+
+        def block(rows):
+            return np.vecdot(steps, self.amplitudes * np.exp(
+                1j * np.multiply.outer(leads[rows], freqs))[:, None, :])
+
+        values = map_blocks(block, row_blocks(leads.size, freqs.size))
         return t, np.concatenate(values).ravel()[:count]
 
     def l2_norm(self) -> float:
@@ -279,7 +282,8 @@ def _real_gram(family: EddFamily, duration: float,
     phi_a, whose Re is the row of Re phi_a and whose -Im that of Im phi_a.
     The few rows of self-mirrored block -k partners are filled whole on
     their own.  The lower triangle is then copied into the upper, a block
-    of rows at a time.
+    of rows at a time in tiles of 256 columns.  Row blocks run on
+    ``map_blocks`` threads.
     """
     k_max, n = family.k_max, family.n
     pos, neg = family.nodes[k_max:], family.nodes[k_max - 1::-1]
@@ -296,7 +300,8 @@ def _real_gram(family: EddFamily, duration: float,
 
     out = np.empty((k_max, 2, n, m))
     w = np.conj(family.weights[k_max:])
-    for rows in row_blocks(k_max, n * m):
+
+    def fill(rows):
         width = 2 * n * rows.stop
         kernel = gram_entry(cols[:width], np.conj(pos[rows]).reshape(-1, 1),
                             duration, tol=tol)
@@ -304,17 +309,27 @@ def _real_gram(family: EddFamily, duration: float,
                      .reshape(-1, width)).reshape(-1, n, width)
         out[rows, 0, :, :width] = z.real
         np.negative(z.imag, out=out[rows, 1, :, :width])
+
+    map_blocks(fill, row_blocks(k_max, n * m))
     plain = family.self_mirrored
     if plain.any():
         kernel = gram_entry(cols, np.conj(neg[plain])[:, None], duration,
                             tol=tol)
         out[:, 1][plain] = to_basis(kernel).real
     gram = out.reshape(m, m)
-    for rows in row_blocks(m, m):
-        gram[rows, rows.stop:] = gram[rows.stop:, rows].T
+
+    tile = 256
+
+    def mirror(rows):
+        # read down the lower triangle, written across the upper
+        for lo in range(rows.stop, m, tile):
+            cut = slice(lo, min(lo + tile, m))
+            gram[rows, cut] = gram[cut, rows].T
         square = gram[rows, rows]
         upper = np.triu_indices(len(square), 1)
         square[upper] = square.T[upper]
+
+    map_blocks(mirror, row_blocks(m, tile))
     return gram
 
 
@@ -340,9 +355,16 @@ def assemble_gram(family: EddFamily, duration: float,
         raise ValueError("duration must be positive")
     gram = _real_gram(family, duration, tol)
     scale = 1.0 / np.sqrt(gram.diagonal())
-    # S, transposed: its Fortran-ordered view is S
-    s = np.multiply(gram, scale)
-    s *= scale[:, None]
+    # S, transposed: its Fortran-ordered view is S; R scaled by columns
+    # first (rows first rounds differently, and rerolls the D1 rows that
+    # verify at the rounding floor), a row block at a time
+    s = np.empty_like(gram)
+
+    def form(rows):
+        np.multiply(gram[rows], scale, out=s[rows])
+        s[rows] *= scale[rows, None]
+
+    map_blocks(form, row_blocks(*gram.shape))
     factor = factor_hermitian(s.T, tol=tol, overwrite=True)
     return MomentSystem(family, duration, gram, factor, scale)
 

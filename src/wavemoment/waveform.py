@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
-from ._kernels import (mirror_index, phase_integral, ramp_integral,
-                       row_blocks, segment_moment)
+from ._kernels import (map_blocks, mirror_index, phase_integral,
+                       ramp_integral, row_blocks, segment_moment)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
 from .moments import GROWTH_PIN, ControlSignal, ModalState
@@ -75,7 +75,8 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     modes = list(zip(*np.nonzero(~zero)))
     ws = grid.omega[~zero].astype(dtype)
     mirror = mirror_index(control.frequencies)
-    for rows in row_blocks(len(modes), nus.size):
+
+    def evolve_block(rows):
         w = ws[rows, None]
         fwd = phase_integral(nus - w, duration, switch=tol.series_switch)
         if mirror is not None and not w.imag.any():
@@ -93,6 +94,8 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
             gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
             a[ki, li] = gain * (amps @ s_row)
             adot[ki, li] = gain * (amps @ c_row)
+
+    map_blocks(evolve_block, row_blocks(len(modes), nus.size))
     for ki, li in zip(*np.nonzero(zero)):
         gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
         a[ki, li] = gain * (amps @ ramp_integral(nus, duration,

@@ -257,3 +257,33 @@ def resonances_enumerated(lams, res_tol):
         lo += 1
     found.sort(key=lambda t: t[:4])
     return found
+
+
+def resonances_trial_division(lams, res_tol):
+    """resonance_check with each matching gap split by a Python loop of
+    trial division up to its square root."""
+    lam = np.asarray(lams, dtype=complex)
+    n = lam.shape[0]
+    if n < 2:
+        return []
+    bound = float(np.abs(lam[None, :] - lam[:, None]).max()) + 1.0
+    found = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            diff = lam[i] - lam[j]
+            first = max(3, math.floor(diff.real - res_tol))
+            last = min(math.floor(bound), math.ceil(diff.real + res_tol))
+            for gap in range(first, last + 1):
+                defect = abs(gap - diff)
+                if defect > res_tol:
+                    continue
+                for p in range(1, math.isqrt(gap) + 1):
+                    q, rem = divmod(gap, p)
+                    if rem == 0 and q > p and (q - p) % 2 == 0:
+                        hi, lo = (q + p) // 2, (q - p) // 2
+                        found.append((hi, lo, i + 1, j + 1, float(defect)))
+                        found.append((lo, hi, j + 1, i + 1, float(defect)))
+    found.sort(key=lambda t: t[:4])
+    return found

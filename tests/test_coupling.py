@@ -197,6 +197,17 @@ def test_resonance_large_spread():
     assert time.perf_counter() - started < 1.0
 
 
+@pytest.mark.parametrize("gap, res_tol", [
+    (999999999989, 1e-9), (1000000000039, 2.5),  # primes near 1e12
+    (10 ** 12, 1e-9), (999983 ** 2, 0.3),  # squares
+    (2 ** 40, 1e-9), (2 ** 39, 1.5)])  # powers of two
+def test_resonance_matches_trial_division_near_1e12(gap, res_tol):
+    # the chunked divisor search against a Python loop of trial division
+    lam = np.array([0.0, float(gap)])
+    assert resonance_check(lam, DEFAULT.replace(res_tol=res_tol)) == \
+        oracles.resonances_trial_division(lam, res_tol)
+
+
 def test_analyze_benchmark_controllable():
     rep = analyze(CouplingSystem(A2, B2), 4 * math.pi)
     assert rep.kalman_ok and rep.beta_ok and rep.t_ok
