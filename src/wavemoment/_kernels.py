@@ -9,7 +9,6 @@ limit: at delta == 0 the formulas below return the exact limits.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,9 +17,15 @@ SERIES_SWITCH = 1e-6
 
 # Entries per block of a blocked dense evaluation: a complex temporary of a
 # block takes 256 KiB whatever the problem size, so the few that a block
-# needs stay in a core's L2 cache.  Each worker of ``map_blocks`` holds its
-# own block's temporaries, so W workers hold W blocks' worth at once.
+# needs stay in a core's L2 cache.  Each thread of ``map_blocks`` holds its
+# own block's temporaries, so T threads hold T blocks' worth at once.
 BLOCK_ELEMENTS = 1 << 14
+
+# Threads of one ``map_blocks`` call at most, whatever the CPU count.  Each
+# thread's block temporaries, and the free memory its malloc arena keeps
+# after them, add about 1.5 MiB to the peak: the peak RSS of a K sweep up to
+# m = 1024 grew by 2.8 % on 2 threads and by 5.3 % on 4 against one.
+MAX_THREADS = 2
 
 
 def row_blocks(rows: int, width: int) -> list:
@@ -31,55 +36,34 @@ def row_blocks(rows: int, width: int) -> list:
 
 
 def workers() -> int:
-    """The number of CPUs this process may run on (its affinity mask, which
-    ``taskset`` narrows), or the machine's CPU count where the mask cannot
-    be read."""
+    """The threads of ``map_blocks``: one per CPU this process may run on
+    (its affinity mask, which ``taskset`` narrows, or the machine's CPU
+    count where the mask cannot be read), at most MAX_THREADS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_THREADS)
 
 
 def map_blocks(body, blocks) -> list:
     """``[body(block) for block in blocks]``, on ``workers()`` threads when
-    there are at least two blocks per worker, else in this thread.
+    there are at least two blocks per thread, else in this thread.
 
-    Each thread takes the next block not yet taken until none is left, so a
-    slow thread takes fewer.  The results come back in block order, and the
-    exception of the first block (in that order) whose body raised is raised
-    here.  A body must write only its own block's slices, so the output is
-    the same bits whatever the number of workers, and must call no function
-    that perfbench/spans.py traces, whose span stack is one per process.
-    numpy's exponentials and copies release the GIL, which is what runs the
-    blocks at once.  The threads live for this call only.
+    The results come back in block order, and the exception of the first
+    block (in that order) whose body raised is raised here, once every
+    thread has finished.  A body must write only its own block's slices, so
+    the output is the same bits whatever the number of threads, and must
+    call no function that perfbench/spans.py traces, whose span stack is one
+    per process.  numpy's exponentials and copies release the GIL, which is
+    what runs the blocks at once.  The threads live for this call only.
     """
     blocks = list(blocks)
     count = workers()
     if count < 2 or len(blocks) < 2 * count:
         return [body(block) for block in blocks]
-    results = [None] * len(blocks)
-    errors = []
-    lock = threading.Lock()
-    order = iter(range(len(blocks)))
-
-    def work():
-        while True:
-            with lock:
-                index = next(order, None)
-            if index is None:
-                return
-            try:
-                results[index] = body(blocks[index])
-            except BaseException as exc:  # re-raised by the caller below
-                errors.append((index, exc))
-                return
-
     with ThreadPoolExecutor(count) as pool:
-        for done in [pool.submit(work) for _ in range(count)]:
-            done.result()
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-    return results
+        return list(pool.map(body, blocks))
 
 
 def mirror_index(freqs):

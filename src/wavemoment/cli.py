@@ -425,6 +425,10 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         spec = coupling.decompose(system, tol=tol)
         conditions = coupling.analyze(system, config.duration, tol=tol,
                                       spec=spec)
+    except BadInput as exc:
+        # an eigenvalue spread beyond the resonance search
+        report["error"] = f"{type(exc).__name__}: {exc}"
+        return finish(EXIT_BAD_INPUT)
     except (RepeatedEigenvalues, NonConvergence) as exc:
         report["error"] = f"{type(exc).__name__}: {exc}"
         return finish(EXIT_CONDITIONS if isinstance(exc, RepeatedEigenvalues)

@@ -14,12 +14,16 @@ import math
 
 import numpy as np
 
-from .exceptions import NonConvergence, RepeatedEigenvalues
+from .exceptions import BadInput, NonConvergence, RepeatedEigenvalues
 from .linalg import eig_dense, rank_qr
 from .tolerances import DEFAULT, Tolerances
 
 # trial divisors per numpy pass of the resonance search
 DIVISOR_CHUNK = 1 << 16
+# largest eigenvalue gap the resonance search splits: every double above it
+# is an integer, so its match to k^2 - l^2 says nothing, and its split would
+# take over 10^8 trial divisors
+MAX_GAP = 2 ** 53
 
 __all__ = [
     "CouplingSystem", "SpectralDecomposition", "ConditionsReport",
@@ -141,6 +145,8 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
     ``defect = |(k^2 - l^2) - (lam_i - lam_j)|``.  The search is exhaustive
     over ``|k^2 - l^2| <= max_{i != j} |lam_i - lam_j| + 1`` and the output
     is symmetric: (k, l, i, j) is reported iff (l, k, j, i) is.
+    Raises BadInput when a gap within ``res_tol`` of some lam_i - lam_j
+    exceeds MAX_GAP.
     """
     lam = np.asarray(eigenvalues, dtype=complex)
     n = lam.shape[0]
@@ -164,6 +170,11 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
                 defect = abs(gap - diff)
                 if defect > tol.res_tol:
                     continue
+                if gap > MAX_GAP:
+                    raise BadInput(
+                        f"eigenvalues {i + 1} and {j + 1} differ by "
+                        f"{diff.real:.6g}, above 2^53: no resonance "
+                        "k^2 - l^2 can be resolved at that spread")
                 # every split gap = (k - l)(k + l) with k > l >= 1
                 for p in _divisors_to_root(gap):
                     q = gap // p
@@ -176,7 +187,7 @@ def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
 
 
 def _divisors_to_root(number: int) -> list:
-    """The divisors p <= sqrt(number) of a positive int64 ``number``,
+    """The divisors p <= sqrt(number) of a positive ``number`` <= MAX_GAP,
     ascending, by trial division over DIVISOR_CHUNK candidates at a time."""
     root = math.isqrt(number)
     found = []

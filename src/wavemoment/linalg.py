@@ -20,7 +20,7 @@ import scipy.linalg
 from scipy.linalg import lu_factor  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._kernels import map_blocks, row_blocks
+from ._kernels import row_blocks
 from .exceptions import DimensionTooLarge, NonConvergence, SingularSystem
 from .tolerances import DEFAULT, Tolerances
 
@@ -152,27 +152,24 @@ def factor_hermitian(g, tol: Tolerances = DEFAULT,
     estimate its condition.
 
     The check and the 1-norm run over column blocks, so they need no m x m
-    temporary.  ``overwrite=True`` hands S's buffer to LAPACK, which factors
-    it in place when S is Fortran-ordered.  L[:n, :n] factors S[:n, :n]; if
-    the factorization breaks down at column j, L_jj onward are set to zero,
-    so the pivot guard of ``solve_hermitian`` fails the blocks with n >= j.
+    temporary, and in this thread, so their temporaries are one block's
+    (``assemble_gram`` holds R besides S).  ``overwrite=True`` hands S's
+    buffer to LAPACK, which factors it in place when S is Fortran-ordered.
+    L[:n, :n] factors S[:n, :n]; if the factorization breaks down at column
+    j, L_jj onward are set to zero, so the pivot guard of
+    ``solve_hermitian`` fails the blocks with n >= j.
     Raises ValueError if S is complex or not symmetric.
     """
     g = _as_square(g, real=True)
-    col_sums = np.zeros(g.shape[1])
-
-    def check(cols):
-        # column sums, largest entry and largest asymmetry of a column
-        # block, each symmetric pair read once
-        block = np.abs(g[:, cols])
-        col_sums[cols] = block.sum(axis=0)
-        return (float(block.max()),
-                float(np.abs(g[cols.start:, cols] - g[cols, cols.start:].T)
-                      .max()))
-
     scale = asym = 0.0
-    for big, skew in map_blocks(check, row_blocks(g.shape[1], g.shape[0])):
-        scale, asym = max(scale, big), max(asym, skew)
+    col_sums = np.zeros(g.shape[1])
+    for cols in row_blocks(g.shape[1], g.shape[0]):
+        block = np.abs(g[:, cols])
+        scale = max(scale, float(block.max()))
+        col_sums[cols] = block.sum(axis=0)
+        # each symmetric pair read once
+        asym = max(asym, float(np.abs(g[cols.start:, cols]
+                                      - g[cols, cols.start:].T).max()))
     if scale and asym > tol.hermit_rtol * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     anorm = float(col_sums.max(initial=0.0))

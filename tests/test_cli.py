@@ -206,6 +206,16 @@ def test_run_bad_system_shape():
     assert "error" in report["data"]
 
 
+def test_run_eigenvalue_spread_beyond_resonance_search():
+    # a gap of 1e19 = 2^19 5^19 is an integer, but beyond 2^53 no gap is
+    # told from rounding; the run reports bad input instead of splitting it
+    doc = dict(A2_DOC, A=[[0.0, 0.0], [1.0, 1e19]], b=[1.0, 0.0])
+    report, code = cli.run("analyze", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_BAD_INPUT
+    assert report["data"]["error"].startswith(
+        "BadInput: eigenvalues 2 and 1 differ by 1e+19, above 2^53")
+
+
 def test_run_mode_out_of_range():
     config = cli.parse_config(json.dumps(A2_DOC))
     import dataclasses

@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from wavemoment.coupling import (CouplingSystem, analyze, decompose,
+from wavemoment.coupling import (MAX_GAP, CouplingSystem, analyze, decompose,
                                  kalman_check, resonance_check)
-from wavemoment.exceptions import RepeatedEigenvalues
+from wavemoment.exceptions import BadInput, RepeatedEigenvalues
 from wavemoment.tolerances import DEFAULT
 
 import oracles
@@ -206,6 +206,18 @@ def test_resonance_matches_trial_division_near_1e12(gap, res_tol):
     lam = np.array([0.0, float(gap)])
     assert resonance_check(lam, DEFAULT.replace(res_tol=res_tol)) == \
         oracles.resonances_trial_division(lam, res_tol)
+
+
+def test_resonance_gap_beyond_double_integers_is_bad_input():
+    # the largest gap still split, in about half a second: 2^53 = (k - l)
+    # (k + l) with both factors even and k > l >= 1 in 26 ways
+    hits = resonance_check(np.array([0.0, float(MAX_GAP)]))
+    assert len(hits) == 2 * 26
+    for spread in (2.0 ** 53 + 2.0, 2.0 ** 63, 1e19, 1e300):
+        with pytest.raises(BadInput, match="above 2\\^53"):
+            resonance_check(np.array([0.0, spread]))
+    # a gap far from any integer is never split, whatever its size
+    assert resonance_check(np.array([0.0, 1e19 + 1e9j])) == []
 
 
 def test_analyze_benchmark_controllable():

@@ -2,9 +2,11 @@
 the same bits for any number of workers."""
 
 import json
+import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from wavemoment.waveform import duhamel_exact
 # has at least 16 blocks, so 8 workers run in parallel
 BLOCK = 256
 # (A, b, K, T, basis): the stages that map_blocks runs are the kernel fill,
-# the mirror, the formation of S, its check, the evolution and the samples
+# the mirror, the formation of S, the evolution and the samples
 SYSTEMS = {
     "real-edd": ([[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
                  [1.0, 0.0, 0.0], 24, 6 * np.pi + 1.0, "edd"),
@@ -33,7 +35,7 @@ SYSTEMS = {
     "complex-pair": ([[0.2, 0.7], [-0.7, 0.2]], [1.0, 0.0], 32,
                      4 * np.pi + 1.0, "edd"),
 }
-STAGES = 6
+STAGES = 5
 
 
 class CountingPool(_kernels.ThreadPoolExecutor):
@@ -128,6 +130,32 @@ def test_outputs_hold_under_rapid_thread_switching(monkeypatch):
     assert time.perf_counter() - started < 60.0
     assert pools == STAGES
     assert all(np.array_equal(x, y) for x, y in zip(want, got))
+
+
+def test_threads_are_capped_whatever_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(_kernels.os, "sched_getaffinity",
+                        lambda pid: set(range(64)))
+    assert _kernels.workers() == _kernels.MAX_THREADS
+    monkeypatch.setattr(_kernels.os, "sched_getaffinity", lambda pid: {0})
+    assert _kernels.workers() == 1
+
+
+@pytest.mark.parametrize("count", [8, 16])
+def test_assembly_peak_memory_does_not_grow_with_threads(count, monkeypatch):
+    # test_moments' m = 1024 bound on more threads than MAX_THREADS allows:
+    # the kernel fill's 32 blocks run on all of them; the check of S, which
+    # runs while R and S are both held, stays in one thread
+    monkeypatch.setattr(_kernels, "workers", lambda: count)
+    a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
+    spec = decompose(CouplingSystem(a, np.eye(4)[0]))
+    family = build_edd(build_frequencies(spec, 128))
+    tracemalloc.start()
+    try:
+        assemble_gram(family, 8 * math.pi + 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * 1024 ** 2, peak / (8 * 1024 ** 2)
 
 
 def test_small_problem_starts_no_thread(monkeypatch):
