@@ -331,35 +331,35 @@ def _write_state_file(out_dir: str, modal, spec):
                  np.column_stack([x, u.real, ut.real]))
 
 
-def _assemble(config: ProblemConfig, grid, tol: Tolerances):
-    """Gram system of the family ``config.method`` builds on ``grid``."""
-    family = (spectrum.build_raw(grid) if config.method == "raw"
-              else spectrum.build_edd(grid, tol=tol))
-    return moments.assemble_gram(family, config.duration, tol)
-
-
-def _system(config: ProblemConfig, spec, tol: Tolerances, assembly=None):
+def _system(config: ProblemConfig, spec, tol: Tolerances, kept=None):
     """Pipeline head and Gram system at ``config.k_max``: (spec_used, grid,
-    modal, gamma, ms), the system and its family read from ``assembly`` when
-    it covers that K (for the same T), else built and assembled here."""
+    modal, gamma, ms).  A K sweep passes ``kept``, its list of at most one
+    system: the system is read from the one it holds (assembled for the same
+    T at a K at least as large), else its family is built and assembled
+    here and the system appended to it."""
     grid = spectrum.build_frequencies(spec, config.k_max)
     if config.method == "n2_sharp":
         spec = moments.n2_normalize_eigvecs(spec, config.b)
     modal = moments.target_to_modal(config.target, spec, grid)
     gamma = moments.moments_from_target(modal, spec, grid, config.duration,
                                         tol=tol)
-    if assembly is None or assembly.k_max < config.k_max:
-        assembly = _assemble(config, grid, tol)
-    return spec, grid, modal, gamma, assembly.restrict(config.k_max)
+    if kept:
+        return spec, grid, modal, gamma, kept[0].restrict(config.k_max)
+    family = (spectrum.build_raw(grid) if config.method == "raw"
+              else spectrum.build_edd(grid, tol=tol))
+    ms = moments.assemble_gram(family, config.duration, tol)
+    if kept is not None:
+        kept.append(ms)
+    return spec, grid, modal, gamma, ms
 
 
-def _sweep_point(config: ProblemConfig, spec, assembly,
+def _sweep_point(config: ProblemConfig, spec, kept,
                  tol: Tolerances) -> dict:
     row = {"T": config.duration, "K": config.k_max, "status": "ok",
            "cond_estimate": None, "control_norm": None,
            "moment_residual": None, "max_rel_error": None, "error": None}
     try:
-        spec_used, grid, modal, gamma, ms = _system(config, spec, tol, assembly)
+        spec_used, grid, modal, gamma, ms = _system(config, spec, tol, kept)
         row["cond_estimate"] = ms.cond_estimate
         control = moments.synthesize(ms, gamma, tol=tol)
         del ms
@@ -408,7 +408,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     def finish(code: int) -> tuple:
         timings["total_s"] = time.perf_counter() - started
-        # the threads of the dense row-block stages (map_blocks)
+        # the threads of the Gram's kernel fill and the evolution
         timings["workers"] = _kernels.workers()
         out = {"data": report, "timings": timings}
         if out_dir is not None:
@@ -445,25 +445,19 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         key = "duration" if config.sweep.parameter == "T" else "k_max"
         points = [dataclasses.replace(config, **{key: value})
                   for value in config.sweep.values]
-        # a K sweep builds its family, assembles and factors once, at the
-        # largest K whose head builds, and reads every smaller row's system
-        # from there: an EDD family that builds at K builds at every smaller
-        # K, whose blocks are among K's and whose collision tolerance
-        # coll_scale * (1 + K) is smaller
-        assembly = None
-        tops = sorted(points, key=lambda p: -p.k_max) if key == "k_max" else []
-        for point in tops:
-            try:
-                assembly = _assemble(point, spectrum.build_frequencies(
-                    spec, point.k_max), tol)
-            except _NUMERICAL_ERRORS:
-                continue
-            break
-        rows = []
-        for value, point in zip(config.sweep.values, points):
+        # the points run from the largest K down; a K sweep builds its
+        # family, assembles and factors once, at the first point that
+        # assembles, and reads every later row's system from there: an EDD
+        # family that builds at K builds at every smaller K, whose blocks
+        # are among K's and whose collision tolerance coll_scale * (1 + K)
+        # is smaller.  A T sweep holds one system at a time.
+        kept = [] if key == "k_max" else None
+        rows = [None] * len(points)
+        for i in sorted(range(len(points)), key=lambda i: -points[i].k_max):
             t0 = time.perf_counter()
-            rows.append(_sweep_point(point, spec, assembly, tol))
-            timings[f"point_{value}_s"] = time.perf_counter() - t0
+            rows[i] = _sweep_point(points[i], spec, kept, tol)
+            timings[f"point_{config.sweep.values[i]}_s"] = \
+                time.perf_counter() - t0
         report["sweep"] = {"parameter": config.sweep.parameter,
                            "values": list(config.sweep.values), "rows": rows}
         if out_dir is not None:

@@ -23,7 +23,7 @@ import numpy as np
 from ._kernels import map_blocks, mirror_index, phase_integral, row_blocks
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
-                         ModeOutOfRange)
+                         ModeOutOfRange, SingularSystem)
 from .linalg import (HermitianFactor, cond_estimate_1norm, factor_hermitian,
                      solve_hermitian)
 from .spectrum import EddFamily, FrequencyGrid
@@ -195,11 +195,11 @@ class ControlSignal:
 
         The points run in blocks of B = ceil(sqrt(count)), and
         f(t_b + q dt) = sum_j (amp_j e^{i nu_j t_b}) e^{i nu_j q dt}: one
-        B x terms table of steps and a row of leads per block (leads taken
-        a row block at a time) replace ``evaluate``'s count x terms table.
+        B x terms table of steps and one table of leads, a row per block
+        (at most B rows), replace ``evaluate``'s count x terms table.
         Sample b B + q is taken at t_b + q dt, t_b = t[b B], which differs
         from the returned t by a few ulps.  Each sample is one sum over the
-        terms, so the values do not depend on the row blocks.
+        terms, of a lead row and a step row.
         """
         if count < 2:
             raise ValueError("need at least two samples")
@@ -209,14 +209,9 @@ class ControlSignal:
         # conjugated, as vecdot conjugates its first argument
         steps = np.conj(np.exp(1j * np.multiply.outer(np.arange(width) * dt,
                                                       freqs)))
-        leads = t[::width]
-
-        def block(rows):
-            return np.vecdot(steps, self.amplitudes * np.exp(
-                1j * np.multiply.outer(leads[rows], freqs))[:, None, :])
-
-        values = map_blocks(block, row_blocks(leads.size, freqs.size))
-        return t, np.concatenate(values).ravel()[:count]
+        leads = self.amplitudes * np.exp(
+            1j * np.multiply.outer(t[::width], freqs))
+        return t, np.vecdot(steps, leads[:, None, :]).ravel()[:count]
 
     def l2_norm(self) -> float:
         if self.norm is None:
@@ -281,9 +276,9 @@ def _real_gram(family: EddFamily, duration: float,
     C^T on the right: Z[a, q] = (psi_q, phi_a) for block k's functions
     phi_a, whose Re is the row of Re phi_a and whose -Im that of Im phi_a.
     The few rows of self-mirrored block -k partners are filled whole on
-    their own.  The lower triangle is then copied into the upper, a block
-    of rows at a time in tiles of 256 columns.  Row blocks run on
-    ``map_blocks`` threads.
+    their own.  These kernel row blocks run on ``map_blocks`` threads.  The
+    lower triangle is then copied into the upper in 64 x 64 tiles, in this
+    thread: the copy is bound by memory, not by the CPU.
     """
     k_max, n = family.k_max, family.n
     pos, neg = family.nodes[k_max:], family.nodes[k_max - 1::-1]
@@ -317,19 +312,16 @@ def _real_gram(family: EddFamily, duration: float,
                             tol=tol)
         out[:, 1][plain] = to_basis(kernel).real
     gram = out.reshape(m, m)
-
-    tile = 256
-
-    def mirror(rows):
+    tile = 64
+    for lo in range(0, m, tile):
+        rows = slice(lo, min(lo + tile, m))
         # read down the lower triangle, written across the upper
-        for lo in range(rows.stop, m, tile):
-            cut = slice(lo, min(lo + tile, m))
+        for right in range(rows.stop, m, tile):
+            cut = slice(right, min(right + tile, m))
             gram[rows, cut] = gram[cut, rows].T
         square = gram[rows, rows]
         upper = np.triu_indices(len(square), 1)
         square[upper] = square.T[upper]
-
-    map_blocks(mirror, row_blocks(m, tile))
     return gram
 
 
@@ -344,27 +336,31 @@ def assemble_gram(family: EddFamily, duration: float,
     the minimal-norm control, so ``cond_estimate`` (the 1-norm estimate of
     S) measures the family's independence, within a factor m of the best
     diagonal scaling of R (van der Sluis, 1969).  The unknowns are in |k|
-    order, so the factor serves every smaller K (``restrict``).  A singular
-    Gram still assembles; ``synthesize`` raises on its pivots.  Only the
-    kernel's block-lower half is filled, in row blocks streamed into the
-    basis products and never stored, and R's upper triangle is copied from
-    its lower; S is the second array and is factored in place, so two
-    m x m real arrays are kept: R and the factor.
+    order, so the factor serves every smaller K (``restrict``).  Raises
+    SingularSystem when a diagonal entry of R is not positive and finite (a
+    basis function of numerically zero norm, as at a very short T); any
+    other singular Gram still assembles, and ``synthesize`` raises on its
+    pivots.  Only the kernel's block-lower half is filled, in row blocks
+    streamed into the basis products and never stored, and R's upper
+    triangle is copied from its lower; S is the second array, formed by
+    two whole-array products and factored in place, so two m x m real
+    arrays are kept: R and the factor.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
     gram = _real_gram(family, duration, tol)
-    scale = 1.0 / np.sqrt(gram.diagonal())
+    norms = gram.diagonal()
+    ok = (norms > 0) & (norms < np.inf)
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        raise SingularSystem(f"squared norm {norms[bad]:.3e} of basis "
+                             f"function {bad} is not positive and finite")
+    scale = 1.0 / np.sqrt(norms)
     # S, transposed: its Fortran-ordered view is S; R scaled by columns
     # first (rows first rounds differently, and rerolls the D1 rows that
-    # verify at the rounding floor), a row block at a time
-    s = np.empty_like(gram)
-
-    def form(rows):
-        np.multiply(gram[rows], scale, out=s[rows])
-        s[rows] *= scale[rows, None]
-
-    map_blocks(form, row_blocks(*gram.shape))
+    # verify at the rounding floor)
+    s = np.multiply(gram, scale)
+    s *= scale[:, None]
     factor = factor_hermitian(s.T, tol=tol, overwrite=True)
     return MomentSystem(family, duration, gram, factor, scale)
 

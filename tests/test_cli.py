@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -362,19 +363,36 @@ def test_k_sweep_rows_match_single_k_commands(doc):
         assert_row_matches_single_k(row, doc)
 
 
+# eigenvalue gap 5e-5: the in-block frequency gap at k = 64 (about 4e-7) is
+# below that K's collision threshold 1e-8 * (1 + 64), the gaps at k <= 8 are
+# above 1e-8 * (1 + 8)
+COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 0.0], [1.0, 0.50005]], method="edd",
+                         target={"z0": [[1, [1.0, 0.0]]]},
+                         sweep={"parameter": "K", "values": [4, 64, 8]})
+
+
 def test_k_sweep_keeps_rows_below_a_colliding_top():
-    # eigenvalue gap 5e-5: the in-block frequency gap at k = 64 (about
-    # 4e-7) is below that K's collision threshold 1e-8 * (1 + 64), the gaps
-    # at k <= 8 are above 1e-8 * (1 + 8); the lower rows share an assembly
-    # at K = 8, as they did when each assembled its own
-    doc = dict(A2_DOC, A=[[0.5, 0.0], [1.0, 0.50005]], method="edd",
-               target={"z0": [[1, [1.0, 0.0]]]},
-               sweep={"parameter": "K", "values": [4, 64, 8]})
-    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    # the lower rows share an assembly at K = 8, as they did when each
+    # assembled its own
+    report, code = cli.run("sweep",
+                           cli.parse_config(json.dumps(COLLIDING_TOP_DOC)))
     assert code == cli.EXIT_OK
     rows = report["data"]["sweep"]["rows"]
     assert [row["status"] for row in rows] == ["ok", "CollisionInBlock", "ok"]
     assert rows[1]["cond_estimate"] is None
+
+
+def test_k_sweep_builds_a_colliding_top_family_once(monkeypatch):
+    # the K = 64 row builds the family that fails, the K = 8 row the one
+    # that K = 4 reads
+    from wavemoment import spectrum
+
+    calls = {}
+    count_calls(monkeypatch, calls, spectrum, "build_edd")
+    report, code = cli.run("sweep",
+                           cli.parse_config(json.dumps(COLLIDING_TOP_DOC)))
+    assert code == cli.EXIT_OK
+    assert calls == {"build_edd": 2}
 
 
 def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
@@ -423,6 +441,33 @@ def test_t_sweep_holds_one_gram_system_at_a_time():
     assert [row["status"] for row in report["data"]["sweep"]["rows"]] == \
         ["ok"] * 3
     assert peak <= 3.25 * 8 * 512 ** 2
+
+
+@pytest.mark.parametrize("method", ["edd", "raw"])
+def test_t_sweep_rows_with_normless_basis_functions(method):
+    # at T = 1e-9 and 1e-4 some basis function's squared norm rounds to
+    # zero or below: a typed row, not a square root of it
+    doc = dict(README_EDD_DOC, method=method, sweep={
+        "parameter": "T", "values": [1e-9, 1e-4, 13.0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    rows = report["data"]["sweep"]["rows"]
+    assert [row["status"] for row in rows] == \
+        ["SingularSystem", "SingularSystem", "ok"]
+
+
+def test_forced_verify_with_a_normless_basis_function(tmp_path):
+    path = write_config(tmp_path, dict(README_EDD_DOC, T=1e-4))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["verify", "--config", path, "--out", str(out),
+                         "--force"])
+    assert code == cli.EXIT_NUMERICAL
+    error = json.loads((out / "report.json").read_text())["data"]["error"]
+    assert error.startswith("SingularSystem: squared norm")
 
 
 # complex frequencies: a complex eigenvalue pair and an eigenvalue below -1
@@ -480,9 +525,10 @@ def test_control_samples_do_not_depend_on_row_blocks(tmp_path, monkeypatch):
     assert np.all(np.abs(sampled - values)
                   <= oracles.sample_rounding_bound(control, t))
     written = []
-    # 1001 samples in 32 blocks of 32 points (the last of 9), their 32 lead
-    # rows of 64 terms in one row block, in row blocks of 1, 2, 7 (the last
-    # of 4) and 30 (the last of 2), and at the default
+    # 1001 samples in 32 blocks of 32 points (the last of 9), one lead row
+    # per block: the samples take no row blocks, so the file is the same
+    # bits whatever BLOCK_ELEMENTS the other stages run at (all 32 lead
+    # rows' worth, 1, 2, 7 and 30 rows' worth, and the default)
     for block in (10 ** 9, 64, 2 * 64, 7 * 64, 30 * 64, None):
         if block is not None:
             monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)

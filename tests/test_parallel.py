@@ -1,5 +1,6 @@
-"""The dense row-block stages run on ``_kernels.map_blocks`` threads and give
-the same bits for any number of workers."""
+"""The two threaded dense stages, the kernel fill of R and the evolution's
+mode blocks, run on ``_kernels.map_blocks`` threads and give the same bits
+for any number of workers."""
 
 import json
 import math
@@ -22,8 +23,8 @@ from wavemoment.waveform import duhamel_exact
 # entries per block in these tests: every stage of the systems below then
 # has at least 16 blocks, so 8 workers run in parallel
 BLOCK = 256
-# (A, b, K, T, basis): the stages that map_blocks runs are the kernel fill,
-# the mirror, the formation of S, the evolution and the samples
+# (A, b, K, T, basis): the stages that map_blocks runs are the kernel fill
+# of R and the evolution
 SYSTEMS = {
     "real-edd": ([[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
                  [1.0, 0.0, 0.0], 24, 6 * np.pi + 1.0, "edd"),
@@ -35,7 +36,7 @@ SYSTEMS = {
     "complex-pair": ([[0.2, 0.7], [-0.7, 0.2]], [1.0, 0.0], 32,
                      4 * np.pi + 1.0, "edd"),
 }
-STAGES = 5
+STAGES = 2
 
 
 class CountingPool(_kernels.ThreadPoolExecutor):
@@ -106,8 +107,8 @@ def test_open_control_does_not_depend_on_worker_count(monkeypatch):
     monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", BLOCK)
     runs = [run_with_workers(monkeypatch, count, open_control_outputs)
             for count in (1, 2, 8)]
-    # the evolution and the samples
-    assert [started for _, started in runs] == [0, 2, 2]
+    # the evolution
+    assert [started for _, started in runs] == [0, 1, 1]
     first = runs[0][0]
     for outputs, _ in runs[1:]:
         assert all(np.array_equal(x, y) for x, y in zip(first, outputs))
