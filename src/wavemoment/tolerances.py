@@ -35,14 +35,17 @@ class Tolerances:
     zero_tol: float = 1e-10
     # frequency collision threshold is coll_scale * (1 + K)
     coll_scale: float = 1e-8
-    # small-argument series switch for oscillatory kernel integrals;
-    # covers the resonant-limit band (<= 1e-8) with a guard margin
+    # small-argument series switch for synthesis' kernel integrals (the
+    # closed-form evolution that verifies a control keeps
+    # _kernels.SERIES_SWITCH); covers the resonant-limit band (<= 1e-8)
+    # with a guard margin
     series_switch: float = 1e-6
     # synthesis cap on the condition estimate of the normalized Gram, the
     # conditioning of the family itself
     cond_cap: float = 1e12
     # relative symmetry check on the real Gram/solve inputs, and relative
-    # mirror-symmetry check on the moments (a real target)
+    # mirror-symmetry check on the moments (a real target); a config may
+    # not set it below cli.MIN_HERMIT_RTOL
     hermit_rtol: float = 1e-10
     # biorthogonality residual allowed in spectral decomposition
     biorth_tol: float = 1e-9

@@ -47,62 +47,158 @@ class VerifyReport:
 
 
 def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
-                  control: ControlSignal, duration: float,
-                  tol: Tolerances = DEFAULT) -> ModalState:
+                  control: ControlSignal | list, duration: float,
+                  tol: Tolerances = DEFAULT) -> ModalState | list:
     """Terminal modal state under an exponential-combination control.
 
     a_{k,l}(T) = (2k/pi) beta_l * int f(s) sin(w (T-s))/w ds and adot with the
     cosine kernel; the sine and cosine split into phase integrals, and modes
-    with |w| <= tol.zero_tol use the exact w -> 0 limit (ramp kernel).  When
-    the control's frequencies are closed under the mirror nu -> -conj(nu)
+    with |w| <= tol.zero_tol use the exact w -> 0 limit (ramp kernel).  The
+    integrals take the kernels' fixed series switch, never
+    ``tol.series_switch``: an override that coarsens the Gram's series must
+    not coarsen the check of the control it gives.  When the control's
+    frequencies are closed under the mirror nu -> -conj(nu)
     (``mirror_index``), a block of modes with real w reads its backward
     integrals as conjugates of its forward ones, nu_j + w = -conj(nu_j' - w),
     bit for bit as evaluated; a block with a complex or imaginary w
     evaluates both.  When some mode's amplification e^{|Im w| T} exceeds
     GROWTH_PIN, its terms are that much larger than its state, and all run
     in long double.
+
+    ``control`` may instead be a list of (control, k_max) pairs, as a sweep
+    at one duration holds them, ``grid`` reaching the largest k_max: then
+    the result is the list of their states over the modes k <= k_max, each
+    the same bits as the control alone on its own grid.  The first control
+    with the largest k_max heads one walk over its mode blocks, and every
+    control whose terms its terms give bit for bit (``_shared_columns``)
+    reads its kernel columns from that walk's, so each integral is
+    evaluated once; any other control is evolved alone.
     """
-    growing = np.abs(grid.omega.imag) * duration > math.log(GROWTH_PIN)
-    dtype = np.clongdouble if growing.any() else complex
-    nus = control.frequencies.astype(dtype)
-    amps = control.amplitudes.astype(dtype)
-    k_max, n = grid.k_max, grid.n
-    a = np.zeros((k_max, n), dtype=complex)
-    adot = np.zeros((k_max, n), dtype=complex)
-    zero = np.abs(grid.omega) <= tol.zero_tol
+    if isinstance(control, ControlSignal):
+        return _evolve(spec, grid.omega, duration, tol,
+                       [(control, grid.k_max, None)])[0]
+    states = [None] * len(control)
+    head = max(range(len(control)), key=lambda i: control[i][1])
+    columns = _shared_columns(*control[head], grid.omega, duration)
+    walk = [(head, None)]
+    for i, (other, k_max) in enumerate(control):
+        if i == head:
+            continue
+        cols = columns(other, k_max)
+        if cols is None:
+            states[i] = _evolve(spec, grid.omega, duration, tol,
+                                [(other, k_max, None)])[0]
+        else:
+            walk.append((i, cols))
+    members = [(*control[i], cols) for i, cols in walk]
+    for (i, _), state in zip(walk, _evolve(spec, grid.omega, duration, tol,
+                                           members)):
+        states[i] = state
+    return states
+
+
+def _amplified(omega, duration: float) -> bool:
+    """Whether some mode's e^{|Im w| T} exceeds GROWTH_PIN (long double)."""
+    return bool((np.abs(omega.imag) * duration > math.log(GROWTH_PIN)).any())
+
+
+def _shared_columns(head: ControlSignal, k_head: int, omega,
+                    duration: float):
+    """The function of a (control, k_max) pair, k_max <= k_head, that gives
+    the columns of ``head``'s terms whose integrals are each of the
+    control's terms' integrals alone, or None when some are not: the
+    control's frequencies must be among the head's as bits, both must run
+    in one precision, and both must read the mirror, each term's partner
+    the same bits, or neither."""
+    bits = head.frequencies.view("V16")
+    index = dict(zip(bits.tolist(), range(bits.size)))
+    mirror = mirror_index(head.frequencies)
+    precision = _amplified(omega[:k_head], duration)
+
+    def columns(control: ControlSignal, k_max: int):
+        if _amplified(omega[:k_max], duration) != precision:
+            return None
+        cols = [index.get(key)
+                for key in control.frequencies.view("V16").tolist()]
+        own = mirror_index(control.frequencies)
+        if None in cols or (mirror is None) != (own is None):
+            return None
+        cols = np.array(cols, dtype=np.intp)
+        if own is not None and not np.array_equal(
+                bits[mirror[cols]].view(np.uint64),
+                control.frequencies[own].view(np.uint64)):
+            return None
+        return cols
+
+    return columns
+
+
+def _evolve(spec: SpectralDecomposition, omega, duration: float,
+            tol: Tolerances, members: list) -> list:
+    """The states of ``members``, (control, k_max, cols) triples.  The
+    first is the head: the blocks run over its terms and its modes
+    k <= k_max, and its cols are None.  Every other member reads the
+    columns ``cols`` of the head's kernels and the rows of its own modes,
+    which lead the head's, as its k_max is no larger."""
+    head, k_max, _ = members[0]
+    omega = omega[:k_max]
+    dtype = np.clongdouble if _amplified(omega, duration) else complex
+    nus = head.frequencies.astype(dtype)
+    n = omega.shape[1]
+    zero = np.abs(omega) <= tol.zero_tol
     # kernels of the other modes a block of modes at a time; one dot per mode
     # keeps the summation order of each mode's integral
     modes = list(zip(*np.nonzero(~zero)))
-    ws = grid.omega[~zero].astype(dtype)
-    mirror = mirror_index(control.frequencies)
+    gains = [(2.0 * (ki + 1) / math.pi) * spec.beta[li] for ki, li in modes]
+    ws = omega[~zero].astype(dtype)
+    mirror = mirror_index(head.frequencies)
+    amps = [control.amplitudes.astype(dtype) for control, _, _ in members]
+    counts = [int(np.count_nonzero(~zero[:k])) for _, k, _ in members]
+    states = [ModalState(np.zeros((k, n), dtype=complex),
+                         np.zeros((k, n), dtype=complex))
+              for _, k, _ in members]
 
     def evolve_block(rows):
         w = ws[rows, None]
-        fwd = phase_integral(nus - w, duration, switch=tol.series_switch)
+        fwd = phase_integral(nus - w, duration)
         if mirror is not None and not w.imag.any():
             bwd = fwd[:, mirror]
             np.conj(bwd, out=bwd)
         else:
-            bwd = phase_integral(nus + w, duration, switch=tol.series_switch)
+            bwd = phase_integral(nus + w, duration)
         # in place, in the operand order of a product into a new array (the
         # other order rounds differently)
         np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
         np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
         s_kernel = (fwd - bwd) / (2j * w)
         c_kernel = (fwd + bwd) / 2.0
-        for (ki, li), s_row, c_row in zip(modes[rows], s_kernel, c_kernel):
-            gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
-            a[ki, li] = gain * (amps @ s_row)
-            adot[ki, li] = gain * (amps @ c_row)
+        for (_, _, cols), amp, count, state in zip(members, amps, counts,
+                                                   states):
+            own = min(rows.stop, count) - rows.start
+            if own <= 0:
+                continue
+            for table, kernel in ((state.a, s_kernel),
+                                  (state.adot, c_kernel)):
+                kernel = kernel[:own]
+                if cols is not None:
+                    # np.take gives C-ordered rows, whose dots round as the
+                    # control's own kernel rows do (a[:, cols] would not)
+                    kernel = np.take(kernel, cols, axis=1)
+                for (ki, li), gain, row in zip(modes[rows], gains[rows],
+                                               kernel):
+                    table[ki, li] = gain * (amp @ row)
 
     map_blocks(evolve_block, row_blocks(len(modes), nus.size))
     for ki, li in zip(*np.nonzero(zero)):
         gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
-        a[ki, li] = gain * (amps @ ramp_integral(nus, duration,
-                                                 switch=tol.series_switch))
-        adot[ki, li] = gain * (amps @ phase_integral(nus, duration,
-                                                     switch=tol.series_switch))
-    return ModalState(a, adot)
+        ramp = ramp_integral(nus, duration)
+        phase = phase_integral(nus, duration)
+        for (_, k, cols), amp, state in zip(members, amps, states):
+            if ki < k:
+                take = slice(None) if cols is None else cols
+                state.a[ki, li] = gain * (amp @ ramp[take])
+                state.adot[ki, li] = gain * (amp @ phase[take])
+    return states
 
 
 def evolve_quadrature(spec: SpectralDecomposition, grid: FrequencyGrid,
@@ -238,15 +334,19 @@ def sobolev_norm(modal: ModalState, s: float, table: str = "a",
 
 def verify(spec: SpectralDecomposition, grid: FrequencyGrid,
            control: ControlSignal, target: ModalState, duration: float,
-           tol: Tolerances = DEFAULT) -> VerifyReport:
+           tol: Tolerances = DEFAULT,
+           achieved: ModalState | None = None) -> VerifyReport:
     """Evolve the control and compare against the target modal tables.
 
     The error metric is max over modes of |achieved - target| / (1 +
     |target|), taken over both the a and adot tables; the control passes at
     or below ``tol.verify_rtol``.  The achieved modal
-    state is handed back on the report.
+    state is handed back on the report.  ``achieved`` is the control's
+    ``duhamel_exact`` state when the caller has it already (a sweep evolves
+    its controls in one call), and is then not evolved again.
     """
-    achieved = duhamel_exact(spec, grid, control, duration, tol=tol)
+    if achieved is None:
+        achieved = duhamel_exact(spec, grid, control, duration, tol=tol)
     err_a = float((np.abs(achieved.a - target.a)
                    / (1.0 + np.abs(target.a))).max())
     err_adot = float((np.abs(achieved.adot - target.adot)

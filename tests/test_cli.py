@@ -328,6 +328,93 @@ def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
                      "dpotrf": 1}
 
 
+def rows_verified_one_by_one(monkeypatch, doc):
+    """The sweep's rows with each control evolved on its own by ``verify``,
+    as a sweep verified before its one-call evolution."""
+    from wavemoment import waveform
+
+    def one_by_one(rows, held, tol):
+        for i, (spec_used, grid, modal, control) in held.items():
+            report = waveform.verify(spec_used, grid, control, modal,
+                                     rows[i]["T"], tol=tol)
+            rows[i]["max_rel_error"] = report.max_rel_error
+            if not report.passed:
+                rows[i]["status"] = "verify_failed"
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_verify_points", one_by_one)
+        report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    return report["data"]["sweep"]["rows"]
+
+
+def sweep_calls(monkeypatch, doc):
+    """(rows, timings, calls) of a sweep, counting its evolutions and
+    verifications."""
+    from wavemoment import waveform
+
+    calls = {}
+    count_calls(monkeypatch, calls, waveform, "duhamel_exact")
+    count_calls(monkeypatch, calls, waveform, "verify")
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    monkeypatch.undo()
+    assert code == cli.EXIT_OK
+    return report["data"]["sweep"]["rows"], report["timings"], calls
+
+
+def test_k_sweep_evolves_once_and_verifies_each_point(monkeypatch):
+    doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
+    rows, timings, calls = sweep_calls(monkeypatch, doc)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert calls == {"duhamel_exact": 1, "verify": 3}
+    assert rows == rows_verified_one_by_one(monkeypatch, doc)
+    assert {"point_4_s", "point_16_s", "point_8_s",
+            "verification_s"} <= set(timings)
+
+
+def test_k_sweep_rows_are_unchanged_when_the_top_point_fails(monkeypatch):
+    # raw basis: the condition estimate is 1.2e3 at K = 16 and 3.2e2 at
+    # K = 8, so the top point fails synthesis and K = 8 heads the evolution
+    doc = dict(A2_DOC, method="raw", tolerances={"cond_cap": 1e3},
+               sweep={"parameter": "K", "values": [4, 16, 8]})
+    rows, _, calls = sweep_calls(monkeypatch, doc)
+    assert [row["status"] for row in rows] == \
+        ["ok", "ConditioningExceeded", "ok"]
+    assert calls == {"duhamel_exact": 1, "verify": 2}
+    assert rows == rows_verified_one_by_one(monkeypatch, doc)
+
+
+def test_t_sweep_evolves_once_per_distinct_t(monkeypatch):
+    doc = dict(README_EDD_DOC, sweep={
+        "parameter": "T", "values": [FOUR_PI, FOUR_PI + 1.0, FOUR_PI]})
+    rows, _, calls = sweep_calls(monkeypatch, doc)
+    assert [row["status"] for row in rows] == ["ok"] * 3
+    assert calls == {"duhamel_exact": 2, "verify": 3}
+    assert rows == rows_verified_one_by_one(monkeypatch, doc)
+
+
+def test_series_switch_override_does_not_reach_verify():
+    # the Gram's second-order series up to |Delta| = 0.05 misses the target
+    # by 5.6e-3; the evolution that checks the control keeps its own switch
+    # (it passed at 9.1e-16 when it took the override too)
+    doc = dict(README_EDD_DOC, target={"z0": [[1, [1.0, 0.5]]]},
+               tolerances={"series_switch": 0.05})
+    report, code = cli.run("verify", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_NUMERICAL
+    assert report["data"]["verification"]["max_rel_error"] > 1e-3
+
+
+def test_hermit_rtol_below_rounding_is_bad_input(tmp_path, capsys):
+    path = write_config(tmp_path, dict(README_EDD_DOC,
+                                       tolerances={"hermit_rtol": 1e-17}))
+    assert cli.main(["verify", "--config", path]) == cli.EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: tolerance 'hermit_rtol' must be at least")
+    assert "Traceback" not in err
+    cli.parse_config(json.dumps(dict(README_EDD_DOC, tolerances={
+        "hermit_rtol": cli.MIN_HERMIT_RTOL})))
+
+
 N3_EDD_DOC = {
     "A": [[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
     "b": [1.0, 0.0, 0.0],

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavemoment import _kernels, cli
+from wavemoment import _kernels, cli, waveform
 from wavemoment.coupling import CouplingSystem, decompose
 from wavemoment.moments import (ControlSignal, TargetSpec, assemble_gram,
                                 moments_from_target, synthesize,
@@ -83,6 +83,31 @@ def open_control_outputs():
     return [state.a, state.adot, control.sample(4097)[1]]
 
 
+def sweep_states(a, b, k_max, duration, basis):
+    """The one-call states of the controls that a K sweep over k_max, 2/3
+    and 1/3 of it synthesizes from one assembly, and each control's state
+    alone on its own grid."""
+    a, b = np.array(a), np.array(b)
+    spec = decompose(CouplingSystem(a, b))
+    grid = build_frequencies(spec, k_max)
+    family = build_edd(grid) if basis == "edd" else build_raw(grid)
+    ms = assemble_gram(family, duration)
+    n = len(b)
+    target = TargetSpec({1: np.linspace(-0.5, 0.5, n)},
+                        {2: np.linspace(0.8, -0.3, n)})
+    points = []
+    for k in (k_max, 2 * k_max // 3, k_max // 3):
+        small = build_frequencies(spec, k)
+        modal = target_to_modal(target, spec, small)
+        points.append((synthesize(ms.restrict(k), moments_from_target(
+            modal, spec, small, duration)), k, small))
+    one_call = duhamel_exact(spec, grid, [(c, k) for c, k, _ in points],
+                             duration)
+    alone = [duhamel_exact(spec, small, c, duration)
+             for c, _, small in points]
+    return one_call, alone, [c for c, _, _ in points]
+
+
 def run_with_workers(monkeypatch, count, make):
     monkeypatch.setattr(_kernels, "workers", lambda: count)
     monkeypatch.setattr(_kernels, "ThreadPoolExecutor", CountingPool)
@@ -114,6 +139,30 @@ def test_open_control_does_not_depend_on_worker_count(monkeypatch):
         assert all(np.array_equal(x, y) for x, y in zip(first, outputs))
 
 
+@pytest.mark.parametrize("count", [1, 2, 8])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_one_call_evolution_matches_each_control_alone(name, count,
+                                                       monkeypatch):
+    # the sweep's controls share one walk over the largest K's mode blocks
+    # and read their columns from it, for any number of workers
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", BLOCK)
+    monkeypatch.setattr(_kernels, "workers", lambda: count)
+    walks = []
+    evolve = waveform._evolve
+    monkeypatch.setattr(waveform, "_evolve", lambda *args: walks.append(
+        len(args[-1])) or evolve(*args))
+    one_call, alone, controls = sweep_states(*SYSTEMS[name])
+    # one walk of the three, then one each alone
+    assert walks == [3, 1, 1, 1]
+    if name == "raw-growing":
+        # long double, and the pinned extras repeat some frequencies
+        terms = controls[0].frequencies
+        assert np.unique(terms).size < terms.size
+    for got, want in zip(one_call, alone):
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.adot, want.adot)
+
+
 def test_outputs_hold_under_rapid_thread_switching(monkeypatch):
     # 8 workers switching the GIL every microsecond interleave the blocks
     # as finely as the interpreter allows
@@ -131,6 +180,23 @@ def test_outputs_hold_under_rapid_thread_switching(monkeypatch):
     assert time.perf_counter() - started < 60.0
     assert pools == STAGES
     assert all(np.array_equal(x, y) for x, y in zip(want, got))
+
+
+def test_one_call_evolution_holds_under_rapid_thread_switching(monkeypatch):
+    # the walk's blocks write every member's rows from 8 workers
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", BLOCK)
+    monkeypatch.setattr(_kernels, "workers", lambda: 8)
+    interval = sys.getswitchinterval()
+    started = time.perf_counter()
+    sys.setswitchinterval(1e-6)
+    try:
+        one_call, alone, _ = sweep_states(*SYSTEMS["real-edd"])
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - started < 60.0
+    for got, want in zip(one_call, alone):
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.adot, want.adot)
 
 
 def test_threads_are_capped_whatever_the_cpu_count(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wavemoment import waveform
 from wavemoment.coupling import CouplingSystem, decompose
 from wavemoment.exceptions import GridTooCoarse
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
@@ -388,3 +389,74 @@ def test_wellposedness_bounded_and_stable():
         r16 = wellposedness_ratio(modal16, grid16, ctrl)
         assert np.isfinite(r8) and r8 <= 100.0
         assert r8 <= r16 <= 2.0 * r8
+
+
+def real_terms(rng, count, scale):
+    """A real control's terms: frequencies closed under nu -> -conj(nu),
+    conjugate amplitudes on mirrored frequencies."""
+    freqs = rng.standard_normal(count) * scale + 0.05j * rng.standard_normal(
+        count)
+    amps = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return (np.concatenate([freqs, -np.conj(freqs)]),
+            np.concatenate([amps, np.conj(amps)]))
+
+
+def one_call_and_alone(spec, k_top, pairs, duration, monkeypatch):
+    """Check the one-call states against each control alone; return the
+    sizes of the one call's walks over the mode blocks."""
+    walks = []
+    evolve = waveform._evolve
+    with monkeypatch.context() as patch:
+        patch.setattr(waveform, "_evolve", lambda *args: walks.append(
+            len(args[-1])) or evolve(*args))
+        grid = build_frequencies(spec, k_top)
+        one_call = duhamel_exact(spec, grid, pairs, duration)
+    alone = [duhamel_exact(spec, build_frequencies(spec, k), c, duration)
+             for c, k in pairs]
+    for got, want, (_, k) in zip(one_call, alone, pairs):
+        assert got.a.shape == (k, spec.eigenvalues.size)
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.adot, want.adot)
+    return walks
+
+
+def test_one_call_evolution_with_a_zero_mode(monkeypatch):
+    # lambda = -1: omega_{1,1} = 0 takes the ramp kernel, in every control
+    spec = spec_for([-1.0, 0.5])
+    duration = 2 * TWO_PI + 1.0
+    grid = build_frequencies(spec, 12)
+    assert grid.omega[0, 0] == 0 and np.count_nonzero(grid.omega == 0) == 1
+    rng = np.random.default_rng(3)
+    freqs, amps = real_terms(rng, 40, 6.0)
+    top = ControlSignal(duration, freqs, amps)
+    pairs = [(top, 12)]
+    for k, count in ((6, 24), (1, 8), (12, 40)):
+        # a random subset of the top's terms, closed under the mirror, in a
+        # shuffled order
+        pick = rng.permutation(40)[:count]
+        cols = rng.permutation(np.concatenate([pick, pick + 40]))
+        pairs.append((ControlSignal(duration, freqs[cols],
+                                    rng.standard_normal(2 * count)), k))
+    assert one_call_and_alone(spec, 12, pairs, duration, monkeypatch) == [4]
+
+
+def test_one_call_evolution_with_open_controls(monkeypatch):
+    # controls not closed under the mirror, or with terms the head lacks,
+    # are evolved alone
+    spec = spec_for([0.5, -0.3, 1.7])
+    duration = 3 * TWO_PI + 1.0
+    rng = np.random.default_rng(5)
+    freqs, amps = real_terms(rng, 60, 10.0)
+    open_freqs = freqs[:50]
+    pairs = [(ControlSignal(duration, freqs, amps), 16),
+             (ControlSignal(duration, freqs[::-1], amps), 8),
+             (ControlSignal(duration, open_freqs, amps[:50]), 8),
+             (ControlSignal(duration, open_freqs[:20], amps[:20]), 4),
+             (ControlSignal(duration, rng.standard_normal(30),
+                            rng.standard_normal(30)), 4)]
+    # the head and its reversed terms in one walk, the others alone
+    assert one_call_and_alone(spec, 16, pairs, duration,
+                              monkeypatch) == [1, 1, 1, 2]
+    # an open head shares its integrals with an open control on its terms
+    assert one_call_and_alone(spec, 8, pairs[2:4], duration,
+                              monkeypatch) == [2]
