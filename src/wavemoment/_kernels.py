@@ -127,13 +127,13 @@ def ramp_integral(nu, duration, switch=SERIES_SWITCH):
     return out[0] if scalar else out
 
 
-def segment_moment(mu, h, switch=SERIES_SWITCH):
+def segment_moment(mu, h):
     """Integral of t * e^{i*mu*t} dt over [0, h] (first moment on a segment)."""
     m = np.asarray(mu, dtype=complex)
     scalar = m.ndim == 0
     m = np.atleast_1d(m)
     out = np.empty(m.shape, dtype=complex)
-    small = np.abs(m) <= switch
+    small = np.abs(m) <= SERIES_SWITCH
     y = 1j * m[small] * h
     out[small] = h * h * (0.5 + y / 3.0 + y * y / 8.0)
     big = ~small

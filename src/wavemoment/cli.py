@@ -20,9 +20,8 @@ import numpy as np
 
 from . import _kernels, coupling, moments, spectrum, waveform
 from .exceptions import (BadInput, BetaZero, CollisionInBlock,
-                         ConditioningExceeded, DegenerateEigenvector,
-                         GridTooCoarse, ModeOutOfRange, NonConvergence,
-                         RepeatedEigenvalues, SingularSystem)
+                         ConditioningExceeded, GridTooCoarse, ModeOutOfRange,
+                         NonConvergence, RepeatedEigenvalues, SingularSystem)
 from .linalg import MAX_DENSE_DIM
 from .tolerances import Tolerances, from_profile, profile_name
 
@@ -33,7 +32,7 @@ EXIT_CONDITIONS = 2
 EXIT_NUMERICAL = 3
 EXIT_BAD_INPUT = 4
 
-METHODS = ("raw", "edd", "n2_sharp")
+METHODS = ("raw", "edd")
 STATE_POINTS = 513
 DEFAULT_SAMPLES = 2048
 # The smallest hermit_rtol override.  The relative asymmetries it bounds, of
@@ -43,8 +42,7 @@ DEFAULT_SAMPLES = 2048
 MIN_HERMIT_RTOL = 1e-13
 
 _NUMERICAL_ERRORS = (SingularSystem, ConditioningExceeded, BetaZero,
-                     CollisionInBlock, GridTooCoarse, NonConvergence,
-                     DegenerateEigenvector)
+                     CollisionInBlock, GridTooCoarse, NonConvergence)
 
 
 @dataclasses.dataclass
@@ -98,17 +96,9 @@ def _check_target_entry(raw, n_comp, label, errors):
     return table
 
 
-def _method_errors(method, n_comp: int, b: np.ndarray) -> list:
-    """Why ``method`` cannot run for N = ``n_comp`` and b (a bad N or b adds
-    nothing: it is reported already)."""
-    if method not in METHODS:
-        return [f"method must be one of {METHODS}"]
-    if method == "n2_sharp" and n_comp and n_comp != 2:
-        return ["method n2_sharp requires a two-component system"]
-    if method == "n2_sharp" and n_comp == 2 and b.shape == (2,):
-        if b[0] == 0 or abs(b[1]) > 1e-12 * abs(b[0]):
-            return ["method n2_sharp requires b proportional to (1, 0)"]
-    return []
+def _method_errors(method) -> list:
+    """Why ``method`` cannot run: it is not one of METHODS."""
+    return [] if method in METHODS else [f"method must be one of {METHODS}"]
 
 
 def parse_config(source: str) -> ProblemConfig:
@@ -176,7 +166,7 @@ def parse_config(source: str) -> ProblemConfig:
         k_max = 16
 
     method = doc.get("method", "raw")
-    errors += _method_errors(method, n_comp, b)
+    errors += _method_errors(method)
 
     target_raw = doc.get("target", {})
     z0, z1 = {}, {}
@@ -341,36 +331,34 @@ def _write_state_file(out_dir: str, modal, spec):
 
 
 def _system(config: ProblemConfig, spec, tol: Tolerances, kept=None):
-    """Pipeline head and Gram system at ``config.k_max``: (spec_used, grid,
-    modal, gamma, ms).  A K sweep passes ``kept``, its list of at most one
+    """Pipeline head and Gram system at ``config.k_max``: (grid, modal,
+    gamma, ms).  A K sweep passes ``kept``, its list of at most one
     system: the system is read from the one it holds (assembled for the same
     T at a K at least as large), else its family is built and assembled
     here and the system appended to it."""
     grid = spectrum.build_frequencies(spec, config.k_max)
-    if config.method == "n2_sharp":
-        spec = moments.n2_normalize_eigvecs(spec, config.b)
     modal = moments.target_to_modal(config.target, spec, grid)
     gamma = moments.moments_from_target(modal, spec, grid, config.duration,
                                         tol=tol)
     if kept:
-        return spec, grid, modal, gamma, kept[0].restrict(config.k_max)
+        return grid, modal, gamma, kept[0].restrict(config.k_max)
     family = (spectrum.build_raw(grid) if config.method == "raw"
               else spectrum.build_edd(grid, tol=tol))
     ms = moments.assemble_gram(family, config.duration, tol)
     if kept is not None:
         kept.append(ms)
-    return spec, grid, modal, gamma, ms
+    return grid, modal, gamma, ms
 
 
 def _sweep_point(config: ProblemConfig, spec, kept,
                  tol: Tolerances) -> tuple:
-    """A sweep point's row up to its synthesis, and (spec_used, grid, modal,
-    control) for its verification, or None when its synthesis raised."""
+    """A sweep point's row up to its synthesis, and (grid, modal, control)
+    for its verification, or None when its synthesis raised."""
     row = {"T": config.duration, "K": config.k_max, "status": "ok",
            "cond_estimate": None, "control_norm": None,
            "moment_residual": None, "max_rel_error": None, "error": None}
     try:
-        spec_used, grid, modal, gamma, ms = _system(config, spec, tol, kept)
+        grid, modal, gamma, ms = _system(config, spec, tol, kept)
         row["cond_estimate"] = ms.cond_estimate
         control = moments.synthesize(ms, gamma, tol=tol)
     except _NUMERICAL_ERRORS as exc:
@@ -379,10 +367,10 @@ def _sweep_point(config: ProblemConfig, spec, kept,
         return row, None
     row["control_norm"] = control.l2_norm()
     row["moment_residual"] = control.moment_residual
-    return row, (spec_used, grid, modal, control)
+    return row, (grid, modal, control)
 
 
-def _verify_points(rows: list, held: dict, tol: Tolerances):
+def _verify_points(rows: list, held: dict, spec, tol: Tolerances):
     """Verify the synthesized points ``held`` (row index -> ``_sweep_point``
     tuple, largest K first) into their rows, evolving the controls of one T
     in one ``duhamel_exact`` call on the largest of their grids."""
@@ -390,14 +378,14 @@ def _verify_points(rows: list, held: dict, tol: Tolerances):
     for i in held:
         by_duration.setdefault(rows[i]["T"], []).append(i)
     for duration, points in by_duration.items():
-        spec_used, grid = held[points[0]][:2]
+        grid = held[points[0]][0]
         states = waveform.duhamel_exact(
-            spec_used, grid, [(held[i][3], held[i][1].k_max) for i in points],
+            spec, grid, [(held[i][2], held[i][0].k_max) for i in points],
             duration, tol=tol)
         for i, state in zip(points, states):
-            spec_used, grid, modal, control = held[i]
-            report = waveform.verify(spec_used, grid, control, modal,
-                                     duration, tol=tol, achieved=state)
+            grid, modal, control = held[i]
+            report = waveform.verify(spec, grid, control, modal, duration,
+                                     tol=tol, achieved=state)
             rows[i]["max_rel_error"] = report.max_rel_error
             if not report.passed:
                 rows[i]["status"] = "verify_failed"
@@ -412,8 +400,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
     forced runs are outside the normal report guarantees.
     """
     if method is not None:
-        # the checks parse_config makes of a config's own method
-        if errors := _method_errors(method, config.n, config.b):
+        if errors := _method_errors(method):
             raise BadInput(errors)
         config = dataclasses.replace(config, method=method)
     profile, tol = _resolve_tolerances(config)
@@ -492,7 +479,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
                 time.perf_counter() - t0
         del kept
         t0 = time.perf_counter()
-        _verify_points(rows, held, tol)
+        _verify_points(rows, held, spec, tol)
         timings["verification_s"] = time.perf_counter() - t0
         report["sweep"] = {"parameter": config.sweep.parameter,
                            "values": list(config.sweep.values), "rows": rows}
@@ -512,7 +499,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     try:
         t0 = time.perf_counter()
-        spec_used, grid, modal, gamma, ms = _system(config, spec, tol)
+        grid, modal, gamma, ms = _system(config, spec, tol)
         timings["setup_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         control = moments.synthesize(ms, gamma, tol=tol)
@@ -525,7 +512,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_NUMERICAL)
 
     report["synthesis"] = {
-        "basis": "raw" if config.method == "raw" else "edd",
+        "basis": config.method,
         "size": int(ms.gram.shape[0]),
         "cond_estimate": ms.cond_estimate,
         "control_norm": control.l2_norm(),
@@ -540,8 +527,8 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_OK)
 
     t0 = time.perf_counter()
-    result = waveform.verify(spec_used, grid, control, modal,
-                             config.duration, tol=tol)
+    result = waveform.verify(spec, grid, control, modal, config.duration,
+                             tol=tol)
     timings["verification_s"] = time.perf_counter() - t0
     report["verification"] = {
         "max_rel_error": result.max_rel_error,
@@ -549,7 +536,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         "wellposedness_ratio": result.wellposedness_ratio,
     }
     if out_dir is not None:
-        write(_write_state_file, out_dir, result.achieved, spec_used)
+        write(_write_state_file, out_dir, result.achieved, spec)
     return finish(EXIT_OK if result.passed else EXIT_NUMERICAL)
 
 

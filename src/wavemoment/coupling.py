@@ -3,8 +3,11 @@
 The model is a vector of wave components coupled through a constant matrix A,
 driven at one end of the interval (0, pi) through a fixed direction b by one
 scalar control.  Whether a target state is reachable hinges on three checks:
-a rank condition on (A, b), absence of integer-gap resonances between the
-eigenvalues of A, and a long enough control time T >= 2*pi*N.
+the Kalman rank condition on (A, b), absence of integer-gap resonances
+between the eigenvalues of A, and a long enough control time T >= 2*pi*N.
+For the distinct eigenvalues the model requires, the Kalman condition is
+decided by the Hautus test at each eigenvalue, not from the Krylov matrix
+[A^{N-1} b, ..., b], whose conditioning grows exponentially with N.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import numpy as np
 
 from .exceptions import BadInput, NonConvergence, RepeatedEigenvalues
-from .linalg import eig_dense, rank_qr
+from .linalg import eig_dense
 from .tolerances import DEFAULT, Tolerances
 
 # trial divisors per numpy pass of the resonance search
@@ -125,16 +128,20 @@ def decompose(system: CouplingSystem, tol: Tolerances = DEFAULT) -> SpectralDeco
     return SpectralDecomposition(lam, v, psi, beta, min_sep)
 
 
-def kalman_check(system: CouplingSystem, tol: Tolerances = DEFAULT) -> int:
-    """Rank of the controllability matrix [A^{N-1} b, ..., A b, b]."""
+def kalman_check(system: CouplingSystem, eigenvalues,
+                 tol: Tolerances = DEFAULT) -> int:
+    """Kalman rank of (A, b) by the Hautus test at the distinct
+    ``eigenvalues`` of A: N minus the number of eigenvalues lam at which
+    sigma_min([A - lam I, b]) <= ``tol.rank_tol`` * ||[A, b]||_2."""
+    lam = np.asarray(eigenvalues, dtype=complex)
     n = system.n
-    cols = []
-    vec = system.b.astype(float)
-    for _ in range(n):
-        cols.append(vec)
-        vec = system.a @ vec
-    cols.reverse()
-    return rank_qr(np.column_stack(cols), tol=tol)
+    pencils = np.empty((lam.size, n, n + 1), dtype=complex)
+    pencils[:, :, :n] = system.a - lam[:, None, None] * np.eye(n)
+    pencils[:, :, n] = system.b
+    sigma_min = np.linalg.svd(pencils, compute_uv=False)[:, -1]
+    cutoff = tol.rank_tol * np.linalg.svd(
+        np.column_stack([system.a, system.b]), compute_uv=False)[0]
+    return n - int(np.count_nonzero(sigma_min <= cutoff))
 
 
 def resonance_check(eigenvalues, tol: Tolerances = DEFAULT) -> list:
@@ -211,7 +218,7 @@ def analyze(system: CouplingSystem, duration: float,
         raise ValueError("control time must be positive")
     if spec is None:
         spec = decompose(system, tol=tol)
-    rank = kalman_check(system, tol=tol)
+    rank = kalman_check(system, spec.eigenvalues, tol=tol)
     resonances = resonance_check(spec.eigenvalues, tol=tol)
     n = system.n
     kalman_ok = rank == n

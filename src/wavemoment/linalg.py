@@ -3,9 +3,10 @@
 Thin, contract-enforcing wrappers over LAPACK (through numpy/scipy): a dense
 eigensolver for small real or complex matrices with a fixed eigenvalue
 ordering and residual guarantee, a real symmetric Cholesky factorization
-(dpotrf) that carries its 1-norm condition estimate, a solve with pivot
-diagnostics on that factorization (dpotrs), and a numeric rank from
-column-pivoted QR.
+(dpotrf) that carries its 1-norm condition estimate, and a solve with pivot
+diagnostics on that factorization (dpotrs).  The Kalman condition needs no
+rank routine: ``coupling.kalman_check`` runs the Hautus test at the
+eigenvalues of A.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 # lu_factor stays bound here, where perfbench/spans.py traces it
 from scipy.linalg import lu_factor  # noqa: F401
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -28,7 +28,7 @@ MAX_DENSE_DIM = 32
 
 __all__ = [
     "EigenResult", "HermitianFactor", "eig_dense", "factor_hermitian",
-    "solve_hermitian", "rank_qr", "cond_estimate_1norm", "MAX_DENSE_DIM",
+    "solve_hermitian", "cond_estimate_1norm", "MAX_DENSE_DIM",
 ]
 
 
@@ -216,23 +216,3 @@ def solve_hermitian(g, rhs, tol: Tolerances = DEFAULT,
     x += d * dpotrs(factor.lu, d * (rhs - g @ x), lower=1)[0]
     return x, factor.cond
 
-
-def rank_qr(m, tol: Tolerances = DEFAULT) -> int:
-    """Numeric rank from column-pivoted QR.
-
-    Counts diagonal entries of R with magnitude above
-    ``tol.rank_tol * max |R_jj|``.  An empty or zero matrix has rank 0.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D array")
-    if m.size == 0:
-        return 0
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix entries must be finite")
-    r = scipy.linalg.qr(m, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    top = diag.max() if diag.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.count_nonzero(diag > tol.rank_tol * top))

@@ -22,8 +22,8 @@ from .exceptions import CollisionInBlock
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "FrequencyGrid", "EddFamily", "GapReport", "signed_modes", "build_raw",
-    "build_frequencies", "detect_collisions", "build_edd", "gap_diagnostics",
+    "FrequencyGrid", "EddFamily", "signed_modes", "build_raw",
+    "build_frequencies", "detect_collisions", "build_edd",
 ]
 
 
@@ -194,34 +194,3 @@ def build_raw(grid: FrequencyGrid) -> EddFamily:
                      weights=np.tile(np.eye(grid.n, dtype=complex),
                                      (blocks, 1, 1)))
 
-
-@dataclasses.dataclass
-class GapReport:
-    k: np.ndarray
-    diameter: np.ndarray
-    product: np.ndarray
-    median_product: float
-    flagged: list
-
-
-def gap_diagnostics(grid: FrequencyGrid) -> GapReport:
-    """In-block frequency diameters d_k and the scaled products k * d_k.
-
-    For distinct eigenvalues the products settle near max|lam_i - lam_j| / 2;
-    blocks in the upper half of the k range whose product drifts outside
-    [c/2, 2c] of the upper-half median c are flagged.
-    """
-    if grid.n < 2:
-        empty = np.empty(0)
-        return GapReport(k=np.empty(0, dtype=int), diameter=empty,
-                         product=empty, median_product=0.0, flagged=[])
-    ks = np.arange(1, grid.k_max + 1)
-    w = grid.omega
-    diam = np.abs(w[:, None, :] - w[:, :, None]).max(axis=(1, 2))
-    product = ks * diam
-    upper = ks >= max(1, grid.k_max // 2)
-    median = float(np.median(product[upper]))
-    drift = (product < median / 2.0) | (product > 2.0 * median)
-    flagged = [int(k) for k in ks[upper & drift]] if median > 0 else []
-    return GapReport(k=ks, diameter=diam, product=product,
-                     median_product=median, flagged=flagged)

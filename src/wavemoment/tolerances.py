@@ -21,7 +21,8 @@ class Tolerances:
     # means singular, S the factored matrix (for a Gram: the normalized real
     # one)
     pivot_tol: float = 1e-12
-    # numeric rank: QR diagonal relative cutoff
+    # Kalman rank by Hautus: an eigenvalue lam is unreachable when
+    # sigma_min([A - lam I, b]) <= rank_tol * ||[A, b]||_2
     rank_tol: float = 1e-9
     # eigenvalue separation: repeated if min gap <= sep_scale * (1 + ||A||)
     sep_scale: float = 1e-8
@@ -36,7 +37,7 @@ class Tolerances:
     # frequency collision threshold is coll_scale * (1 + K)
     coll_scale: float = 1e-8
     # small-argument series switch for synthesis' kernel integrals (the
-    # closed-form evolution that verifies a control keeps
+    # evolutions that verify a control, closed-form and quadrature, keep
     # _kernels.SERIES_SWITCH); covers the resonant-limit band (<= 1e-8)
     # with a guard margin
     series_switch: float = 1e-6

@@ -209,8 +209,10 @@ def evolve_quadrature(spec: SpectralDecomposition, grid: FrequencyGrid,
 
     Integrates the piecewise-linear interpolant of the samples exactly
     against the oscillatory kernels, so the result is second order in the
-    sample spacing for smooth controls.  Raises GridTooCoarse when the
-    spacing exceeds pi / (4 * max |w|).
+    sample spacing for smooth controls.  As in ``duhamel_exact``, the
+    integrals take the kernels' fixed series switch, never
+    ``tol.series_switch``.  Raises GridTooCoarse when the spacing exceeds
+    pi / (4 * max |w|).
     """
     values = np.asarray(samples, dtype=complex)
     if values.ndim != 1 or values.size < 2:
@@ -229,8 +231,8 @@ def evolve_quadrature(spec: SpectralDecomposition, grid: FrequencyGrid,
 
     def segment_sum(mu: complex) -> complex:
         # int f_lin(s) e^{i mu s} ds, exact per linear segment
-        e_seg = phase_integral(mu, dt, switch=tol.series_switch)
-        d_seg = segment_moment(mu, dt, switch=tol.series_switch)
+        e_seg = phase_integral(mu, dt)
+        d_seg = segment_moment(mu, dt)
         ph = np.exp(1j * mu * t0)
         return e_seg * (ph @ left) + d_seg * (ph @ slope)
 

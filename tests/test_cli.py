@@ -135,18 +135,6 @@ def test_parse_sweep_validation():
     assert config.sweep.values == [6.0, 12.0]
 
 
-def test_parse_n2_sharp_requirements():
-    doc = dict(A2_DOC, method="n2_sharp")
-    assert cli.parse_config(json.dumps(doc)).method == "n2_sharp"
-    with pytest.raises(BadInput):
-        cli.parse_config(json.dumps(dict(doc, b=[0.0, 1.0])))
-    three = {"A": [[0.0, 0, 0], [1, 1, 0], [0, 1, 2]], "b": [1.0, 0, 0],
-             "T": 20.0, "method": "n2_sharp"}
-    with pytest.raises(BadInput) as err:
-        cli.parse_config(json.dumps(three))
-    assert any("two-component" in m for m in err.value.errors)
-
-
 def test_parse_path_and_text(tmp_path):
     path = write_config(tmp_path, A2_DOC)
     from_path = cli.parse_config(path)
@@ -333,9 +321,9 @@ def rows_verified_one_by_one(monkeypatch, doc):
     as a sweep verified before its one-call evolution."""
     from wavemoment import waveform
 
-    def one_by_one(rows, held, tol):
-        for i, (spec_used, grid, modal, control) in held.items():
-            report = waveform.verify(spec_used, grid, control, modal,
+    def one_by_one(rows, held, spec, tol):
+        for i, (grid, modal, control) in held.items():
+            report = waveform.verify(spec, grid, control, modal,
                                      rows[i]["T"], tol=tol)
             rows[i]["max_rel_error"] = report.max_rel_error
             if not report.passed:
@@ -760,23 +748,17 @@ def test_method_override(tmp_path, capsys):
         cli.run("synthesize", config, method="fastest")
     with pytest.raises(BadInput):
         cli.run("transmogrify", config)
-    # the override passes the checks a config's own method passes, with the
-    # same messages: N = 3, and b not along (1, 0)
-    for doc, reason in (
-            ({"A": [[0.0, 0, 0], [1, 1, 0], [0, 1, 2]], "b": [1.0, 0, 0],
-              "T": 20.0}, "method n2_sharp requires a two-component system"),
-            (dict(A2_DOC, b=[1.0, 1.0]),
-             "method n2_sharp requires b proportional to (1, 0)")):
-        with pytest.raises(BadInput) as err:
-            cli.parse_config(json.dumps(dict(doc, method="n2_sharp")))
-        assert err.value.errors == [reason]
-        with pytest.raises(BadInput) as err:
-            cli.run("verify", cli.parse_config(json.dumps(doc)),
-                    method="n2_sharp")
-        assert err.value.errors == [reason]
-        assert cli.main(["verify", "--config", write_config(tmp_path, doc),
-                         "--method", "n2_sharp"]) == cli.EXIT_BAD_INPUT
-        assert capsys.readouterr().err == f"error: {reason}\n"
+    # n2_sharp is gone: a config naming it and the override both exit 4
+    reason = "method must be one of ('raw', 'edd')"
+    with pytest.raises(BadInput) as err:
+        cli.parse_config(json.dumps(dict(A2_DOC, method="n2_sharp")))
+    assert err.value.errors == [reason]
+    with pytest.raises(BadInput) as err:
+        cli.run("verify", config, method="n2_sharp")
+    assert err.value.errors == [reason]
+    path = write_config(tmp_path, dict(A2_DOC, method="n2_sharp"))
+    assert cli.main(["verify", "--config", path]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {reason}\n"
 
 
 def test_deterministic_outputs(tmp_path):

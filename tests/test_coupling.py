@@ -1,9 +1,11 @@
+import json
 import math
 import time
 
 import numpy as np
 import pytest
 
+from wavemoment import cli
 from wavemoment.coupling import (MAX_GAP, CouplingSystem, analyze, decompose,
                                  kalman_check, resonance_check)
 from wavemoment.exceptions import BadInput, RepeatedEigenvalues
@@ -84,11 +86,16 @@ def test_decompose_rejects_repeated():
         decompose(CouplingSystem(almost, np.array([1.0, 1.0])))
 
 
+def kalman_rank(a, b):
+    system = CouplingSystem(a, b)
+    return kalman_check(system, decompose(system).eigenvalues)
+
+
 def test_kalman_examples():
-    assert kalman_check(CouplingSystem(np.diag([1.0, 2.0]),
-                                       np.array([1.0, 1.0]))) == 2
-    assert kalman_check(CouplingSystem(np.eye(2), np.array([1.0, 0.0]))) == 1
-    assert kalman_check(CouplingSystem(A2, B2)) == 2
+    assert kalman_rank(np.diag([1.0, 2.0]), np.array([1.0, 1.0])) == 2
+    # b along the eigenvector of 1 leaves the eigenvalue 2 unreachable
+    assert kalman_rank(np.diag([1.0, 2.0]), np.array([1.0, 0.0])) == 1
+    assert kalman_rank(A2, B2) == 2
 
 
 def test_kalman_iff_beta_nonzero():
@@ -103,7 +110,7 @@ def test_kalman_iff_beta_nonzero():
             spec = decompose(CouplingSystem(a, b))
         except RepeatedEigenvalues:
             continue
-        rank = kalman_check(CouplingSystem(a, b))
+        rank = kalman_check(CouplingSystem(a, b), spec.eigenvalues)
         min_beta = np.abs(spec.beta).min()
         if rank == n:
             assert min_beta > 1e-12
@@ -128,7 +135,45 @@ def test_kalman_defect_from_orthogonal_b():
         b = v[:, 1:] @ rng.standard_normal(n - 1)
         if not np.any(b):
             continue
-        assert kalman_check(CouplingSystem(a, b)) < n
+        assert kalman_rank(a, b) < n
+
+
+def dense_draw(n):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((n, n))
+    return a, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20, 24, 32])
+def test_kalman_full_on_dense_draws(n):
+    # the Krylov matrix's QR rank was 13, 12, 9 and 9 at N = 16, 20, 24 and 32
+    assert kalman_rank(*dense_draw(n)) == n
+
+
+def test_kalman_on_bidiagonal_systems():
+    # e_1 reaches every eigenvector of a lower-bidiagonal A; e_N is the
+    # eigenvector of the last diagonal entry, so it reaches that one only
+    for n in range(2, 17):
+        a = np.diag(np.linspace(-0.9, 2.0, n)) + np.diag(np.ones(n - 1), -1)
+        assert kalman_rank(a, np.eye(n)[0]) == n
+        assert kalman_rank(a, np.eye(n)[-1]) == 1
+
+
+def test_kalman_with_b_in_an_invariant_subspace():
+    # the Krylov matrix's QR rank was 17 here
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.standard_normal((32, 32)))[0]
+    a = q @ np.diag(np.linspace(-0.9, 2.0, 32)) @ q.T
+    b = q[:, :16] @ rng.standard_normal(16)
+    assert kalman_rank(a, b) == 16
+
+
+def test_analyze_dense_draw_beyond_krylov_precision():
+    a, b = dense_draw(16)
+    doc = {"A": a.tolist(), "b": b.tolist(), "T": 2 * math.pi * 16 + 1}
+    report, code = cli.run("analyze", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    assert report["data"]["conditions"]["kalman_rank"] == 16
 
 
 def test_resonance_examples():

@@ -4,7 +4,7 @@ import pytest
 from wavemoment.exceptions import DimensionTooLarge, SingularSystem
 from wavemoment.linalg import (MAX_DENSE_DIM, HermitianFactor,
                                cond_estimate_1norm, eig_dense,
-                               factor_hermitian, rank_qr, solve_hermitian)
+                               factor_hermitian, solve_hermitian)
 from wavemoment.tolerances import DEFAULT
 
 import oracles
@@ -233,28 +233,6 @@ def test_cond_estimate_basics():
     assert factor_hermitian(np.zeros((2, 2))).cond == np.inf
     assert factor_hermitian(np.ones((2, 2))).cond == np.inf
     assert cond_estimate_1norm(np.eye(3), 1.0) == pytest.approx(1.0)
-
-
-def test_rank_trivial_cases():
-    assert rank_qr(np.zeros((2, 2))) == 0
-    assert rank_qr(np.eye(3)) == 3
-    assert rank_qr(np.array([[1.0, 1.0], [0.0, 0.0]])) == 1
-    assert rank_qr(np.empty((0, 0))) == 0
-
-
-def test_rank_invariances():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = rng.integers(2, 7)
-        r = rng.integers(1, n + 1)
-        base = (rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r)))
-        mix = rng.standard_normal((r, n))
-        m = base @ mix
-        assert rank_qr(m) == r
-        perm = rng.permutation(n)
-        assert rank_qr(m[:, perm]) == r
-        scales = 10.0 ** rng.uniform(-3, 3, size=n)
-        assert rank_qr(m * scales[None, :]) == r
 
 
 def test_cond_estimate_follows_lapack_and_reproduces():

@@ -6,8 +6,7 @@ import pytest
 from wavemoment.coupling import CouplingSystem, decompose
 from wavemoment.exceptions import CollisionInBlock
 from wavemoment.spectrum import (build_edd, build_frequencies, build_raw,
-                                 detect_collisions, gap_diagnostics,
-                                 signed_modes)
+                                 detect_collisions, signed_modes)
 from wavemoment.tolerances import DEFAULT
 
 import oracles
@@ -245,23 +244,3 @@ def test_edd_weight_scale_growth():
         ratios.append(scale / k ** (grid.n - 1))
     assert max(ratios) / min(ratios) < 4.0
 
-
-def test_gap_products():
-    spec = spec_for([0.0, 1.0])
-    grid = build_frequencies(spec, 64)
-    rep = gap_diagnostics(grid)
-    # k * d_k -> 1/2 for eigenvalue gap 1
-    assert rep.product[-1] == pytest.approx(0.5, rel=1e-3)
-    assert rep.median_product == pytest.approx(0.5, rel=1e-2)
-    assert rep.flagged == []
-
-    spec = spec_for([0.0, 0.5])
-    grid = build_frequencies(spec, 64)
-    rep = gap_diagnostics(grid)
-    assert rep.product[-1] == pytest.approx(0.25, rel=1e-3)
-
-
-def test_gap_report_single_level():
-    grid = build_frequencies(spec_for([0.3]), 8)
-    rep = gap_diagnostics(grid)
-    assert rep.k.size == 0 and rep.flagged == []

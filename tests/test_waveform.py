@@ -211,6 +211,24 @@ def test_quadrature_grid_too_coarse():
         evolve_quadrature(spec, grid, values, TWO_PI)
 
 
+def test_quadrature_ignores_the_series_switch_override():
+    # the README control; an override of 1.0 reaches its lowest frequency,
+    # 0.84, where the quadrature moved by 6.8e-9 when it took the override
+    spec = decompose(CouplingSystem(A2, B2))
+    grid = build_frequencies(spec, 8)
+    modal = target_to_modal(TargetSpec({1: [1.0, 0.0], 2: [0.0, 1.0]},
+                                       {1: [0.0, 1.0]}), spec, grid)
+    gamma = moments_from_target(modal, spec, grid, 2 * TWO_PI)
+    control = synthesize(assemble_gram(build_edd(grid), 2 * TWO_PI), gamma)
+    _, values = control.sample(2048)
+    want = evolve_quadrature(spec, grid, values, 2 * TWO_PI)
+    for switch in (0.05, 1.0):
+        got = evolve_quadrature(spec, grid, values, 2 * TWO_PI,
+                                tol=DEFAULT.replace(series_switch=switch))
+        assert np.array_equal(got.a, want.a)
+        assert np.array_equal(got.adot, want.adot)
+
+
 def test_quadrature_input_validation():
     spec = spec_for([0.0])
     grid = build_frequencies(spec, 1)
