@@ -299,15 +299,17 @@ def _write_terms(path: str, control):
     """control_modes.json, byte for byte ``_write_json`` of {"duration",
     "terms": [{"amplitude_im", "amplitude_re", "frequency_im",
     "frequency_re"}, ...]}, in that indented layout written out here: the
-    numbers go through ``_json_safe`` (non-finite ones become "nan", "inf",
-    "-inf") and then, as one list, through the standard library's C
-    encoder, which writes a float as float.__repr__ as the indented
-    encoder does."""
-    cells = np.column_stack([control.amplitudes.imag, control.amplitudes.real,
+    numbers go, as one list, through the standard library's C encoder,
+    which writes a float as float.__repr__ as the indented encoder does,
+    and through ``_json_safe`` first when some are not finite (they become
+    "nan", "inf", "-inf"; a finite float passes it unchanged)."""
+    table = np.column_stack([control.amplitudes.imag, control.amplitudes.real,
                              control.frequencies.imag,
-                             control.frequencies.real]).ravel().tolist()
-    duration, *cells = json.dumps(
-        _json_safe([control.duration] + cells))[1:-1].split(", ")
+                             control.frequencies.real])
+    cells = [float(control.duration)] + table.ravel().tolist()
+    if not (np.isfinite(table).all() and math.isfinite(cells[0])):
+        cells = _json_safe(cells)
+    duration, *cells = json.dumps(cells)[1:-1].split(", ")
     terms = ",\n".join([_TERM] * control.frequencies.size) % tuple(cells)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write('{\n  "duration": %s,\n  "terms": %s\n}\n'
@@ -519,7 +521,7 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         "moment_residual": control.moment_residual,
         "realification_residual": control.realification_residual,
     }
-    del ms  # R and the factor, its two m x m arrays, end with synthesis
+    del ms  # the Gram and its factors end with synthesis
     if out_dir is not None:
         write(_write_control_files, out_dir, control, config.samples)
 

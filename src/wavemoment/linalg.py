@@ -56,8 +56,13 @@ def _as_square(a, real: bool = False):
         raise ValueError("expected a real matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+    # min and max are nan when any entry is, and inf when one is infinite:
+    # no m x m temporary (a complex matrix through its real and imaginary
+    # parts, views of it)
+    for part in (a.real, a.imag) if np.iscomplexobj(a) else (a,):
+        if not (np.isfinite(part.min(initial=0.0))
+                and np.isfinite(part.max(initial=0.0))):
+            raise ValueError("matrix entries must be finite")
     return a
 
 

@@ -6,11 +6,13 @@ exponentials e_{k,l}(t) = exp(i*conj(omega_{k,l})*t) over [0, T] (the Riesz
 representers of the moment functionals) must equal values gamma_{k,l}
 computed from the target.  For a real A the exponentials of block -k are the
 conjugates of block k's, a real target gives mirror-symmetric moments, and
-the minimal L2-norm control is real: it solves the real symmetric Gram
-system R c = b over the real and imaginary parts of block k's family
-functions.  The raw exponentials are the order-one divided-difference
-family, so both bases run one path; in-block divided differences undo the
-clustering that poisons them.
+the minimal L2-norm control is real: it solves a real symmetric Gram system
+over the real and imaginary parts of block k's family functions.  When every
+node is real and nonzero those functions are taken on the centred interval
+s = t - T/2, where the real parts are even and the imaginary parts odd, so
+the system splits into an even and an odd half.  The raw exponentials are
+the order-one divided-difference family, so both bases run one path;
+in-block divided differences undo the clustering that poisons them.
 """
 
 from __future__ import annotations
@@ -105,22 +107,30 @@ class TargetSpec:
 class MomentSystem:
     """The real Gram system of ``family``, 2N unknowns per |k| in |k| order.
 
-    The real basis of each |k| holds Re phi and then Im phi of the N family
-    functions phi of block k (a self-mirrored phi and, in its Im place, its
-    block -k partner, both real).  ``gram`` is their real symmetric Gram R
-    over [0, duration], filled block-lower and exactly symmetric; the norms
-    of a control in the span are quadratic forms on it.  R and the factor
-    are its two m x m arrays.  ``scale`` is D = diag(R)^(-1/2), so
-    S = D R D is the Gram of the normalized basis (unit-norm functions);
-    ``factor`` is the one Cholesky factor of S, and ``cond_estimate`` its
-    1-norm condition estimate, which does not depend on how the basis
-    functions are scaled.
+    On [0, duration] the real basis of each |k| holds Re phi and then Im
+    phi of the N family functions phi of block k (a self-mirrored phi and,
+    in its Im place, its block -k partner, both real), and ``gram`` is
+    their real symmetric Gram R, m x m.  When every node is real and
+    nonzero (``_centred``), phi_a(s) = sum_j W[a, j] e^{i x_j s} is taken on
+    the centred interval s = t - duration / 2 instead: its real part C_a is
+    even and its imaginary part S_a odd, so the Gram is block diagonal, the
+    even half E of the C and the odd half O of the S, and ``gram`` is the
+    m x m/2 array holding their rows in turn (row 2i of E's row i, row
+    2i + 1 of O's): the unknowns run C_a, S_a for each a of each |k|.
+    ``blocks`` gives the diagonal blocks, R alone or E and O.  Each is
+    filled block-lower and exactly symmetric; the norms of a control in the
+    span are quadratic forms on them.  ``scale`` is D = diag^(-1/2) in the
+    unknowns' order, so each D G D is the Gram S of the normalized basis
+    (unit-norm functions); ``factors`` holds the Cholesky factor of each
+    block's S, and ``cond_estimate`` is the 1-norm condition estimate of
+    the block-diagonal S, which does not depend on how the basis functions
+    are scaled.
     """
 
     family: EddFamily
     duration: float
     gram: np.ndarray
-    factor: HermitianFactor
+    factors: tuple
     scale: np.ndarray
 
     @property
@@ -129,13 +139,23 @@ class MomentSystem:
 
     @property
     def cond_estimate(self) -> float:
-        return self.factor.cond
+        return self.factors[0].cond
+
+    def blocks(self) -> list:
+        """(G, factor of its S, D) of each diagonal block in turn: R, or E
+        and O; each G a view of ``gram``, each D of ``scale``."""
+        size = self.gram.shape[1]
+        parts = len(self.factors)
+        grams = self.gram.reshape(size, parts, size)
+        scales = self.scale.reshape(size, parts)
+        return [(grams[:, p], factor, scales[:, p])
+                for p, factor in enumerate(self.factors)]
 
     def restrict(self, k_max: int) -> "MomentSystem":
         """The system over |k| <= k_max, 1 <= k_max <= K (else ValueError),
-        with no new assembly: the family's middle rows, and R, D and the
-        factor of S leading blocks (R and D views, as kernel entries are
-        element-wise and weights block-local; the factor copied when
+        with no new assembly: the family's middle rows, and each block's G,
+        D and factor of S leading blocks (G and D views, as kernel entries
+        are element-wise and weights block-local; the factors copied when
         smaller)."""
         if not 1 <= k_max <= self.k_max:
             raise ValueError(f"k_max {k_max} outside 1..{self.k_max}")
@@ -143,15 +163,31 @@ class MomentSystem:
         family = dataclasses.replace(
             self.family, k_max=k_max, nodes=self.family.nodes[rows],
             perm=self.family.perm[rows], weights=self.family.weights[rows])
-        size = self.gram.shape[0] // self.k_max * k_max
-        factor, gram = self.factor, self.gram[:size, :size]
-        scale = self.scale[:size]
-        if size < factor.lu.shape[0]:
-            lu = np.array(factor.lu[:size, :size], order="F")
-            anorm = float((scale * (np.abs(gram) @ scale)).max())
-            factor = HermitianFactor(lu, anorm,
-                                     cond_estimate_1norm(lu, anorm))
-        return MomentSystem(family, self.duration, gram, factor, scale)
+        size = self.gram.shape[1] // self.k_max * k_max
+        parts = len(self.factors)
+        ms = MomentSystem(family, self.duration,
+                          self.gram[:parts * size, :size], self.factors,
+                          self.scale[:parts * size])
+        if size < self.factors[0].lu.shape[0]:
+            factors = []
+            for gram, factor, scale in ms.blocks():
+                lu = np.array(factor.lu[:size, :size], order="F")
+                anorm = float((scale * (np.abs(gram) @ scale)).max())
+                factors.append(HermitianFactor(
+                    lu, anorm, cond_estimate_1norm(lu, anorm)))
+            ms.factors = _joint(factors)
+        return ms
+
+
+def _joint(factors: list) -> tuple:
+    """The factors of the blocks of a block-diagonal S, each carrying the
+    1-norm of S, the largest of the blocks', and the condition estimate of
+    S: that 1-norm times the largest of the blocks' estimates of
+    ||S_p^-1||_1.  One block keeps its own, bit for bit."""
+    anorm = max(factor.anorm for factor in factors)
+    cond = max(factor.cond * (anorm / factor.anorm) for factor in factors)
+    return tuple(factor._replace(anorm=anorm, cond=cond)
+                 for factor in factors)
 
 
 @dataclasses.dataclass
@@ -312,6 +348,73 @@ def _real_gram(family: EddFamily, duration: float,
                             tol=tol)
         out[:, 1][plain] = to_basis(kernel).real
     gram = out.reshape(m, m)
+    _mirror_lower(gram)
+    return gram
+
+
+def _centred(family: EddFamily) -> bool:
+    """Whether ``family`` is posed on the centred interval: every node
+    real and nonzero (every eigenvalue real and above -1)."""
+    return not family.nodes.imag.any() and family.nodes.real.all()
+
+
+def _centred_gram(family: EddFamily, duration: float) -> np.ndarray:
+    """E and O of a family of real nonzero nodes, their rows in turn, as
+    ``MomentSystem.gram`` holds them: C-ordered m x m/2.
+
+    With x_j block k's nodes, W its (real) weights, and x', W' block k''s,
+    E[(k, a), (k', b)] = (C'_b, C_a) is
+    sum_{j, l} W[a, j] W'[b, l] (kappa(x_j - x'_l) + kappa(x_j + x'_l)) / 2
+    and O[(k, a), (k', b)] = (S'_b, S_a) the same with a minus sign, where
+    kappa(d) = int cos(d s) ds over [-T/2, T/2] = T sin(y) / y, y = d T / 2:
+    real, and without cancellation at any d.  The cross terms (S'_b, C_a)
+    vanish, their integrands being odd.  As in ``_real_gram``, only the
+    block-lower half is filled, a row block of whole |k| at a time on
+    ``map_blocks`` threads, and each half's upper triangle is then copied
+    from its lower.
+    """
+    k_max, n = family.k_max, family.n
+    x = family.nodes[k_max:].real
+    w = family.weights[k_max:].real
+    wt = w.transpose(0, 2, 1)
+    size = k_max * n
+    out = np.empty((k_max, n, 2, size))
+    half = duration / 2.0
+
+    def half_kappa(d):
+        # kappa(d) / 2 = sin(d T / 2) / d, T / 2 at d = 0, over d's buffer
+        y = d * half
+        np.sin(y, out=y)
+        with np.errstate(invalid="ignore"):
+            np.divide(y, d, out=d)
+        np.copyto(d, half, where=y == 0)
+        return d
+
+    def fill(rows):
+        groups = rows.stop
+        width = n * groups
+        cols = x[:groups].ravel()
+        near = half_kappa(np.subtract.outer(x[rows], cols))
+        far = half_kappa(np.add.outer(x[rows], cols))
+        for part, kernel in enumerate((near + far, near - far)):
+            # W from the left, then W'^T for each column group |k'|
+            z = np.matmul(w[rows], kernel).reshape(-1, groups, n)
+            z = np.matmul(z.transpose(1, 0, 2), wt[:groups])
+            out[rows, :, part, :width] = z.transpose(1, 0, 2) \
+                .reshape(-1, n, width)
+
+    map_blocks(fill, row_blocks(k_max, 2 * n * size))
+    halves = out.reshape(size, 2, size)
+    for part in range(2):
+        _mirror_lower(halves[:, part])
+    return out.reshape(2 * size, size)
+
+
+def _mirror_lower(gram: np.ndarray):
+    """Copy the lower triangle of a square ``gram`` into its upper, in
+    64 x 64 tiles, in this thread: the copy is bound by memory, not by the
+    CPU."""
+    m = gram.shape[0]
     tile = 64
     for lo in range(0, m, tile):
         rows = slice(lo, min(lo + tile, m))
@@ -322,47 +425,57 @@ def _real_gram(family: EddFamily, duration: float,
         square = gram[rows, rows]
         upper = np.triu_indices(len(square), 1)
         square[upper] = square.T[upper]
-    return gram
 
 
 def assemble_gram(family: EddFamily, duration: float,
                   tol: Tolerances = DEFAULT) -> MomentSystem:
-    """Build the real symmetric Gram R of ``family`` over [0, duration].
+    """Build the real symmetric Gram system of ``family`` over [0, duration].
 
-    The family is ``build_raw(grid)`` (order one) or ``build_edd(grid)``; R
-    is the Gram of its real basis (see ``MomentSystem``).  The one
-    factorization is of S = D R D, with D = diag(R)^(-1/2), the Gram of the
-    normalized basis: scaling a basis function changes neither the span nor
-    the minimal-norm control, so ``cond_estimate`` (the 1-norm estimate of
-    S) measures the family's independence, within a factor m of the best
-    diagonal scaling of R (van der Sluis, 1969).  The unknowns are in |k|
-    order, so the factor serves every smaller K (``restrict``).  Raises
-    SingularSystem when a diagonal entry of R is not positive and finite (a
-    basis function of numerically zero norm, as at a very short T); any
-    other singular Gram still assembles, and ``synthesize`` raises on its
-    pivots.  Only the kernel's block-lower half is filled, in row blocks
-    streamed into the basis products and never stored, and R's upper
-    triangle is copied from its lower; S is the second array, formed by
-    two whole-array products and factored in place, so two m x m real
-    arrays are kept: R and the factor.
+    The family is ``build_raw(grid)`` (order one) or ``build_edd(grid)``;
+    the system is the Gram R of its real basis, or, when every node is real
+    and nonzero, the even and odd halves E and O of the centred basis (see
+    ``MomentSystem``): two Cholesky factorizations of size m/2 in place of
+    one of size m.  Each block G is factored as S = D G D, with
+    D = diag(G)^(-1/2), the Gram of the normalized basis: scaling a basis
+    function changes neither the span nor the minimal-norm control, so
+    ``cond_estimate`` (the 1-norm estimate of S) measures the family's
+    independence, within a factor m of the best diagonal scaling of G (van
+    der Sluis, 1969).  The unknowns are in |k| order, so the factors serve
+    every smaller K (``restrict``).  Raises SingularSystem when a diagonal
+    entry of G is not positive and finite (a basis function of numerically
+    zero norm, as at a very short T); any other singular Gram still
+    assembles, and ``synthesize`` raises on its pivots.  Only the kernel's
+    block-lower half is filled, in row blocks streamed into the basis
+    products and never stored, and G's upper triangle is copied from its
+    lower; each S is a new array, formed by two whole-array products and
+    factored in place, so G and the factors are kept: two m x m real arrays
+    for R, half that for E and O.
     """
     if not duration > 0:
         raise ValueError("duration must be positive")
-    gram = _real_gram(family, duration, tol)
-    norms = gram.diagonal()
+    if _centred(family):
+        gram = _centred_gram(family, duration)
+    else:
+        gram = _real_gram(family, duration, tol)
+    size = gram.shape[1]
+    grams = gram.reshape(size, -1, size)
+    norms = np.diagonal(grams, axis1=0, axis2=2).T.ravel()
     ok = (norms > 0) & (norms < np.inf)
     if not ok.all():
         bad = int(np.argmin(ok))
         raise SingularSystem(f"squared norm {norms[bad]:.3e} of basis "
                              f"function {bad} is not positive and finite")
     scale = 1.0 / np.sqrt(norms)
-    # S, transposed: its Fortran-ordered view is S; R scaled by columns
-    # first (rows first rounds differently, and rerolls the D1 rows that
-    # verify at the rounding floor)
-    s = np.multiply(gram, scale)
-    s *= scale[:, None]
-    factor = factor_hermitian(s.T, tol=tol, overwrite=True)
-    return MomentSystem(family, duration, gram, factor, scale)
+    scales = scale.reshape(size, -1)
+    factors = []
+    for part in range(scales.shape[1]):
+        # S, transposed: its Fortran-ordered view is S; G scaled by columns
+        # first (rows first rounds differently, and rerolls the D1 rows that
+        # verify at the rounding floor)
+        s = np.multiply(grams[:, part], scales[:, part])
+        s *= scales[:, part, None]
+        factors.append(factor_hermitian(s.T, tol=tol, overwrite=True))
+    return MomentSystem(family, duration, gram, _joint(factors), scale)
 
 
 def target_to_modal(target: TargetSpec, spec: SpectralDecomposition,
@@ -410,8 +523,18 @@ def moments_from_target(modal: ModalState, spec: SpectralDecomposition,
     return c * (np.pi / (2.0 * k_abs)) / beta_at * phase
 
 
-def _real_moments(gamma: np.ndarray, family: EddFamily,
-                  tol: Tolerances) -> np.ndarray:
+def _half_phase(x: np.ndarray, duration: float) -> np.ndarray:
+    """h = e^{-i x T/2} of each row's real nodes x (one block a row), as
+    e^{-i c T/2} e^{-i (x - c) T/2} with c the row's first node: the
+    rounding of the large phase c T/2 is common to the block, so it drops
+    out of the block's divided differences."""
+    half = duration / 2.0
+    first = x[:, :1]
+    return np.exp(-1j * half * first) * np.exp(-1j * half * (x - first))
+
+
+def _real_moments(gamma: np.ndarray, family: EddFamily, tol: Tolerances,
+                  centred: float | None = None) -> np.ndarray:
     """The real basis' moments (f, Re phi_a) = Re (f, phi_a) and
     (f, Im phi_a) = -Im (f, phi_a), |k| by |k|, from the moments gamma of
     the plain exponentials in family order (one row per signed block); a
@@ -420,6 +543,13 @@ def _real_moments(gamma: np.ndarray, family: EddFamily,
     They are the moments of a real f only when gamma is mirror-symmetric,
     the moment of e_j's conjugate being conj(gamma_j), which a real target
     gives; otherwise (within ``tol.hermit_rtol``) raises ValueError.
+
+    ``centred`` is the duration T of a centred system: block k's moments
+    are then first taken to those of the centred exponentials e^{i x_j s},
+    mu_j = base_j h_j with h from ``_half_phase``, base_j being gamma_j
+    without the phase e^{-i x_j T} of ``moments_from_target`` (divided by
+    it again, which returns base to within two roundings), and the moments
+    of C_a and S_a run in turn, as the centred unknowns do.
     """
     k_max = family.k_max
     pair = np.stack([gamma[k_max:], gamma[k_max - 1::-1]])
@@ -428,9 +558,14 @@ def _real_moments(gamma: np.ndarray, family: EddFamily,
     if np.linalg.norm(pair - mirror) > tol.hermit_rtol * np.linalg.norm(gamma):
         raise ValueError("moments are not mirror-symmetric: the target is "
                          "not real")
-    rhs = (np.conj(family.weights[k_max:]) @ pair[0, :, :, None])[..., 0]
+    own = pair[0]
+    if centred is not None:
+        nodes = family.nodes[k_max:]
+        own = own / np.exp(-1j * nodes * centred) \
+            * _half_phase(nodes.real, centred)
+    rhs = (np.conj(family.weights[k_max:]) @ own[:, :, None])[..., 0]
     return np.stack([rhs.real, np.where(plain, pair[1].real, -rhs.imag)],
-                    axis=1).ravel()
+                    axis=1 if centred is None else 2).ravel()
 
 
 def synthesize(ms: MomentSystem, gamma: np.ndarray,
@@ -439,32 +574,41 @@ def synthesize(ms: MomentSystem, gamma: np.ndarray,
     as it is written and verified, for the moments ``gamma`` of the plain
     exponentials (signed, eigenvalue-ordered: ``moments_from_target``).
 
-    Solves S y = D b, b the real basis' moments (ValueError unless the
-    moments are those of a real target), on the stored Cholesky factor of
-    the normalized Gram S = D R D and expands c = D y into exponentials
-    sorted by (Re, Im), with exact conjugate amplitudes on mirrored
-    frequencies; norm sqrt(c^T R c), moment residual ||R c - b|| / ||b||.
-    Moments amplified beyond GROWTH_PIN (by e^{i omega T}) are then pinned:
-    the miss of the control's moments against those decaying representers,
-    taken in long double, is met by tiny extra terms on them, mirrored by
-    family position and appended.  Raises SingularSystem when a pivot
-    L_jj^2 of S is at most ``tol.pivot_tol * ||S||_1`` (resonance or
-    insufficient control time) and ConditioningExceeded when the condition
-    estimate of S is above ``tol.cond_cap``.
+    Solves S y = D b on each diagonal block (``MomentSystem.blocks``), b
+    the real basis' moments (ValueError unless the moments are those of a
+    real target), on the stored Cholesky factor of its normalized Gram
+    S = D G D, and expands c = D y into exponentials sorted by (Re, Im),
+    with exact conjugate amplitudes on mirrored frequencies: on a centred
+    system alpha = W^T (u - i v) / 2 from the even and odd coefficients u
+    and v, times h = e^{-i x T/2} (``_half_phase``) for the shift from s to
+    t.  Norm sqrt(sum c^T G c), moment residual ||G c - b|| / ||b|| over
+    the blocks together.  Moments amplified beyond GROWTH_PIN (by
+    e^{i omega T}) are then pinned: the miss of the control's moments
+    against those decaying representers, taken in long double, is met by
+    tiny extra terms on them, mirrored by family position and appended.
+    Raises SingularSystem when a pivot L_jj^2 of some S is at most
+    ``tol.pivot_tol * ||S||_1``, the 1-norm of the block-diagonal S
+    (resonance or insufficient control time), and ConditioningExceeded
+    when the condition estimate of S is above ``tol.cond_cap``.
     """
     family = ms.family
     k_max, n = family.k_max, family.n
     if np.shape(gamma) != (family.nodes.size,):
         raise ValueError(f"expected {family.nodes.size} moments")
+    parts = len(ms.factors)
+    centred = ms.duration if parts == 2 else None
     moments = gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
-    rhs = _real_moments(moments, family, tol)
-    coef, _ = solve_hermitian(ms.gram, rhs, tol=tol, factor=ms.factor,
-                              scale=ms.scale)
+    rhs = _real_moments(moments, family, tol, centred)
+    coef, product = np.empty_like(rhs), np.empty_like(rhs)
+    for part, (gram, factor, scale) in enumerate(ms.blocks()):
+        x, _ = solve_hermitian(gram, rhs.reshape(-1, parts)[:, part],
+                               tol=tol, factor=factor, scale=scale)
+        coef.reshape(-1, parts)[:, part] = x
+        product.reshape(-1, parts)[:, part] = gram @ x
     if ms.cond_estimate > tol.cond_cap:
         raise ConditioningExceeded(
             f"normalized gram condition estimate {ms.cond_estimate:.3e} "
             f"exceeds {tol.cond_cap:.1e}")
-    product = ms.gram @ coef
     rhs_norm = float(np.linalg.norm(rhs))
     residual = 0.0
     if rhs_norm > 0:
@@ -472,11 +616,14 @@ def synthesize(ms: MomentSystem, gamma: np.ndarray,
 
     # f = sum_a alpha_a phi_a + conj(alpha_a phi_a) over block k's functions;
     # a self-mirrored pair takes its two real coefficients
-    c = coef.reshape(k_max, 2, n)
+    c = (coef.reshape(k_max, 2, n) if centred is None
+         else coef.reshape(k_max, n, 2).transpose(0, 2, 1))
     plain = family.self_mirrored
     alpha = (c[:, 0] - 1j * c[:, 1]) / 2.0
     amps = np.where(plain, c[:, 0], (family.weights[k_max:].transpose(0, 2, 1)
                                      @ alpha[:, :, None])[..., 0])
+    if centred is not None:
+        amps = amps * _half_phase(family.nodes[k_max:].real, centred)
     mirrored = np.where(plain, c[:, 1], np.conj(amps))
     # terms in (Re, Im) order, as control_modes.json lists them
     reps = np.conj(family.nodes)

@@ -148,8 +148,8 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
     zero = np.abs(omega) <= tol.zero_tol
     # kernels of the other modes a block of modes at a time; one dot per mode
     # keeps the summation order of each mode's integral
-    modes = list(zip(*np.nonzero(~zero)))
-    gains = [(2.0 * (ki + 1) / math.pi) * spec.beta[li] for ki, li in modes]
+    rows_k, rows_l = np.nonzero(~zero)
+    gains = (2.0 * (rows_k + 1) / math.pi) * spec.beta[rows_l]
     ws = omega[~zero].astype(dtype)
     mirror = mirror_index(head.frequencies)
     amps = [control.amplitudes.astype(dtype) for control, _, _ in members]
@@ -161,7 +161,8 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
     def evolve_block(rows):
         w = ws[rows, None]
         fwd = phase_integral(nus - w, duration)
-        if mirror is not None and not w.imag.any():
+        real = not w.imag.any()
+        if mirror is not None and real:
             bwd = fwd[:, mirror]
             np.conj(bwd, out=bwd)
         else:
@@ -170,13 +171,25 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
         # other order rounds differently)
         np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
         np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
-        s_kernel = (fwd - bwd) / (2j * w)
-        c_kernel = (fwd + bwd) / 2.0
+        c_kernel = fwd + bwd
+        if real:
+            # the real multiplies by 1 / (2w) and 0.5 that numpy's complex
+            # division by 2iw and by 2 makes, short of the sign of exact zeros
+            s_kernel = np.subtract(fwd, bwd, out=fwd)
+            scale = 1.0 / (2.0 * w.real)
+            s_kernel.real, s_kernel.imag = (s_kernel.imag * scale,
+                                            -s_kernel.real * scale)
+            c_kernel.view(c_kernel.real.dtype)[...] *= 0.5
+        else:
+            s_kernel = (fwd - bwd) / (2j * w)
+            c_kernel /= 2.0
         for (_, _, cols), amp, count, state in zip(members, amps, counts,
                                                    states):
             own = min(rows.stop, count) - rows.start
             if own <= 0:
                 continue
+            done = slice(rows.start, rows.start + own)
+            gain = gains[done]
             for table, kernel in ((state.a, s_kernel),
                                   (state.adot, c_kernel)):
                 kernel = kernel[:own]
@@ -184,11 +197,16 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
                     # np.take gives C-ordered rows, whose dots round as the
                     # control's own kernel rows do (a[:, cols] would not)
                     kernel = np.take(kernel, cols, axis=1)
-                for (ki, li), gain, row in zip(modes[rows], gains[rows],
-                                               kernel):
-                    table[ki, li] = gain * (amp @ row)
+                # one BLAS dot per mode, as amp @ row, and the gain applied
+                # as numpy's scalar complex product rounds it (its array
+                # product rounds some entries differently)
+                dot = np.matmul(amp, kernel[:, :, None])[:, 0]
+                value = np.empty_like(dot)
+                value.real = gain.real * dot.real - gain.imag * dot.imag
+                value.imag = gain.real * dot.imag + gain.imag * dot.real
+                table[rows_k[done], rows_l[done]] = value
 
-    map_blocks(evolve_block, row_blocks(len(modes), nus.size))
+    map_blocks(evolve_block, row_blocks(rows_k.size, nus.size))
     for ki, li in zip(*np.nonzero(zero)):
         gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
         ramp = ramp_integral(nus, duration)

@@ -8,6 +8,7 @@ agreement is meaningful.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -117,6 +118,46 @@ def physical_state(a, b, modes, frequencies, amplitudes, duration):
         y = amps @ expm(aug * duration)[:, :2 * n, 2 * n]
         u[mode - 1], ut[mode - 1] = y[:n], y[n:]
     return u, ut
+
+
+def terminal_state_mp(spec, k_max, frequencies, amplitudes, duration,
+                      digits=40):
+    """Terminal modal tables (a, adot), rows k = 1..k_max, of the control
+    f(t) = sum_j amp_j exp(i nu_j t) on its own double terms, the Duhamel
+    closed forms evaluated in mpmath at ``digits`` digits.
+
+    a_{k,l} = (2k/pi) beta_l int f(s) sin(w (T - s)) / w ds with
+    w^2 = k^2 + lambda_l taken from the double eigenvalues in mpmath (the
+    kernels are even in w, so no branch is chosen), and adot with
+    cos(w (T - s)).  Per term, int e^{i nu s} e^{+-i w (T - s)} ds is
+    e^{+-i w T} P(nu -+ w), P(d) = (e^{i d T} - 1) / (i d) (T at d = 0).
+    Only the rounding of the terms, eigenvalues and beta to doubles is
+    left: the package's evaluation shares none of its rounding.
+    """
+    with mpmath.workdps(digits):
+        t = mpmath.mpf(float(duration))
+        terms = [(mpmath.mpc(complex(nu)), mpmath.mpc(complex(amp)))
+                 for nu, amp in zip(frequencies, amplitudes)]
+
+        def phase(d):
+            return t if d == 0 else (mpmath.exp(1j * d * t) - 1) / (1j * d)
+
+        n = len(spec.eigenvalues)
+        a = np.zeros((k_max, n), dtype=complex)
+        adot = np.zeros((k_max, n), dtype=complex)
+        for k in range(1, k_max + 1):
+            for l in range(n):
+                w = mpmath.sqrt(k * k + mpmath.mpc(complex(spec.eigenvalues[l])))
+                gain = 2 * k / mpmath.pi * mpmath.mpc(complex(spec.beta[l]))
+                ahead, back = mpmath.exp(1j * w * t), mpmath.exp(-1j * w * t)
+                sine = cosine = mpmath.mpc(0)
+                for nu, amp in terms:
+                    fwd, bwd = ahead * phase(nu - w), back * phase(nu + w)
+                    sine += amp * (fwd - bwd) / (2j * w)
+                    cosine += amp * (fwd + bwd) / 2
+                a[k - 1, l] = complex(gain * sine)
+                adot[k - 1, l] = complex(gain * cosine)
+    return a, adot
 
 
 def poly_root_bisection(coeffs, lo, hi, iters=200):

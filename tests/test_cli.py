@@ -265,6 +265,9 @@ README_EDD_DOC = {
                "z1": [[1, [0.0, 1.0]]]},
 }
 
+# eigenvalues 0.1 +- 0.3i: no node is real, so the Gram system is R on [0, T]
+PAIR_EDD_DOC = dict(README_EDD_DOC, A=[[0.1, 0.3], [-0.3, 0.1]])
+
 
 def count_calls(monkeypatch, calls, module, name):
     original = getattr(module, name)
@@ -278,6 +281,8 @@ def count_calls(monkeypatch, calls, module, name):
 
 
 def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
+    # the README system's spectrum is real: one assembly of the even and
+    # odd halves, factored once each
     from wavemoment import coupling, linalg, moments, waveform
 
     calls = {}
@@ -290,7 +295,7 @@ def test_verify_assembles_factors_and_evolves_once(tmp_path, monkeypatch):
     assert code == cli.EXIT_OK
     assert report["data"]["verification"]["passed"] is True
     assert (tmp_path / "state.csv").exists()
-    assert calls == {"decompose": 1, "dpotrf": 1, "combo_l2_norm": 0,
+    assert calls == {"decompose": 1, "dpotrf": 2, "combo_l2_norm": 0,
                      "duhamel_exact": 1}
 
 
@@ -311,9 +316,10 @@ def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
     assert code == cli.EXIT_OK
     rows = report["data"]["sweep"]["rows"]
     assert [row["status"] for row in rows] == ["ok"] * 3
+    # (the even and odd halves of the README system's real spectrum)
     assert calls == {"decompose": 1, "build_edd": 1, "assemble_gram": 1,
                      "target_to_modal": 3, "moments_from_target": 3,
-                     "dpotrf": 1}
+                     "dpotrf": 2}
 
 
 def rows_verified_one_by_one(monkeypatch, doc):
@@ -382,14 +388,20 @@ def test_t_sweep_evolves_once_per_distinct_t(monkeypatch):
 
 
 def test_series_switch_override_does_not_reach_verify():
-    # the Gram's second-order series up to |Delta| = 0.05 misses the target
-    # by 5.6e-3; the evolution that checks the control keeps its own switch
-    # (it passed at 9.1e-16 when it took the override too)
-    doc = dict(README_EDD_DOC, target={"z0": [[1, [1.0, 0.5]]]},
+    # the complex-pair system's Gram R takes the second-order series up to
+    # |Delta| = 0.05 and misses the target; the evolution that checks the
+    # control keeps its own switch.  The README system's real spectrum is
+    # centred, whose kernel has no series: the override changes nothing
+    doc = dict(PAIR_EDD_DOC, target={"z0": [[1, [1.0, 0.5]]]},
                tolerances={"series_switch": 0.05})
     report, code = cli.run("verify", cli.parse_config(json.dumps(doc)))
     assert code == cli.EXIT_NUMERICAL
     assert report["data"]["verification"]["max_rel_error"] > 1e-3
+    runs = [cli.run("verify", cli.parse_config(json.dumps(dict(
+        README_EDD_DOC, target={"z0": [[1, [1.0, 0.5]]]}, **extra))))
+        for extra in ({}, {"tolerances": {"series_switch": 0.05}})]
+    assert [code for _, code in runs] == [cli.EXIT_OK] * 2
+    assert runs[0][0]["data"]["synthesis"] == runs[1][0]["data"]["synthesis"]
 
 
 def test_hermit_rtol_below_rounding_is_bad_input(tmp_path, capsys):
@@ -438,10 +450,10 @@ def test_k_sweep_rows_match_single_k_commands(doc):
         assert_row_matches_single_k(row, doc)
 
 
-# eigenvalue gap 5e-5: the in-block frequency gap at k = 64 (about 4e-7) is
-# below that K's collision threshold 1e-8 * (1 + 64), the gaps at k <= 8 are
-# above 1e-8 * (1 + 8)
-COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 0.0], [1.0, 0.50005]], method="edd",
+# a complex eigenvalue pair 0.5 +- 2.5e-5i, gap 5e-5: the in-block frequency
+# gap at k = 64 (about 4e-7) is below that K's collision threshold
+# 1e-8 * (1 + 64), the gaps at k <= 8 are above 1e-8 * (1 + 8)
+COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 2.5e-5], [-2.5e-5, 0.5]], method="edd",
                          target={"z0": [[1, [1.0, 0.0]]]},
                          sweep={"parameter": "K", "values": [4, 64, 8]})
 
@@ -471,9 +483,9 @@ def test_k_sweep_builds_a_colliding_top_family_once(monkeypatch):
 
 
 def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
-    # omega_{1,2} = omega_{2,1} = 2: in |k| order the Cholesky factor of the
-    # K = 2 assembly breaks down at column 5, past the 2KN = 4 unknowns of
-    # K = 1, whose row is read from the factor's leading block
+    # omega_{1,2} = omega_{2,1} = 2: in |k| order the Cholesky factors of
+    # the K = 2 assembly break down past the unknowns of K = 1, whose row
+    # is read from the factors' leading blocks
     from wavemoment import moments
 
     factors = []
@@ -488,9 +500,12 @@ def test_k_sweep_row_below_a_failed_cholesky_is_intact(monkeypatch):
     report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
     monkeypatch.undo()
     assert code == cli.EXIT_OK
-    (factor,) = factors
-    pivots = np.abs(np.diag(factor.lu))
-    assert np.all(pivots[:4] > 0) and np.all(pivots[4:] == 0)
+    # the spectrum is real: the even and odd halves, KN = 2 unknowns each
+    # at K = 1, each break down at column 3
+    assert len(factors) == 2
+    for factor in factors:
+        pivots = np.abs(np.diag(factor.lu))
+        assert np.all(pivots[:2] > 0) and np.all(pivots[2:] == 0)
     rows = report["data"]["sweep"]["rows"]
     assert rows[1]["status"] == "SingularSystem"
     # the resonance fails the controllability gate, hence the forced command
@@ -686,6 +701,25 @@ def test_terms_writer_matches_json_dump(tmp_path):
         cli._write_terms(str(path), control)
         assert path.read_bytes() == terms_doc(control)
     assert b'"amplitude_re": "nan"' in terms_doc(nonfinite)
+
+
+def test_terms_writer_walks_the_cells_only_when_some_are_not_finite(
+        tmp_path, monkeypatch):
+    from wavemoment.moments import ControlSignal
+
+    walked = []
+    json_safe = cli._json_safe
+    monkeypatch.setattr(cli, "_json_safe",
+                        lambda value: walked.append(1) or json_safe(value))
+    path = tmp_path / "control_modes.json"
+    cli._write_terms(str(path), ControlSignal(FOUR_PI, [1.0, -1.0],
+                                              [0.5 + 1j, 0.5 - 1j]))
+    assert walked == []
+    cli._write_terms(str(path), ControlSignal(FOUR_PI, [1.0, -1.0],
+                                              [math.nan, math.inf]))
+    assert walked
+    text = path.read_text()
+    assert '"amplitude_re": "nan"' in text and '"amplitude_re": "inf"' in text
 
 
 # numpy warns of the nan products; the writers must write them, not raise

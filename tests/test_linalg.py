@@ -85,6 +85,47 @@ def test_eig_dimension_cap():
         eig_dense(np.eye(MAX_DENSE_DIM + 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_entries_are_refused(bad):
+    real = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -2.0], [0.5, -2.0, 5.0]])
+    calls = (factor_hermitian, eig_dense,
+             lambda g: solve_hermitian(g, np.ones(3)))
+    for place in ((0, 0), (1, 2)):
+        matrix = real.copy()
+        matrix[place] = bad
+        for call in calls:
+            with pytest.raises(ValueError, match="finite"):
+                call(matrix)
+        for entry in (complex(bad, 0.0), complex(0.0, bad)):
+            matrix = real.astype(complex)
+            matrix[place] = entry
+            with pytest.raises(ValueError, match="finite"):
+                eig_dense(matrix)
+    # on an entry that is neither the smallest nor the largest of the real
+    # parts: the imaginary parts are read on their own
+    matrix = real + 1j * np.arange(9.0).reshape(3, 3)
+    matrix[1, 1] = complex(3.0, bad)
+    assert matrix.real.min() < 3.0 < matrix.real.max()
+    with pytest.raises(ValueError, match="finite"):
+        eig_dense(matrix)
+
+
+def test_finiteness_check_makes_no_square_temporary():
+    # the min and max of each part, no m x m mask of np.isfinite
+    import tracemalloc
+
+    from wavemoment.linalg import _as_square
+
+    for matrix in (np.ones((1000, 1000)), np.ones((500, 500), dtype=complex)):
+        tracemalloc.start()
+        try:
+            assert _as_square(matrix) is matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 65536, peak
+
+
 def test_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         eig_dense(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -28,6 +29,10 @@ TWO_PI = 2.0 * math.pi
 # control direction along the first coordinate axis
 A2 = np.array([[0.5, 0.0], [1.0, -0.3]])
 B2 = np.array([1.0, 0.0])
+# complex eigenvalue pairs (0.3 +- 0.8i; 0.2 +- 0.7i and 1.7, with b = e_1):
+# no node is real, so the Gram system is R on [0, T]
+PAIR2 = np.array([[0.3, 0.8], [-0.8, 0.3]])
+PAIR3 = np.array([[0.2, 0.7, 0.0], [-0.7, 0.2, 0.0], [0.0, 1.0, 1.7]])
 
 
 def spec_for(eigvals):
@@ -143,11 +148,13 @@ def test_gram_entry_matches_quadrature():
 
 
 def test_identity_gram_single_level():
-    # the real basis is cos t, sin t, each of squared norm pi on [0, 2 pi]
+    # the centred basis is cos s, sin s on [-pi, pi], each of squared norm
+    # pi: E and O are 1 x 1
     _, _, ms, _ = pipeline([[0.0]], [1.0], 1, TWO_PI)
     assert ms.k_max == 1
     assert ms.duration == TWO_PI
-    assert np.allclose(ms.gram, math.pi * np.eye(2), atol=1e-12)
+    assert ms.gram.shape == (2, 1)
+    assert np.allclose(ms.gram, math.pi, atol=1e-12)
     assert ms.cond_estimate == pytest.approx(1.0)
 
 
@@ -163,16 +170,20 @@ def test_gram_hermitian_psd():
         grid = build_frequencies(spec, int(rng.integers(2, 6)))
         duration = TWO_PI * n * float(rng.uniform(1.0, 1.5))
         ms = assemble_gram(build_raw(grid), duration)
-        assert ms.gram.dtype == np.float64 and ms.factor.lu.dtype == np.float64
-        assert np.array_equal(ms.gram, ms.gram.T)
-        eigs = np.linalg.eigvalsh(ms.gram)
-        assert eigs.min() >= -1e-8 * eigs.max()
+        # a real spectrum above -1: the even and odd halves
+        assert len(ms.blocks()) == 2
+        for gram, factor, _ in ms.blocks():
+            assert gram.dtype == np.float64 and factor.lu.dtype == np.float64
+            assert np.array_equal(gram, gram.T)
+            eigs = np.linalg.eigvalsh(gram)
+            assert eigs.min() >= -1e-8 * eigs.max()
 
-    # complex-conjugate eigenvalue pair
+    # complex-conjugate eigenvalue pair: one Gram R
     spec = decompose(CouplingSystem(np.array([[0.0, 1.0], [-1.0, 0.0]]),
                                     np.array([1.0, 0.0])))
     grid = build_frequencies(spec, 3)
     ms = assemble_gram(build_raw(grid), 2 * TWO_PI)
+    assert ms.gram.shape == (12, 12) and len(ms.factors) == 1
     eigs = np.linalg.eigvalsh(ms.gram)
     assert eigs.min() >= -1e-8 * eigs.max()
 
@@ -193,7 +204,7 @@ def test_raw_system_is_the_order_one_family():
     from wavemoment.moments import _real_moments
 
     pair = [[0.0, 1.0], [-1.0, 0.0]]
-    for a, duration in ((A2, 2 * TWO_PI), (pair, 3 * TWO_PI)):
+    for a, duration in ((PAIR2, 2 * TWO_PI), (pair, 3 * TWO_PI)):
         _, grid, ms, gamma = pipeline(a, B2, 4, duration, z0={1: [1.0, 0.5]},
                                       z1={2: [0.0, -0.3]})
         raw = build_raw(grid)
@@ -201,8 +212,8 @@ def test_raw_system_is_the_order_one_family():
         assert np.allclose(ms.gram, want, rtol=0,
                            atol=1e-14 * np.abs(want).max())
         rhs = _real_moments(family_moments(gamma, raw), raw, DEFAULT)
-        coef, _ = solve_hermitian(ms.gram, rhs, factor=ms.factor,
-                                  scale=ms.scale)
+        (factor,) = ms.factors
+        coef, _ = solve_hermitian(ms.gram, rhs, factor=factor, scale=ms.scale)
         c = coef.reshape(4, 2, 2)
         amps = (c[:, 0] - 1j * c[:, 1]) / 2.0
         signal = synthesize(ms, gamma)
@@ -220,7 +231,7 @@ def test_edd_block_maps_match_dense_reference():
     # moments, against the dense real basis over all exponentials
     from wavemoment.moments import _real_moments
 
-    spec = spec_for([0.5, -0.3, 1.7])
+    spec = decompose(CouplingSystem(PAIR3, np.eye(3)[0]))
     grid = build_frequencies(spec, 6)
     edd = build_edd(grid)
     duration = 3 * TWO_PI + 1.0
@@ -252,7 +263,7 @@ def test_block_lower_gram_matches_dense_kernel(block, monkeypatch):
 
     if block is not None:  # 200 entries: row blocks of a few |k| and rows
         monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)
-    systems = [(spec_for([0.5, -0.3, 1.7]), 0),
+    systems = [(decompose(CouplingSystem(PAIR3, np.eye(3)[0])), 0),
                (decompose(CouplingSystem(np.array([[0.2, 0.7], [-0.7, 0.2]]),
                                          B2)), 0),
                (spec_for([-5.5, 0.5, 1.7]), 2)]
@@ -262,6 +273,7 @@ def test_block_lower_gram_matches_dense_kernel(block, monkeypatch):
         for family in (build_raw(grid), build_edd(grid)):
             assert np.count_nonzero(family.self_mirrored) == plain
             ms = assemble_gram(family, duration)
+            assert len(ms.factors) == 1
             assert np.array_equal(ms.gram, ms.gram.T)
             want = real_gram_reference(family, duration)
             assert np.allclose(ms.gram, want, rtol=0,
@@ -269,48 +281,56 @@ def test_block_lower_gram_matches_dense_kernel(block, monkeypatch):
 
 
 def test_assembly_peak_memory_in_gram_units():
-    # large-edd's system at K = 128 (m = 1024).  The assembly keeps two
-    # m x m real arrays (R, LU of S): half the kernel is streamed into the
-    # basis products, and for either family S and its LU reuse the buffer
-    # of the filled rows
+    # large-edd's system at K = 128 (m = 1024), and the same with its first
+    # two eigenvalues made a complex pair.  The assembly keeps R and the
+    # factor of S, two m x m real arrays: half the kernel is streamed into
+    # the basis products, and S is factored in place.  A real spectrum
+    # keeps half that: E and O, m x m/2 together, and their two factors
     import tracemalloc
 
-    a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
-    spec = decompose(CouplingSystem(a, np.eye(4)[0]))
-    grid = build_frequencies(spec, 128)
     unit = 8 * (2 * 128 * 4) ** 2
-    for basis, family in (("edd", build_edd(grid)), ("raw", build_raw(grid))):
-        tracemalloc.start()
-        try:
-            ms = assemble_gram(family, 8 * math.pi + 1.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * unit, (basis, peak / unit)
-        assert ms.factor.lu.flags.f_contiguous
-        del ms
+    for parts in (1, 2):
+        a = np.diag([0.5, -0.3, 1.7, 2.9]) + np.diag(np.ones(3), -1)
+        if parts == 1:
+            a[:2, :2] = PAIR2
+        spec = decompose(CouplingSystem(a, np.eye(4)[0]))
+        grid = build_frequencies(spec, 128)
+        for family in (build_edd(grid), build_raw(grid)):
+            tracemalloc.start()
+            try:
+                ms = assemble_gram(family, 8 * math.pi + 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(ms.factors) == parts
+            assert peak <= 2.25 * unit / parts, (parts, peak / unit)
+            assert all(factor.lu.flags.f_contiguous for factor in ms.factors)
+            del ms
 
 
 def test_restriction_matches_assembly_at_k():
     # the K = 3 system read from a K = 6 assembly: the family is its middle
-    # rows, bit for bit, and R, D and the factor are its leading blocks, the
-    # unknowns being in |k| order (the kernel's K = 3 exponentials are its
-    # middle blocks)
-    spec = spec_for([0.5, -0.3, 1.7])
+    # rows, bit for bit, and each block's G, D and factor are its leading
+    # blocks, the unknowns being in |k| order (the kernel's K = 3
+    # exponentials are its middle blocks): R, or the even and odd halves
+    systems = [(decompose(CouplingSystem(PAIR3, np.eye(3)[0])), 1),
+               (spec_for([0.5, -0.3, 1.7]), 2)]
     duration = 3 * TWO_PI + 1.0
-    for basis in ("raw", "edd"):
+    for (spec, parts), basis in itertools.product(systems, ("raw", "edd")):
         big_grid, grid = build_frequencies(spec, 6), build_frequencies(spec, 3)
         families = [build_raw(g) if basis == "raw" else build_edd(g)
                     for g in (big_grid, grid)]
         big, own = (assemble_gram(f, duration) for f in families)
-        assert big.restrict(6).factor is big.factor
-        # S = D R D is factored in place; its strict upper triangle stays
-        s = own.gram * own.scale[:, None] * own.scale
-        assert np.array_equal(np.triu(own.factor.lu, 1), np.triu(s, 1))
+        assert len(big.factors) == len(own.factors) == parts
+        assert big.restrict(6).factors is big.factors
+        # each S = D G D is factored in place; its strict upper triangle stays
+        for gram, factor, scale in own.blocks():
+            s = gram * scale[:, None] * scale
+            assert np.array_equal(np.triu(factor.lu, 1), np.triu(s, 1))
         for k_max in (0, 7):
             with pytest.raises(ValueError, match=r"outside 1\.\.6"):
                 big.restrict(k_max)
-        assert big.restrict(1).gram.shape == (6, 6)
+        assert big.restrict(1).gram.shape == (6, 6 // parts)
         ms = big.restrict(3)
         assert ms.k_max == own.k_max == ms.family.k_max == 3
         for name in ("nodes", "perm", "weights"):
@@ -318,7 +338,7 @@ def test_restriction_matches_assembly_at_k():
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert np.shares_memory(ms.gram, big.gram)
-        assert np.array_equal(ms.gram, big.gram[:18, :18])
+        assert np.array_equal(ms.gram, big.gram[:18, :18 // parts])
         assert np.array_equal(ms.scale, big.scale[:18])
         big_kernel, kernel = (family_kernel(f, duration) for f in families)
         assert np.array_equal(big_kernel[9:27, 9:27], kernel)
@@ -326,10 +346,110 @@ def test_restriction_matches_assembly_at_k():
             assert np.array_equal(ms.gram, own.gram)
         assert np.allclose(ms.gram, own.gram, rtol=0,
                            atol=1e-14 * np.abs(own.gram).max())
-        assert np.allclose(np.tril(ms.factor.lu), np.tril(own.factor.lu),
-                           rtol=0, atol=1e-13)
+        for (_, got, _), (_, want, _) in zip(ms.blocks(), own.blocks()):
+            assert np.allclose(np.tril(got.lu), np.tril(want.lu), rtol=0,
+                               atol=1e-13)
+            assert got.anorm == pytest.approx(want.anorm, rel=1e-13)
         assert ms.cond_estimate == pytest.approx(own.cond_estimate, rel=1e-10)
-        assert ms.factor.anorm == pytest.approx(own.factor.anorm, rel=1e-13)
+
+
+def centred_reference(family, duration):
+    """The Gram of the centred basis, C_a and then S_a for each a of each
+    |k|, from the dense kernel kappa(y_j - y_i) = T sinc((y_j - y_i) T / 2
+    pi) of all the family's centred exponentials e^{i y s} on [-T/2, T/2]
+    (block k's y = x and block -k's y = -x, each the other's conjugate);
+    its imaginary part is rounding."""
+    k_max, n = family.k_max, family.n
+    m = 2 * k_max * n
+    coef = np.zeros((m, m), dtype=complex)
+    for g in range(k_max):
+        w = family.weights[k_max + g]
+        pos = slice((k_max + g) * n, (k_max + g + 1) * n)
+        neg = slice((k_max - 1 - g) * n, (k_max - g) * n)
+        for a in range(n):
+            even, odd = 2 * (g * n + a), 2 * (g * n + a) + 1
+            coef[even, pos], coef[even, neg] = w[a] / 2, w[a] / 2
+            coef[odd, pos], coef[odd, neg] = w[a] / 2j, -w[a] / 2j
+    y = family.nodes.ravel().real
+    kernel = duration * np.sinc(np.subtract.outer(y, y) * duration
+                                / (2 * np.pi))
+    dense = np.conj(coef) @ kernel @ coef.T
+    assert np.abs(dense.imag).max() <= 1e-13 * np.abs(dense).max()
+    return dense.real
+
+
+@pytest.mark.parametrize("block", [None, 200])
+def test_centred_halves_match_kappa(block, monkeypatch):
+    # a real spectrum above -1: E and O are the diagonal blocks of the
+    # centred basis' Gram over the dense kernel of all its exponentials, and
+    # its cross-parity blocks vanish; each half is exactly symmetric
+    from wavemoment import _kernels
+
+    if block is not None:  # 200 entries: a row block per |k|
+        monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", block)
+    for eigenvalues, k_max in (([0.5, -0.3, 1.7], 6), ([0.7], 4)):
+        spec = spec_for(eigenvalues)
+        grid = build_frequencies(spec, k_max)
+        duration = 2 * TWO_PI * spec.n
+        for family in (build_raw(grid), build_edd(grid)):
+            ms = assemble_gram(family, duration)
+            size = k_max * spec.n
+            assert ms.gram.shape == (2 * size, size)
+            want = centred_reference(family, duration)
+            scale = want.diagonal().max()
+            for part, (gram, _, _) in enumerate(ms.blocks()):
+                assert np.array_equal(gram, gram.T)
+                assert np.allclose(gram, want[part::2, part::2], rtol=0,
+                                   atol=1e-13 * scale)
+            assert np.abs(want[0::2, 1::2]).max() <= 1e-14 * scale
+
+
+def test_centred_gram_matches_quadrature():
+    # E, O and the vanishing cross terms as integrals over [-T/2, T/2] of
+    # the explicit even and odd functions C_a = Re phi_a, S_a = Im phi_a
+    spec = spec_for([0.5, -0.3])
+    grid = build_frequencies(spec, 3)
+    edd = build_edd(grid)
+    duration = 2 * TWO_PI + 0.5
+    ms = assemble_gram(edd, duration)
+    funcs = []  # in unknown order: C_a, S_a for each a of each |k|
+    for nodes, w in zip(edd.nodes[3:].real, edd.weights[3:].real):
+        for row in w:
+            funcs += [lambda s, x=nodes, c=row: c @ np.cos(x * s),
+                      lambda s, x=nodes, c=row: c @ np.sin(x * s)]
+    halves = [gram for gram, _, _ in ms.blocks()]
+    rng = np.random.default_rng(31)
+    for _ in range(12):
+        i, j = rng.integers(0, len(funcs), size=2)
+        want = oracles.quad_complex(lambda s: funcs[i](s) * funcs[j](s),
+                                    -duration / 2, duration / 2).real
+        got = halves[i % 2][i // 2, j // 2] if i % 2 == j % 2 else 0.0
+        assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+
+def test_centred_and_uncentred_systems_give_one_control(monkeypatch):
+    # the centred basis spans the real parts of the same exponentials, so a
+    # real spectrum's control is the one its R on [0, T] gives
+    from wavemoment import moments
+
+    systems = [(A2, B2, 8, 2 * TWO_PI, {1: [1.0, 0.5]}, {2: [0.0, -0.3]}),
+               (np.diag([0.5, -0.3, 1.7]) + np.eye(3, k=-1), np.eye(3)[0], 6,
+                3 * TWO_PI + 1.0, {1: [0.3, -1.0, 0.5]}, {2: [1.0] * 3})]
+    for a, b, k_max, duration, z0, z1 in systems:
+        for basis in ("raw", "edd"):
+            controls = []
+            for centred in (True, False):
+                monkeypatch.setattr(moments, "_centred",
+                                    lambda family, c=centred: c)
+                _, _, ms, gamma = pipeline(a, b, k_max, duration,
+                                           basis=basis, z0=z0, z1=z1)
+                assert len(ms.factors) == (2 if centred else 1)
+                controls.append(synthesize(ms, gamma))
+            split, whole = controls
+            assert np.array_equal(split.frequencies, whole.frequencies)
+            assert split.norm == pytest.approx(whole.norm, rel=1e-10)
+            assert l2_distance(split, whole) <= 1e-9 * whole.norm
+            assert split.realification_residual == 0.0
 
 
 def kernel_forms(signal, family):
@@ -438,7 +558,7 @@ def test_synthesize_refuses_a_nonreal_target():
 
 
 def test_edd_gram_matches_quadrature():
-    spec = decompose(CouplingSystem(A2, B2))
+    spec = decompose(CouplingSystem(PAIR2, B2))
     grid = build_frequencies(spec, 3)
     edd = build_edd(grid)
     ms = assemble_gram(edd, 2 * TWO_PI)
@@ -668,12 +788,12 @@ def test_synthesize_raw_vs_edd_same_control():
 def test_cond_estimate_is_that_of_the_normalized_gram():
     # scaling a basis function changes neither the span nor the control,
     # so the estimate is taken on D G D, D = diag(G)^(-1/2); criterion 6's
-    # system (K = 16, T = 4 pi), where the EDD diagonal spans 12.6 to 658
+    # system (K = 16, T = 4 pi) with its eigenvalues made a complex pair
     z0 = {1: [1.0, 0.0], 2: [0.0, 1.0]}
     z1 = {1: [0.0, 1.0]}
     controls = []
     for basis in ("raw", "edd"):
-        _, _, ms, gamma = pipeline(A2, B2, 16, 2 * TWO_PI, basis=basis,
+        _, _, ms, gamma = pipeline(PAIR2, B2, 16, 2 * TWO_PI, basis=basis,
                                    z0=z0, z1=z1)
         d = 1.0 / np.sqrt(ms.gram.diagonal().real)
         want = factor_hermitian(ms.gram * np.multiply.outer(d, d)).cond
@@ -681,6 +801,31 @@ def test_cond_estimate_is_that_of_the_normalized_gram():
         controls.append(synthesize(ms, gamma))
     sig_r, sig_e = controls
     assert l2_distance(sig_r, sig_e) <= 1e-6 * sig_r.l2_norm()
+
+
+def test_centred_cond_estimate_is_that_of_the_block_diagonal_gram():
+    # criterion 6's system: the estimate of diag(S_E, S_O) is its 1-norm,
+    # the larger of the halves', times the larger of their inverse-norm
+    # estimates; Hager's estimate is a lower bound of the exact 1-norm
+    # condition of the block-diagonal S, and here attains it
+    for basis in ("raw", "edd"):
+        _, _, ms, _ = pipeline(A2, B2, 16, 2 * TWO_PI, basis=basis)
+        halves = []
+        for gram, factor, _ in ms.blocks():
+            d = 1.0 / np.sqrt(gram.diagonal())
+            s = gram * np.multiply.outer(d, d)
+            own = factor_hermitian(s)
+            assert np.allclose(np.tril(own.lu), np.tril(factor.lu), rtol=0,
+                               atol=1e-12)
+            halves.append((s, own))
+        anorm = max(own.anorm for _, own in halves)
+        est = max(own.cond / own.anorm for _, own in halves)
+        for _, factor, _ in ms.blocks():
+            assert factor.anorm == pytest.approx(anorm, rel=1e-14)
+        assert ms.cond_estimate == pytest.approx(anorm * est, rel=1e-10)
+        exact = max(np.abs(s).sum(axis=0).max() for s, _ in halves) * max(
+            np.abs(np.linalg.inv(s)).sum(axis=0).max() for s, _ in halves)
+        assert exact * 0.5 <= ms.cond_estimate <= exact * (1 + 1e-10)
 
 
 def test_synthesize_singular_on_resonance():

@@ -1,6 +1,6 @@
-"""The two threaded dense stages, the kernel fill of R and the evolution's
-mode blocks, run on ``_kernels.map_blocks`` threads and give the same bits
-for any number of workers."""
+"""The two threaded dense stages, the kernel fill of the Gram and the
+evolution's mode blocks, run on ``_kernels.map_blocks`` threads and give the
+same bits for any number of workers."""
 
 import json
 import math
@@ -24,7 +24,8 @@ from wavemoment.waveform import duhamel_exact
 # has at least 16 blocks, so 8 workers run in parallel
 BLOCK = 256
 # (A, b, K, T, basis): the stages that map_blocks runs are the kernel fill
-# of R and the evolution
+# of the Gram and the evolution; "real-edd" fills the even and odd halves
+# of its real spectrum, the others R
 SYSTEMS = {
     "real-edd": ([[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
                  [1.0, 0.0, 0.0], 24, 6 * np.pi + 1.0, "edd"),
@@ -48,8 +49,9 @@ class CountingPool(_kernels.ThreadPoolExecutor):
 
 
 def system_outputs(a, b, k_max, duration, basis):
-    """R, the factor, the amplitudes, a/adot and the samples of the
-    control that drives the system to a fixed target."""
+    """The Gram (R, or a real spectrum's even and odd halves), the factors,
+    the amplitudes, a/adot and the samples of the control that drives the
+    system to a fixed target."""
     a, b = np.array(a), np.array(b)
     spec = decompose(CouplingSystem(a, b))
     grid = build_frequencies(spec, k_max)
@@ -62,10 +64,10 @@ def system_outputs(a, b, k_max, duration, basis):
     control = synthesize(ms, moments_from_target(modal, spec, grid,
                                                  duration))
     state = duhamel_exact(spec, grid, control, duration)
-    return [ms.gram, ms.factor.lu, np.array([ms.factor.anorm,
-                                             ms.factor.cond]),
-            ms.scale, control.amplitudes, state.a, state.adot,
-            control.sample(2049)[1]]
+    factors = [x for factor in ms.factors
+               for x in (factor.lu, np.array([factor.anorm, factor.cond]))]
+    return [ms.gram, *factors, ms.scale, control.amplitudes, state.a,
+            state.adot, control.sample(2049)[1]]
 
 
 def open_control_outputs():

@@ -478,3 +478,88 @@ def test_one_call_evolution_with_open_controls(monkeypatch):
     # an open head shares its integrals with an open control on its terms
     assert one_call_and_alone(spec, 8, pairs[2:4], duration,
                               monkeypatch) == [2]
+
+
+# small-batch seed 7's near-resonant rows 3, 24, 45 and 66 (the
+# perfbench/workloads.py generator): eigenvalue gaps within 1e-2 of
+# 2^2 - 1^2, so omega_{2,1} nearly meets omega_{1,2}
+NEAR_RESONANT_DOCS = [
+    {"A": [[-0.159169, 0.0], [1.0, 2.841856115]], "T": 13.27257688555437,
+     "method": "raw",
+     "target": {"z0": [[1, [0.702376, 0.249169]], [3, [-0.267967, 0.591418]]],
+                "z1": [[2, [-0.19712, 0.275265]]]}},
+    {"A": [[-0.201328, 0.0], [1.0, 2.79176012]], "T": 14.353603902028912,
+     "method": "edd",
+     "target": {"z0": [[1, [0.596724, 0.725002]], [2, [0.684586, -0.077688]],
+                       [3, [-0.038067, -0.329212]]], "z1": []}},
+    {"A": [[0.05895, 0.0], [1.0, 3.067825877]], "T": 14.207452839166372,
+     "method": "raw",
+     "target": {"z0": [[1, [0.025865, -0.677963]], [2, [-0.241413, -0.337751]],
+                       [3, [-0.187247, -0.102565]]],
+                "z1": [[1, [-0.231394, -0.335245]], [2, [0.238062, -0.005339]]]}},
+    {"A": [[-0.46403, 0.0], [1.0, 2.533229681]], "T": 13.468034320761632,
+     "method": "edd",
+     "target": {"z0": [[1, [-0.076031, -0.65567]], [3, [0.310221, 0.062649]]],
+                "z1": [[2, [0.414138, 0.469273]]]}},
+]
+
+
+def written_control_error(doc, out_dir):
+    """The true terminal error of the control that ``synthesize --out``
+    writes to control_modes.json, over all modes k <= K as ``verify``
+    measures it, from the 40-digit closed forms (``terminal_state_mp``)."""
+    import json
+
+    from wavemoment import cli
+
+    config = cli.parse_config(json.dumps(doc))
+    _, code = cli.run("synthesize", config, out_dir=str(out_dir))
+    assert code == cli.EXIT_OK
+    with open(out_dir / "control_modes.json", encoding="utf-8") as fh:
+        terms = json.load(fh)["terms"]
+    spec = decompose(CouplingSystem(config.a, config.b))
+    target = target_to_modal(config.target, spec,
+                             build_frequencies(spec, config.k_max))
+    a, adot = oracles.terminal_state_mp(
+        spec, config.k_max,
+        [complex(t["frequency_re"], t["frequency_im"]) for t in terms],
+        [complex(t["amplitude_re"], t["amplitude_im"]) for t in terms],
+        config.duration)
+    return max(float((np.abs(got - want) / (1.0 + np.abs(want))).max())
+               for got, want in ((a, target.a), (adot, target.adot)))
+
+
+def test_terminal_state_mp_matches_the_closed_forms():
+    # on a well-conditioned control the double closed forms are exact to
+    # rounding, so the two agree there
+    spec = decompose(CouplingSystem(A2, B2))
+    grid = build_frequencies(spec, 6)
+    modal = target_to_modal(TargetSpec({1: [1.0, 0.5]}, {2: [0.0, -0.3]}),
+                            spec, grid)
+    ms = assemble_gram(build_edd(grid), 2 * TWO_PI)
+    control = synthesize(ms, moments_from_target(modal, spec, grid,
+                                                 2 * TWO_PI))
+    a, adot = oracles.terminal_state_mp(spec, 6, control.frequencies,
+                                        control.amplitudes, 2 * TWO_PI)
+    state = duhamel_exact(spec, grid, control, 2 * TWO_PI)
+    assert max_rel_diff(state, ModalState(a, adot)) <= 1e-13
+
+
+@pytest.mark.parametrize("row", range(len(NEAR_RESONANT_DOCS)))
+def test_near_resonant_control_meets_the_target_at_40_digits(row, tmp_path):
+    # the centred halves' controls miss by 4.3e-9 to 6.3e-11 at 40 digits; the
+    # R of [0, T] gave 7.4e-8 on the first row, while verify, which rounds
+    # its kernel as that synthesis did, reported 7.6e-10 (ROADMAP D8)
+    doc = dict(NEAR_RESONANT_DOCS[row], b=[1.0, 0.0], K=8)
+    assert written_control_error(doc, tmp_path) <= 1e-8
+
+
+def test_close_pair_control_meets_the_target_at_40_digits(tmp_path):
+    # an eigenvalue gap of 5e-5: EDD weights near 1e5 k cancel in the
+    # evolution as in ROADMAP D3.  The centred control misses by 1.6e-7 at
+    # 40 digits; the R of [0, T] gave 6.6e-5, which verify reported as
+    # 9.3e-8, and verify reports 6.6e-5 for the centred control
+    doc = {"A": [[0.5, 0.0], [1.0, 0.50005]], "b": [1.0, 0.0],
+           "T": 4 * math.pi, "K": 4, "method": "edd",
+           "target": {"z0": [[1, [1.0, 0.0]]]}}
+    assert written_control_error(doc, tmp_path) <= 1e-6

@@ -26,7 +26,10 @@ file, the number of commands in which each file name changed, and, for
 each ``report.json`` data field that changed, the largest
 relative change |new - old| / |old| over the commands (list items share
 one field, as ``sweep.rows[].cond_estimate``; a change that is not between
-two numbers counts as ``changed``).  It exits 1 when anything differs.
+two numbers counts as ``changed``), and then, for each problem class of
+each workload (the ``kind`` that ``perfbench/workloads.py`` gives the
+command; a command's class does not depend on the seed), how many of its
+commands changed.  It exits 1 when anything differs.
 """
 
 from __future__ import annotations
@@ -97,15 +100,22 @@ def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def compare(old_dir: str, new_dir: str) -> int:
+def compare(old_dir: str, new_dir: str, workloads) -> int:
     """Print how the outputs in ``new_dir`` differ from those in
     ``old_dir``; returns the number of commands with any changed file."""
     cases = sorted({os.path.join(name, index)
                     for root in (old_dir, new_dir)
                     for name in os.listdir(root)
                     for index in os.listdir(os.path.join(root, name))})
-    changed, files, fields = 0, {}, {}
+    kinds = {name: [problem.kind for problem in
+                    workloads.generate(name, DEFAULT_SEED)]
+             for name in workloads.WORKLOADS}
+    changed, files, fields, classes = 0, {}, {}, {}
     for case in cases:
+        name, index = os.path.split(case)
+        tally = classes.setdefault(f"{name}/{kinds[name][int(index)]}",
+                                   [0, 0])
+        tally[1] += 1
         old, new = (os.path.join(root, case) for root in (old_dir, new_dir))
         names = set()
         for d in (old, new):
@@ -115,6 +125,7 @@ def compare(old_dir: str, new_dir: str) -> int:
         if not (mismatch or errors):
             continue
         changed += 1
+        tally[0] += 1
         for name in mismatch + errors:
             files[name] = files.get(name, 0) + 1
         codes = [_read(d, "exit_code") for d in (old, new)]
@@ -143,12 +154,18 @@ def compare(old_dir: str, new_dir: str) -> int:
         else:
             print(f"  {field}: largest relative change {rel:.2e}, largest "
                   f"absolute {delta:.2e}, in {count} values")
+    for kind, (moved, count) in sorted(classes.items()):
+        print(f"  class {kind}: {moved} of {count} commands changed")
     return changed
 
 
 def main(argv: list) -> int:
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
     if len(argv) == 3 and argv[0] == "--compare":
-        return 1 if compare(*argv[1:]) else 0
+        import workloads
+
+        return 1 if compare(*argv[1:], workloads) else 0
     seed = DEFAULT_SEED
     if len(argv) == 4 and argv[0] == "--seed" and argv[1].isdigit():
         seed, argv = int(argv[1]), argv[2:]
@@ -162,8 +179,6 @@ def main(argv: list) -> int:
     for var in PINNED:
         os.environ[var] = "1"
     sys.path.insert(0, src_dir)
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench"))
     from wavemoment import cli
     import workloads
 
