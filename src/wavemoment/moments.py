@@ -534,7 +534,7 @@ def _half_phase(x: np.ndarray, duration: float) -> np.ndarray:
 
 
 def _real_moments(gamma: np.ndarray, family: EddFamily, tol: Tolerances,
-                  centred: float | None = None) -> np.ndarray:
+                  shift: np.ndarray | None = None) -> np.ndarray:
     """The real basis' moments (f, Re phi_a) = Re (f, phi_a) and
     (f, Im phi_a) = -Im (f, phi_a), |k| by |k|, from the moments gamma of
     the plain exponentials in family order (one row per signed block); a
@@ -544,12 +544,9 @@ def _real_moments(gamma: np.ndarray, family: EddFamily, tol: Tolerances,
     the moment of e_j's conjugate being conj(gamma_j), which a real target
     gives; otherwise (within ``tol.hermit_rtol``) raises ValueError.
 
-    ``centred`` is the duration T of a centred system: block k's moments
-    are then first taken to those of the centred exponentials e^{i x_j s},
-    mu_j = base_j h_j with h from ``_half_phase``, base_j being gamma_j
-    without the phase e^{-i x_j T} of ``moments_from_target`` (divided by
-    it again, which returns base to within two roundings), and the moments
-    of C_a and S_a run in turn, as the centred unknowns do.
+    ``shift`` is given for a centred system: block k's moments times
+    ``shift`` are those of the centred exponentials e^{i x_j s}, and the
+    moments of C_a and S_a run in turn, as the centred unknowns do.
     """
     k_max = family.k_max
     pair = np.stack([gamma[k_max:], gamma[k_max - 1::-1]])
@@ -558,14 +555,10 @@ def _real_moments(gamma: np.ndarray, family: EddFamily, tol: Tolerances,
     if np.linalg.norm(pair - mirror) > tol.hermit_rtol * np.linalg.norm(gamma):
         raise ValueError("moments are not mirror-symmetric: the target is "
                          "not real")
-    own = pair[0]
-    if centred is not None:
-        nodes = family.nodes[k_max:]
-        own = own / np.exp(-1j * nodes * centred) \
-            * _half_phase(nodes.real, centred)
+    own = pair[0] if shift is None else pair[0] * shift
     rhs = (np.conj(family.weights[k_max:]) @ own[:, :, None])[..., 0]
     return np.stack([rhs.real, np.where(plain, pair[1].real, -rhs.imag)],
-                    axis=1 if centred is None else 2).ravel()
+                    axis=1 if shift is None else 2).ravel()
 
 
 def synthesize(ms: MomentSystem, gamma: np.ndarray,
@@ -596,9 +589,16 @@ def synthesize(ms: MomentSystem, gamma: np.ndarray,
     if np.shape(gamma) != (family.nodes.size,):
         raise ValueError(f"expected {family.nodes.size} moments")
     parts = len(ms.factors)
-    centred = ms.duration if parts == 2 else None
     moments = gamma[family.perm + n * np.arange(2 * k_max)[:, None]]
-    rhs = _real_moments(moments, family, tol, centred)
+    half = shift = None
+    if parts == 2:
+        # the centred moments mu = base h: gamma = base e^{-i x T} times
+        # h / e^{-i x T}, the phase that ``moments_from_target`` multiplied
+        # in, so that its rounding cancels
+        nodes = family.nodes[k_max:]
+        half = _half_phase(nodes.real, ms.duration)
+        shift = half / np.exp(-1j * nodes * ms.duration)
+    rhs = _real_moments(moments, family, tol, shift)
     coef, product = np.empty_like(rhs), np.empty_like(rhs)
     for part, (gram, factor, scale) in enumerate(ms.blocks()):
         x, _ = solve_hermitian(gram, rhs.reshape(-1, parts)[:, part],
@@ -616,14 +616,14 @@ def synthesize(ms: MomentSystem, gamma: np.ndarray,
 
     # f = sum_a alpha_a phi_a + conj(alpha_a phi_a) over block k's functions;
     # a self-mirrored pair takes its two real coefficients
-    c = (coef.reshape(k_max, 2, n) if centred is None
+    c = (coef.reshape(k_max, 2, n) if half is None
          else coef.reshape(k_max, n, 2).transpose(0, 2, 1))
     plain = family.self_mirrored
     alpha = (c[:, 0] - 1j * c[:, 1]) / 2.0
     amps = np.where(plain, c[:, 0], (family.weights[k_max:].transpose(0, 2, 1)
                                      @ alpha[:, :, None])[..., 0])
-    if centred is not None:
-        amps = amps * _half_phase(family.nodes[k_max:].real, centred)
+    if half is not None:
+        amps = amps * half
     mirrored = np.where(plain, c[:, 1], np.conj(amps))
     # terms in (Re, Im) order, as control_modes.json lists them
     reps = np.conj(family.nodes)

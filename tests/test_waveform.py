@@ -547,7 +547,7 @@ def test_terminal_state_mp_matches_the_closed_forms():
 
 @pytest.mark.parametrize("row", range(len(NEAR_RESONANT_DOCS)))
 def test_near_resonant_control_meets_the_target_at_40_digits(row, tmp_path):
-    # the centred halves' controls miss by 4.3e-9 to 6.3e-11 at 40 digits; the
+    # the centred halves' controls miss by 4.3e-9 to 5.8e-11 at 40 digits; the
     # R of [0, T] gave 7.4e-8 on the first row, while verify, which rounds
     # its kernel as that synthesis did, reported 7.6e-10 (ROADMAP D8)
     doc = dict(NEAR_RESONANT_DOCS[row], b=[1.0, 0.0], K=8)
@@ -556,7 +556,7 @@ def test_near_resonant_control_meets_the_target_at_40_digits(row, tmp_path):
 
 def test_close_pair_control_meets_the_target_at_40_digits(tmp_path):
     # an eigenvalue gap of 5e-5: EDD weights near 1e5 k cancel in the
-    # evolution as in ROADMAP D3.  The centred control misses by 1.6e-7 at
+    # evolution as in ROADMAP D3.  The centred control misses by 1.4e-7 at
     # 40 digits; the R of [0, T] gave 6.6e-5, which verify reported as
     # 9.3e-8, and verify reports 6.6e-5 for the centred control
     doc = {"A": [[0.5, 0.0], [1.0, 0.50005]], "b": [1.0, 0.0],
