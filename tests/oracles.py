@@ -147,7 +147,8 @@ def terminal_state_mp(spec, k_max, frequencies, amplitudes, duration,
         adot = np.zeros((k_max, n), dtype=complex)
         for k in range(1, k_max + 1):
             for l in range(n):
-                w = mpmath.sqrt(k * k + mpmath.mpc(complex(spec.eigenvalues[l])))
+                lam = mpmath.mpc(complex(spec.eigenvalues[l]))
+                w = mpmath.sqrt(k * k + lam)
                 gain = 2 * k / mpmath.pi * mpmath.mpc(complex(spec.beta[l]))
                 ahead, back = mpmath.exp(1j * w * t), mpmath.exp(-1j * w * t)
                 sine = cosine = mpmath.mpc(0)

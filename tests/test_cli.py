@@ -453,8 +453,8 @@ def test_k_sweep_rows_match_single_k_commands(doc):
 # a complex eigenvalue pair 0.5 +- 2.5e-5i, gap 5e-5: the in-block frequency
 # gap at k = 64 (about 4e-7) is below that K's collision threshold
 # 1e-8 * (1 + 64), the gaps at k <= 8 are above 1e-8 * (1 + 8)
-COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 2.5e-5], [-2.5e-5, 0.5]], method="edd",
-                         target={"z0": [[1, [1.0, 0.0]]]},
+COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 2.5e-5], [-2.5e-5, 0.5]],
+                         method="edd", target={"z0": [[1, [1.0, 0.0]]]},
                          sweep={"parameter": "K", "values": [4, 64, 8]})
 
 

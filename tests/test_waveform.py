@@ -496,7 +496,8 @@ NEAR_RESONANT_DOCS = [
      "method": "raw",
      "target": {"z0": [[1, [0.025865, -0.677963]], [2, [-0.241413, -0.337751]],
                        [3, [-0.187247, -0.102565]]],
-                "z1": [[1, [-0.231394, -0.335245]], [2, [0.238062, -0.005339]]]}},
+                "z1": [[1, [-0.231394, -0.335245]],
+                       [2, [0.238062, -0.005339]]]}},
     {"A": [[-0.46403, 0.0], [1.0, 2.533229681]], "T": 13.468034320761632,
      "method": "edd",
      "target": {"z0": [[1, [-0.076031, -0.65567]], [3, [0.310221, 0.062649]]],
