@@ -1,9 +1,11 @@
 """Closed-form primitives for oscillatory integrals on [0, duration].
 
-Everything here reduces to exact antiderivatives of exponentials; the only
-numerical care is the small-argument series that avoids cancellation in
-(e^{ix} - 1)/x type expressions.  The series switch doubles as the resonant
-limit: at delta == 0 the formulas below return the exact limits.
+Everything here reduces to exact antiderivatives of exponentials.  For
+complex arguments the numerical care is the small-argument series that
+avoids cancellation in (e^{ix} - 1)/x type expressions; the series switch
+doubles as the resonant limit: at delta == 0 the formulas below return the
+exact limits.  For real arguments ``centred_phase_integral`` needs no
+series, and forms its arguments exactly to first order.
 """
 
 from __future__ import annotations
@@ -107,6 +109,59 @@ def phase_integral(delta, duration, switch=SERIES_SWITCH):
     x = 1j * d[small] * duration
     out[small] = duration * (1.0 + x / 2.0 + x * x / 6.0)
     return out[0] if scalar else out
+
+
+def half_angle(x, duration):
+    """x * duration / 2 for real x as a pair (hi, lo) of arrays whose sum is
+    the exact product (Dekker's two-product, Numer. Math. 18, 1971; x and
+    duration far from overflow)."""
+    x = np.asarray(x, dtype=float)
+    half = duration / 2.0
+    hi = x * half
+    x_hi, x_lo = _split(x)
+    h_hi, h_lo = _split(half)
+    lo = ((x_hi * h_hi - hi) + x_hi * h_lo + x_lo * h_hi) + x_lo * h_lo
+    return hi, lo
+
+
+def _split(x):
+    """Veltkamp's split of x into a 26-bit head and the rest, exactly."""
+    scaled = 134217729.0 * x
+    head = scaled - (scaled - x)
+    return head, x - head
+
+
+def centred_phase_integral(theta, phi, duration):
+    """``phase_integral(nu - w, duration)`` for real nu and w, from the
+    pairs theta = half_angle(nu) and phi = half_angle(w), broadcast
+    against each other: T e^{iy} sin(y) / y with y = (nu - w) T / 2, T at
+    y == 0.
+
+    y is taken as theta - phi to first order in its rounding (Knuth's
+    two-sum), and e^{iy} and sin(y) are corrected by that rounding, so
+    only the rounding of the exponential and of the products remains:
+    nodes close to each other far from w keep their exact difference in
+    y, which (nu - w) * T, rounded once per node, loses by up to
+    eps |y|.  No series is needed: sin(y) / y has no cancellation.
+    """
+    t_hi, t_lo = theta
+    p_hi, p_lo = phi
+    y = t_hi - p_hi
+    back = y - t_hi
+    lo = (t_hi - (y - back)) - (p_hi + back)
+    lo += t_lo - p_lo
+    out = np.exp(1j * y)
+    cos, sin = out.real, out.imag
+    sin_y = sin + cos * lo
+    cos_y = cos - sin * lo
+    y += lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = sin_y / y
+    scale *= duration
+    np.copyto(scale, duration, where=y == 0)
+    np.multiply(scale, cos_y, out=cos)
+    np.multiply(scale, sin_y, out=sin)
+    return out
 
 
 def ramp_integral(nu, duration, switch=SERIES_SWITCH):

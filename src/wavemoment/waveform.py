@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from ._kernels import (map_blocks, mirror_index, phase_integral,
-                       ramp_integral, row_blocks, segment_moment)
+from ._kernels import (centred_phase_integral, half_angle, map_blocks,
+                       mirror_index, phase_integral, ramp_integral,
+                       row_blocks, segment_moment)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
 from .moments import GROWTH_PIN, ControlSignal, ModalState
@@ -56,12 +57,16 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     with |w| <= tol.zero_tol use the exact w -> 0 limit (ramp kernel).  The
     integrals take the kernels' fixed series switch, never
     ``tol.series_switch``: an override that coarsens the Gram's series must
-    not coarsen the check of the control it gives.  When the control's
-    frequencies are closed under the mirror nu -> -conj(nu)
-    (``mirror_index``), a block of modes with real w reads its backward
-    integrals as conjugates of its forward ones, nu_j + w = -conj(nu_j' - w),
-    bit for bit as evaluated; a block with a complex or imaginary w
-    evaluates both.  When some mode's amplification e^{|Im w| T} exceeds
+    not coarsen the check of the control it gives.  When every frequency
+    of the control is real, the modes with real w take
+    ``centred_phase_integral``, which keeps the exact differences of
+    clustered frequencies in its arguments: (nu - w) T, rounded term by
+    term, loses them, and with them the cancellation of a block's large
+    EDD amplitudes (ROADMAP D8).  When the control's frequencies are
+    closed under the mirror nu -> -conj(nu) (``mirror_index``), a block of
+    modes with real w reads its backward integrals as conjugates of its
+    forward ones, nu_j + w = -conj(nu_j' - w), bit for bit as evaluated; a
+    block with a complex or imaginary w evaluates both.  When some mode's amplification e^{|Im w| T} exceeds
     GROWTH_PIN, its terms are that much larger than its state, and all run
     in long double.
 
@@ -158,31 +163,35 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
                          np.zeros((k, n), dtype=complex))
               for _, k, _ in members]
 
+    # real frequencies against real modes take the centred kernel, whose
+    # arguments keep the exact differences of clustered frequencies
+    centred = dtype is complex and not nus.imag.any()
+    if centred:
+        theta = half_angle(nus.real, duration)
+        phi = half_angle(ws.real, duration)
+
     def evolve_block(rows):
         w = ws[rows, None]
-        fwd = phase_integral(nus - w, duration)
         real = not w.imag.any()
+        if centred and real:
+            near = tuple(part[rows, None] for part in phi)
+            fwd = centred_phase_integral(theta, near, duration)
+        else:
+            fwd = phase_integral(nus - w, duration)
         if mirror is not None and real:
             bwd = fwd[:, mirror]
             np.conj(bwd, out=bwd)
+        elif centred and real:
+            far = tuple(-part[rows, None] for part in phi)
+            bwd = centred_phase_integral(theta, far, duration)
         else:
             bwd = phase_integral(nus + w, duration)
         # in place, in the operand order of a product into a new array (the
         # other order rounds differently)
         np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
         np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
-        c_kernel = fwd + bwd
-        if real:
-            # the real multiplies by 1 / (2w) and 0.5 that numpy's complex
-            # division by 2iw and by 2 makes, short of the sign of exact zeros
-            s_kernel = np.subtract(fwd, bwd, out=fwd)
-            scale = 1.0 / (2.0 * w.real)
-            s_kernel.real, s_kernel.imag = (s_kernel.imag * scale,
-                                            -s_kernel.real * scale)
-            c_kernel.view(c_kernel.real.dtype)[...] *= 0.5
-        else:
-            s_kernel = (fwd - bwd) / (2j * w)
-            c_kernel /= 2.0
+        s_kernel = (fwd - bwd) / (2j * w)
+        c_kernel = (fwd + bwd) / 2.0
         for (_, _, cols), amp, count, state in zip(members, amps, counts,
                                                    states):
             own = min(rows.stop, count) - rows.start

@@ -450,11 +450,11 @@ def test_k_sweep_rows_match_single_k_commands(doc):
         assert_row_matches_single_k(row, doc)
 
 
-# a complex eigenvalue pair 0.5 +- 2.5e-5i, gap 5e-5: the in-block frequency
-# gap at k = 64 (about 4e-7) is below that K's collision threshold
-# 1e-8 * (1 + 64), the gaps at k <= 8 are above 1e-8 * (1 + 8)
-COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 2.5e-5], [-2.5e-5, 0.5]],
-                         method="edd", target={"z0": [[1, [1.0, 0.0]]]},
+# eigenvalue gap 5e-5: the in-block frequency gap at k = 64 (about 4e-7) is
+# below that K's collision threshold 1e-8 * (1 + 64), the gaps at k <= 8 are
+# above 1e-8 * (1 + 8)
+COLLIDING_TOP_DOC = dict(A2_DOC, A=[[0.5, 0.0], [1.0, 0.50005]], method="edd",
+                         target={"z0": [[1, [1.0, 0.0]]]},
                          sweep={"parameter": "K", "values": [4, 64, 8]})
 
 
@@ -479,6 +479,21 @@ def test_k_sweep_builds_a_colliding_top_family_once(monkeypatch):
     report, code = cli.run("sweep",
                            cli.parse_config(json.dumps(COLLIDING_TOP_DOC)))
     assert code == cli.EXIT_OK
+    assert calls == {"build_edd": 2}
+
+
+def test_k_sweep_keeps_rows_below_a_colliding_complex_top(monkeypatch):
+    # the same collision on the complex pair 0.5 +- 2.5e-5i, whose Gram
+    # system stays R on [0, T] where the real pair's is centred
+    from wavemoment import spectrum
+
+    calls = {}
+    count_calls(monkeypatch, calls, spectrum, "build_edd")
+    doc = dict(COLLIDING_TOP_DOC, A=[[0.5, 2.5e-5], [-2.5e-5, 0.5]])
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    rows = report["data"]["sweep"]["rows"]
+    assert [row["status"] for row in rows] == ["ok", "CollisionInBlock", "ok"]
     assert calls == {"build_edd": 2}
 
 

@@ -1,14 +1,17 @@
 import warnings
 
+import mpmath
 import numpy as np
 
 from wavemoment import _kernels
-from wavemoment._kernels import (SERIES_SWITCH, mirror_index, phase_integral,
+from wavemoment._kernels import (SERIES_SWITCH, centred_phase_integral,
+                                half_angle, mirror_index, phase_integral,
                                 row_blocks)
 
 import oracles
 
 DURATION = 8.0 * np.pi + 1.0
+EPS = np.finfo(float).eps
 
 
 def test_phase_integral_matches_masked_reference():
@@ -63,3 +66,50 @@ def test_mirror_index_pairs_each_frequency_with_its_mirror():
     for broken in (np.append(freqs, 0.5), np.append(freqs, 0.5j)[1:],
                    np.array([1.0 + 0.5j, -1.0 - 0.5j])):
         assert mirror_index(broken) is None
+
+
+def mp_phase_integral(delta, duration):
+    """int_0^T e^{i delta t} dt for an mpmath ``delta``, at its precision."""
+    t = mpmath.mpf(duration)
+    if delta == 0:
+        return t
+    return (mpmath.exp(1j * delta * t) - 1) / (1j * delta)
+
+
+def test_centred_phase_integral_is_the_exact_integral_to_rounding():
+    # real frequencies against real modes at resonance, near it and far
+    # from it: within a few roundings of the 40-digit integral of the exact
+    # nu - w, with no series switch
+    rng = np.random.default_rng(8)
+    w = np.array([1.224744871391589, 3.3, 150.7])
+    nu = np.concatenate([rng.uniform(-300.0, 300.0, 40), w, w + 2.5e-5,
+                         w + 1e-7, [-150.7, 0.0]])
+    got = centred_phase_integral(
+        half_angle(nu, DURATION),
+        tuple(part[:, None] for part in half_angle(w, DURATION)), DURATION)
+    assert got.shape == (w.size, nu.size)
+    with mpmath.workdps(40):
+        for i, j in np.ndindex(got.shape):
+            want = mp_phase_integral(mpmath.mpf(nu[j]) - mpmath.mpf(w[i]),
+                                     DURATION)
+            assert abs(got[i, j] - want) <= 8 * EPS * abs(want)
+    assert np.all(got[np.arange(3), 40 + np.arange(3)] == DURATION)
+
+
+def test_centred_phase_integral_keeps_the_difference_of_close_nodes():
+    # two nodes 2.5e-5 apart, far from w: the difference of their integrals
+    # (6e-4 of each) within the two integrals' own rounding; (nu - w) T
+    # rounded per node, as phase_integral takes it, misses it by 2e-11
+    w = np.array([[1.5]])
+    nu = np.array([200.1234567, 200.1234567 + 2.5e-5])
+    got = centred_phase_integral(
+        half_angle(nu, DURATION),
+        tuple(part[:, None] for part in half_angle(w[:, 0], DURATION)),
+        DURATION)[0]
+    plain = phase_integral(nu - w, DURATION)[0]
+    with mpmath.workdps(40):
+        want = [mp_phase_integral(mpmath.mpf(x) - mpmath.mpf(1.5), DURATION)
+                for x in nu]
+        diff = want[1] - want[0]
+        assert abs((got[1] - got[0]) - diff) <= 1e-12 * abs(diff)
+        assert abs((plain[1] - plain[0]) - diff) > 1e-11 * abs(diff)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wavemoment import waveform
+from wavemoment._kernels import mirror_index
 from wavemoment.coupling import CouplingSystem, decompose
 from wavemoment.exceptions import GridTooCoarse
 from wavemoment.moments import (ControlSignal, ModalState, TargetSpec,
@@ -505,10 +506,10 @@ NEAR_RESONANT_DOCS = [
 ]
 
 
-def written_control_error(doc, out_dir):
-    """The true terminal error of the control that ``synthesize --out``
-    writes to control_modes.json, over all modes k <= K as ``verify``
-    measures it, from the 40-digit closed forms (``terminal_state_mp``)."""
+def written_control(doc, out_dir):
+    """(spec, control, modal target, 40-digit terminal state) of the control
+    that ``synthesize --out`` writes to control_modes.json; the state is
+    ``terminal_state_mp`` over all modes k <= K."""
     import json
 
     from wavemoment import cli
@@ -518,16 +519,31 @@ def written_control_error(doc, out_dir):
     assert code == cli.EXIT_OK
     with open(out_dir / "control_modes.json", encoding="utf-8") as fh:
         terms = json.load(fh)["terms"]
+    control = ControlSignal(
+        config.duration,
+        [complex(t["frequency_re"], t["frequency_im"]) for t in terms],
+        [complex(t["amplitude_re"], t["amplitude_im"]) for t in terms])
     spec = decompose(CouplingSystem(config.a, config.b))
     target = target_to_modal(config.target, spec,
                              build_frequencies(spec, config.k_max))
-    a, adot = oracles.terminal_state_mp(
-        spec, config.k_max,
-        [complex(t["frequency_re"], t["frequency_im"]) for t in terms],
-        [complex(t["amplitude_re"], t["amplitude_im"]) for t in terms],
-        config.duration)
-    return max(float((np.abs(got - want) / (1.0 + np.abs(want))).max())
-               for got, want in ((a, target.a), (adot, target.adot)))
+    exact = ModalState(*oracles.terminal_state_mp(
+        spec, config.k_max, control.frequencies, control.amplitudes,
+        config.duration))
+    return spec, control, target, exact
+
+
+def verify_error(got, want):
+    """``verify``'s error metric of the modal state ``got`` against ``want``."""
+    return max(float((np.abs(g - w) / (1.0 + np.abs(w))).max())
+               for g, w in ((got.a, want.a), (got.adot, want.adot)))
+
+
+def written_control_error(doc, out_dir):
+    """The true terminal error of the control that ``synthesize --out``
+    writes to control_modes.json, over all modes k <= K as ``verify``
+    measures it, from the 40-digit closed forms (``terminal_state_mp``)."""
+    _, _, target, exact = written_control(doc, out_dir)
+    return verify_error(exact, target)
 
 
 def test_terminal_state_mp_matches_the_closed_forms():
@@ -555,12 +571,46 @@ def test_near_resonant_control_meets_the_target_at_40_digits(row, tmp_path):
     assert written_control_error(doc, tmp_path) <= 1e-8
 
 
+# an eigenvalue gap of 5e-5: EDD weights near 1e5 k give amplitudes near 4e3
+# that cancel in the evolution as in ROADMAP D3
+CLOSE_PAIR_DOC = {"A": [[0.5, 0.0], [1.0, 0.50005]], "b": [1.0, 0.0],
+                  "T": 4 * math.pi, "K": 4, "method": "edd",
+                  "target": {"z0": [[1, [1.0, 0.0]]]}}
+
+
 def test_close_pair_control_meets_the_target_at_40_digits(tmp_path):
-    # an eigenvalue gap of 5e-5: EDD weights near 1e5 k cancel in the
-    # evolution as in ROADMAP D3.  The centred control misses by 1.4e-7 at
-    # 40 digits; the R of [0, T] gave 6.6e-5, which verify reported as
-    # 9.3e-8, and verify reports 6.6e-5 for the centred control
-    doc = {"A": [[0.5, 0.0], [1.0, 0.50005]], "b": [1.0, 0.0],
-           "T": 4 * math.pi, "K": 4, "method": "edd",
-           "target": {"z0": [[1, [1.0, 0.0]]]}}
-    assert written_control_error(doc, tmp_path) <= 1e-6
+    # the centred control misses by 1.4e-7 at 40 digits; the R of [0, T]
+    # gave 6.6e-5, which verify, rounding its kernel as that synthesis did,
+    # reported as 9.3e-8
+    assert written_control_error(CLOSE_PAIR_DOC, tmp_path) <= 1e-6
+
+
+@pytest.mark.parametrize("k_max", [4, 8])
+def test_close_pair_evolution_is_the_40_digit_state(k_max, tmp_path):
+    # the evolution of the close pair's control, whose terms cancel by 1e5,
+    # within 2.3e-7 of the 40-digit closed forms (as verify measures
+    # errors), so verify's 1e-6 judges the control and not its own
+    # rounding; with (nu - w) T rounded per term it was off by 6.6e-5 at
+    # K = 4 and 2.4e-4 at K = 8
+    spec, control, _, exact = written_control(
+        dict(CLOSE_PAIR_DOC, K=k_max), tmp_path)
+    grid = build_frequencies(spec, k_max)
+    state = duhamel_exact(spec, grid, control, control.duration)
+    assert verify_error(state, exact) <= 3e-7
+
+
+def test_real_frequencies_without_a_mirror_evolve_both_ways_centred():
+    # a real spectrum and real frequencies not closed under nu -> -nu: the
+    # backward integrals are evaluated with the centred kernel, not read
+    # as conjugates
+    spec = decompose(CouplingSystem(A2, B2))
+    grid = build_frequencies(spec, 6)
+    rng = np.random.default_rng(12)
+    freqs = rng.uniform(-8.0, 8.0, 15)
+    amps = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+    assert mirror_index(freqs) is None
+    control = ControlSignal(2 * TWO_PI, freqs, amps)
+    state = duhamel_exact(spec, grid, control, 2 * TWO_PI)
+    exact = ModalState(*oracles.terminal_state_mp(spec, 6, freqs, amps,
+                                                  2 * TWO_PI))
+    assert max_rel_diff(state, exact) <= 1e-13

@@ -13,9 +13,11 @@ alike.  Then each side runs once with ``--trace 1`` for the per-layer
 metrics.  For each end-to-end metric of BENCHMARK.json the output holds
 each side's values, median and quartiles, the head/base ratio of the
 medians and the number of pairs that the head won (better by the metric's
-``better``; a tie is no win).  It also holds each side's environment
-record (thread variables, nproc, versions) and the ``timings.workers`` that
-a command reports there (null where the report has none).
+``better``; a tie is no win), and each run's attempted and failed
+commands and their ratio, the fail share.  It also holds each side's
+environment record (thread variables, nproc, versions) and the
+``timings.workers`` that a command reports there (null where the report
+has none).
 """
 
 from __future__ import annotations
@@ -131,8 +133,13 @@ def main(argv=None) -> int:
                             for name, value in result["metrics"].items()}
         doc["workloads"][workload] = {
             "end_to_end": summarize(pairs, bench["end_to_end"]),
-            "failed": {side: [pair[side]["failed"] for pair in pairs]
-                       for side in ("base", "head")},
+            **{count: {side: [pair[side][count] for pair in pairs]
+                       for side in ("base", "head")}
+               for count in ("attempted", "failed")},
+            "fail_share": {side: [pair[side]["failed"]
+                                  / max(pair[side]["attempted"], 1)
+                                  for pair in pairs]
+                           for side in ("base", "head")},
             "per_layer_trace1": traced}
     for side, entry in doc["sides"].items():
         pinned = entry["environment"]["threads"]
