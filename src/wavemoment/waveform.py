@@ -66,9 +66,9 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     closed under the mirror nu -> -conj(nu) (``mirror_index``), a block of
     modes with real w reads its backward integrals as conjugates of its
     forward ones, nu_j + w = -conj(nu_j' - w), bit for bit as evaluated; a
-    block with a complex or imaginary w evaluates both.  When some mode's amplification e^{|Im w| T} exceeds
-    GROWTH_PIN, its terms are that much larger than its state, and all run
-    in long double.
+    block with a complex or imaginary w evaluates both.  When some mode's
+    amplification e^{|Im w| T} exceeds GROWTH_PIN, its terms are that much
+    larger than its state, and all run in long double.
 
     ``control`` may instead be a list of (control, k_max) pairs, as a sweep
     at one duration holds them, ``grid`` reaching the largest k_max: then
