@@ -514,7 +514,6 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
         return finish(EXIT_NUMERICAL)
 
     report["synthesis"] = {
-        "basis": config.method,
         "size": int(ms.gram.shape[0]),
         "cond_estimate": ms.cond_estimate,
         "control_norm": control.l2_norm(),

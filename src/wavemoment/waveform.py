@@ -3,7 +3,10 @@
 Each mode obeys a driven oscillator whose Duhamel solution against an
 exponential control term has a closed form; resonant terms degenerate to the
 t * e^{i w t} limit, which the series branch of the kernel integrals covers.
-A piecewise-linear exponential integrator over sampled controls provides an
+For real terms against real modes, the closed forms of a term and a mode
+far apart are entries of one real Cauchy matrix 1 / (nu - w), so each
+mode's sums over the terms are a row of one BLAS product.  A
+piecewise-linear exponential integrator over sampled controls provides an
 independent check of the closed forms (exact for piecewise-linear input,
 second order in the sample spacing for smooth input).
 """
@@ -17,7 +20,7 @@ import numpy as np
 
 from ._kernels import (centred_phase_integral, half_angle, map_blocks,
                        mirror_index, phase_integral, ramp_integral,
-                       row_blocks, segment_moment)
+                       row_blocks, segment_moment, unit_phase)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
 from .moments import GROWTH_PIN, ControlSignal, ModalState
@@ -28,6 +31,10 @@ __all__ = [
     "EvolutionResult", "VerifyReport", "duhamel_exact", "evolve_quadrature",
     "evolve", "reconstruct", "sobolev_norm", "verify", "wellposedness_ratio",
 ]
+
+# A real term nu and a real mode w with |nu - w| T / 2 below NEAR take the
+# centred kernel; farther pairs take the Cauchy form of ``_real_sums``.
+NEAR = 1.0
 
 
 @dataclasses.dataclass
@@ -58,15 +65,19 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     integrals take the kernels' fixed series switch, never
     ``tol.series_switch``: an override that coarsens the Gram's series must
     not coarsen the check of the control it gives.  When every frequency
-    of the control is real, the modes with real w take
+    of the control is real, the modes with real w take ``_real_sums``:
+    the pairs far apart are one real Cauchy product, which needs the
+    exponentials of the terms and of the modes only, each exact in its
+    argument, and the pairs close together take
     ``centred_phase_integral``, which keeps the exact differences of
     clustered frequencies in its arguments: (nu - w) T, rounded term by
     term, loses them, and with them the cancellation of a block's large
-    EDD amplitudes (ROADMAP D8).  When the control's frequencies are
-    closed under the mirror nu -> -conj(nu) (``mirror_index``), a block of
-    modes with real w reads its backward integrals as conjugates of its
-    forward ones, nu_j + w = -conj(nu_j' - w), bit for bit as evaluated; a
-    block with a complex or imaginary w evaluates both.  When some mode's
+    EDD amplitudes (ROADMAP D8).  The other modes run in blocks of phase
+    integrals.  When the control's frequencies are closed under the
+    mirror nu -> -conj(nu) (``mirror_index``), such a block of modes with
+    real w reads its backward integrals as conjugates of its forward
+    ones, nu_j + w = -conj(nu_j' - w), bit for bit as evaluated; a block
+    with a complex or imaginary w evaluates both.  When some mode's
     amplification e^{|Im w| T} exceeds GROWTH_PIN, its terms are that much
     larger than its state, and all run in long double.
 
@@ -77,7 +88,9 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     with the largest k_max heads one walk over its mode blocks, and every
     control whose terms its terms give bit for bit (``_shared_columns``)
     reads its kernel columns from that walk's, so each integral is
-    evaluated once; any other control is evolved alone.
+    evaluated once; any other control is evolved alone.  The Cauchy
+    products of real terms are taken per control: a control's own costs
+    no more than reading its columns from the head's would.
     """
     if isinstance(control, ControlSignal):
         return _evolve(spec, grid.omega, duration, tol,
@@ -138,13 +151,68 @@ def _shared_columns(head: ControlSignal, k_head: int, omega,
     return columns
 
 
+def _real_sums(nus, amp, ws, duration: float):
+    """The forward and backward sums of the control with real terms
+    ``nus`` and amplitudes ``amp`` at the real modes ``ws``:
+    sum_j amp_j e^{iwT} P(nu_j - w) and sum_j amp_j e^{-iwT} P(nu_j + w),
+    P the phase integral over [0, T].
+
+    A term and a mode far apart, |nu_j - w| T / 2 >= NEAR, give the forward
+    term (E_j - e^{iwT}) / (i (nu_j - w)) with E_j = e^{i nu_j T}, whose
+    numerator has no cancellation there: a mode's forward sums are one row
+    of the real Cauchy matrix 1 / (nu_j - w) times the columns amp E and
+    amp.  Its backward terms have the same form in nu_j + w, which is
+    -(nu_j' - w) for the mirror j' of j (``mirror_index``), so the same
+    row times the two columns mirrored gives them; without a mirror they
+    are the forward sums at -w.  Only the exponentials E_j and e^{iwT} are
+    taken, exact in their arguments (``unit_phase``).  The pairs nearer
+    than NEAR, found by bisection in the sorted terms, are zero in the
+    Cauchy matrix and added through ``centred_phase_integral``.
+    """
+    mirror = mirror_index(nus)
+    rows = ws if mirror is not None else np.concatenate([ws, -ws])
+    theta, phi = half_angle(nus, duration), half_angle(rows, duration)
+    ahead = unit_phase(phi)
+    columns = [amp * unit_phase(theta), amp]
+    if mirror is not None:
+        columns += [columns[0][mirror], amp[mirror]]
+    columns = np.stack(columns, axis=1).view(float)
+    # the near pairs (near_r, near_j), in the order of their rows
+    order = np.argsort(nus, kind="stable")
+    radius = 2.0 * NEAR / duration
+    first = np.searchsorted(nus[order], rows - radius, "left")
+    count = np.searchsorted(nus[order], rows + radius, "right") - first
+    near_r = np.repeat(np.arange(rows.size), count)
+    near_j = order[np.arange(near_r.size)
+                   + np.repeat(first - np.cumsum(count) + count, count)]
+    sums = np.empty((rows.size, columns.shape[1] // 2), dtype=complex)
+    for block in row_blocks(rows.size, nus.size):
+        cauchy = np.subtract(nus, rows[block, None])
+        with np.errstate(divide="ignore"):
+            np.divide(1.0, cauchy, out=cauchy)
+        part = slice(*np.searchsorted(near_r, [block.start, block.stop]))
+        cauchy[near_r[part] - block.start, near_j[part]] = 0.0
+        np.matmul(cauchy, columns, out=sums[block].view(float))
+    near = ahead[near_r] * centred_phase_integral(
+        tuple(x[near_j] for x in theta), tuple(x[near_r] for x in phi),
+        duration)
+    fwd = -1j * (sums[:, 0] - ahead * sums[:, 1])
+    np.add.at(fwd, near_r, amp[near_j] * near)
+    if mirror is None:
+        return fwd[:ws.size], fwd[ws.size:]
+    bwd = 1j * (sums[:, 2] - np.conj(ahead) * sums[:, 3])
+    np.add.at(bwd, near_r, amp[mirror[near_j]] * np.conj(near))
+    return fwd, bwd
+
+
 def _evolve(spec: SpectralDecomposition, omega, duration: float,
             tol: Tolerances, members: list) -> list:
     """The states of ``members``, (control, k_max, cols) triples.  The
     first is the head: the blocks run over its terms and its modes
     k <= k_max, and its cols are None.  Every other member reads the
     columns ``cols`` of the head's kernels and the rows of its own modes,
-    which lead the head's, as its k_max is no larger."""
+    which lead the head's, as its k_max is no larger.  The modes that
+    ``_real_sums`` takes are each member's own."""
     head, k_max, _ = members[0]
     omega = omega[:k_max]
     dtype = np.clongdouble if _amplified(omega, duration) else complex
@@ -163,27 +231,38 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
                          np.zeros((k, n), dtype=complex))
               for _, k, _ in members]
 
-    # real frequencies against real modes take the centred kernel, whose
-    # arguments keep the exact differences of clustered frequencies
-    centred = dtype is complex and not nus.imag.any()
-    if centred:
-        theta = half_angle(nus.real, duration)
-        phi = half_angle(ws.real, duration)
+    def write(state, done, sine, cosine):
+        # the gain applied as numpy's scalar complex product rounds it (its
+        # array product rounds some entries differently)
+        gain = gains[done]
+        for table, dot in ((state.a, sine), (state.adot, cosine)):
+            value = np.empty_like(dot)
+            value.real = gain.real * dot.real - gain.imag * dot.imag
+            value.imag = gain.real * dot.imag + gain.imag * dot.real
+            table[rows_k[done], rows_l[done]] = value
 
-    def evolve_block(rows):
+    # real terms against real modes: each control its own Cauchy product,
+    # in this thread, so a sweep's control gives the bits it gives alone
+    cauchy = np.zeros(ws.size, dtype=bool)
+    if dtype is complex and not nus.imag.any():
+        cauchy = ws.imag == 0
+        for (control, _, _), amp, count, state in zip(members, amps, counts,
+                                                      states):
+            done = np.flatnonzero(cauchy[:count])
+            w = ws[done].real
+            fwd, bwd = _real_sums(control.frequencies.real, amp, w, duration)
+            write(state, done, (fwd - bwd) / (2j * w), (fwd + bwd) / 2.0)
+
+    old = np.flatnonzero(~cauchy)
+    counts = [int(np.searchsorted(old, count)) for count in counts]
+
+    def evolve_block(block):
+        rows = old[block]
         w = ws[rows, None]
-        real = not w.imag.any()
-        if centred and real:
-            near = tuple(part[rows, None] for part in phi)
-            fwd = centred_phase_integral(theta, near, duration)
-        else:
-            fwd = phase_integral(nus - w, duration)
-        if mirror is not None and real:
+        fwd = phase_integral(nus - w, duration)
+        if mirror is not None and not w.imag.any():
             bwd = fwd[:, mirror]
             np.conj(bwd, out=bwd)
-        elif centred and real:
-            far = tuple(-part[rows, None] for part in phi)
-            bwd = centred_phase_integral(theta, far, duration)
         else:
             bwd = phase_integral(nus + w, duration)
         # in place, in the operand order of a product into a new array (the
@@ -194,28 +273,21 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
         c_kernel = (fwd + bwd) / 2.0
         for (_, _, cols), amp, count, state in zip(members, amps, counts,
                                                    states):
-            own = min(rows.stop, count) - rows.start
+            own = min(block.stop, count) - block.start
             if own <= 0:
                 continue
-            done = slice(rows.start, rows.start + own)
-            gain = gains[done]
-            for table, kernel in ((state.a, s_kernel),
-                                  (state.adot, c_kernel)):
+            dots = []
+            for kernel in (s_kernel, c_kernel):
                 kernel = kernel[:own]
                 if cols is not None:
                     # np.take gives C-ordered rows, whose dots round as the
                     # control's own kernel rows do (a[:, cols] would not)
                     kernel = np.take(kernel, cols, axis=1)
-                # one BLAS dot per mode, as amp @ row, and the gain applied
-                # as numpy's scalar complex product rounds it (its array
-                # product rounds some entries differently)
-                dot = np.matmul(amp, kernel[:, :, None])[:, 0]
-                value = np.empty_like(dot)
-                value.real = gain.real * dot.real - gain.imag * dot.imag
-                value.imag = gain.real * dot.imag + gain.imag * dot.real
-                table[rows_k[done], rows_l[done]] = value
+                # one BLAS dot per mode, as amp @ row
+                dots.append(np.matmul(amp, kernel[:, :, None])[:, 0])
+            write(state, rows[:own], *dots)
 
-    map_blocks(evolve_block, row_blocks(rows_k.size, nus.size))
+    map_blocks(evolve_block, row_blocks(old.size, nus.size))
     for ki, li in zip(*np.nonzero(zero)):
         gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
         ramp = ramp_integral(nus, duration)

@@ -121,10 +121,12 @@ def physical_state(a, b, modes, frequencies, amplitudes, duration):
 
 
 def terminal_state_mp(spec, k_max, frequencies, amplitudes, duration,
-                      digits=40):
+                      digits=40, rows=None):
     """Terminal modal tables (a, adot), rows k = 1..k_max, of the control
     f(t) = sum_j amp_j exp(i nu_j t) on its own double terms, the Duhamel
-    closed forms evaluated in mpmath at ``digits`` digits.
+    closed forms evaluated in mpmath at ``digits`` digits.  ``rows``, a
+    list of (k, l) pairs (k from 1, l the column from 0), evaluates only
+    those entries and gives (a, adot) as arrays in that order.
 
     a_{k,l} = (2k/pi) beta_l int f(s) sin(w (T - s)) / w ds with
     w^2 = k^2 + lambda_l taken from the double eigenvalues in mpmath (the
@@ -138,26 +140,31 @@ def terminal_state_mp(spec, k_max, frequencies, amplitudes, duration,
         t = mpmath.mpf(float(duration))
         terms = [(mpmath.mpc(complex(nu)), mpmath.mpc(complex(amp)))
                  for nu, amp in zip(frequencies, amplitudes)]
+        # e^{i d T} = e^{i nu T} e^{-+i w T}, each e^{i nu T} taken once
+        ahead_nu = [mpmath.exp(1j * nu * t) for nu, _ in terms]
 
-        def phase(d):
-            return t if d == 0 else (mpmath.exp(1j * d * t) - 1) / (1j * d)
+        def phase(d, shift):
+            return t if d == 0 else (shift - 1) / (1j * d)
 
         n = len(spec.eigenvalues)
-        a = np.zeros((k_max, n), dtype=complex)
-        adot = np.zeros((k_max, n), dtype=complex)
-        for k in range(1, k_max + 1):
-            for l in range(n):
-                lam = mpmath.mpc(complex(spec.eigenvalues[l]))
-                w = mpmath.sqrt(k * k + lam)
-                gain = 2 * k / mpmath.pi * mpmath.mpc(complex(spec.beta[l]))
-                ahead, back = mpmath.exp(1j * w * t), mpmath.exp(-1j * w * t)
-                sine = cosine = mpmath.mpc(0)
-                for nu, amp in terms:
-                    fwd, bwd = ahead * phase(nu - w), back * phase(nu + w)
-                    sine += amp * (fwd - bwd) / (2j * w)
-                    cosine += amp * (fwd + bwd) / 2
-                a[k - 1, l] = complex(gain * sine)
-                adot[k - 1, l] = complex(gain * cosine)
+        pairs = rows if rows is not None else [
+            (k, l) for k in range(1, k_max + 1) for l in range(n)]
+        a = np.zeros(len(pairs), dtype=complex)
+        adot = np.zeros(len(pairs), dtype=complex)
+        for i, (k, l) in enumerate(pairs):
+            lam = mpmath.mpc(complex(spec.eigenvalues[l]))
+            w = mpmath.sqrt(k * k + lam)
+            gain = 2 * k / mpmath.pi * mpmath.mpc(complex(spec.beta[l]))
+            ahead, back = mpmath.exp(1j * w * t), mpmath.exp(-1j * w * t)
+            fwd = bwd = mpmath.mpc(0)
+            for (nu, amp), e_nu in zip(terms, ahead_nu):
+                fwd += amp * phase(nu - w, e_nu * back)
+                bwd += amp * phase(nu + w, e_nu * ahead)
+            fwd, bwd = ahead * fwd, back * bwd
+            a[i] = complex(gain * (fwd - bwd) / (2j * w))
+            adot[i] = complex(gain * (fwd + bwd) / 2)
+    if rows is None:
+        return a.reshape(k_max, n), adot.reshape(k_max, n)
     return a, adot
 
 

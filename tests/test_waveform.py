@@ -506,10 +506,11 @@ NEAR_RESONANT_DOCS = [
 ]
 
 
-def written_control(doc, out_dir):
+def written_control(doc, out_dir, rows=None):
     """(spec, control, modal target, 40-digit terminal state) of the control
     that ``synthesize --out`` writes to control_modes.json; the state is
-    ``terminal_state_mp`` over all modes k <= K."""
+    ``terminal_state_mp`` over all modes k <= K, or one row of its values
+    at ``rows``."""
     import json
 
     from wavemoment import cli
@@ -526,9 +527,9 @@ def written_control(doc, out_dir):
     spec = decompose(CouplingSystem(config.a, config.b))
     target = target_to_modal(config.target, spec,
                              build_frequencies(spec, config.k_max))
-    exact = ModalState(*oracles.terminal_state_mp(
+    exact = ModalState(*map(np.atleast_2d, oracles.terminal_state_mp(
         spec, config.k_max, control.frequencies, control.amplitudes,
-        config.duration))
+        config.duration, rows=rows)))
     return spec, control, target, exact
 
 
@@ -614,3 +615,92 @@ def test_real_frequencies_without_a_mirror_evolve_both_ways_centred():
     exact = ModalState(*oracles.terminal_state_mp(spec, 6, freqs, amps,
                                                   2 * TWO_PI))
     assert max_rel_diff(state, exact) <= 1e-13
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_real_terms_on_either_side_of_the_near_band(mirrored):
+    # real terms at |nu - w| T / 2 = 0, 1e-9 and 0.999 from chosen modes
+    # take the centred kernel, at 1.001 and 3 the Cauchy form; both sides of
+    # the seam, and without a mirror the backward sums at -w, are the
+    # 40-digit state to rounding
+    spec = decompose(CouplingSystem(A2, B2))
+    grid = build_frequencies(spec, 6)
+    duration = 2 * TWO_PI
+    offsets = np.array([0.0, 1e-9, 0.999, 1.001, 3.0])
+    assert (offsets[:3] < waveform.NEAR).all()
+    assert (offsets[3:] > waveform.NEAR).all()
+    modes = grid.omega[[0, 2, 5], [0, 1, 0]].real
+    freqs = (modes[:, None] + np.concatenate([offsets, -offsets[1:]])
+             * 2.0 / duration).ravel()
+    if mirrored:
+        freqs = np.concatenate([freqs, -freqs])
+    rng = np.random.default_rng(25)
+    amps = rng.standard_normal(freqs.size) \
+        + 1j * rng.standard_normal(freqs.size)
+    assert (mirror_index(freqs) is not None) == mirrored
+    control = ControlSignal(duration, freqs, amps)
+    state = duhamel_exact(spec, grid, control, duration)
+    exact = ModalState(*oracles.terminal_state_mp(spec, 6, freqs, amps,
+                                                  duration))
+    assert max_rel_diff(state, exact) <= 1e-13
+
+
+def test_real_terms_against_an_imaginary_mode():
+    # lambda = -1.7: omega_{1,1} is imaginary and takes the phase-integral
+    # walk, the real modes the Cauchy product, in one evolution
+    spec = spec_for([-1.7, 0.4])
+    grid = build_frequencies(spec, 6)
+    assert np.count_nonzero(grid.omega.imag) == 1
+    rng = np.random.default_rng(3)
+    half = rng.uniform(-8.0, 8.0, 12)
+    for freqs in (half, np.concatenate([half, -half])):
+        amps = rng.standard_normal(freqs.size) \
+            + 1j * rng.standard_normal(freqs.size)
+        state = duhamel_exact(spec, grid, ControlSignal(7.0, freqs, amps), 7.0)
+        exact = ModalState(*oracles.terminal_state_mp(spec, 6, freqs, amps,
+                                                      7.0))
+        assert max_rel_diff(state, exact) <= 1e-13
+
+
+# the large-edd benchmark system (perfbench/workloads.py): N = 4, K = 256,
+# EDD, m = 2048, and its two targets
+LARGE_EDD_DOC = {"A": [[0.5, 0.0, 0.0, 0.0], [1.0, -0.3, 0.0, 0.0],
+                       [0.0, 1.0, 1.7, 0.0], [0.0, 0.0, 1.0, 2.9]],
+                 "b": [1.0, 0.0, 0.0, 0.0], "T": 8 * math.pi + 1.0,
+                 "K": 256, "method": "edd"}
+LARGE_EDD_TARGETS = {
+    "readme": {"z0": [[1, [1.0, 0.0, 0.0, 0.0]], [2, [0.0, 1.0, 0.0, 0.0]]],
+               "z1": [[1, [0.0, 1.0, 0.0, 0.0]]]},
+    "dense": {"z0": [[1, [-0.74286, -0.001444, 0.202997, -0.942622]],
+                     [2, [0.856422, -0.859159, -0.740452, 0.896657]]],
+              "z1": [[1, [0.02278, 0.325686, -0.449382, -0.724064]]]},
+}
+# (k, column l from 0): where the evolutions erred most against 40 digits,
+# with the kernels of [0, T] (up to 1.76e-6 on the dense target, at
+# (251, 0) with BLAS on one thread) or with the Cauchy form, and the dense
+# target's largest true miss (200, 1)
+LARGE_EDD_MODES = [(2, 1), (200, 1), (222, 1), (241, 1), (247, 1),
+                   (251, 0), (252, 0), (256, 1)]
+
+
+@pytest.mark.parametrize("name", LARGE_EDD_TARGETS)
+def test_large_edd_evolution_is_the_40_digit_state(name, tmp_path):
+    # verify judges the control, not its own rounding: its evolution is
+    # within 8e-7 of 40 digits at the modes where it erred most, and the
+    # dense target, which misses by 1.16e-6 at (200, 1) at 40 digits,
+    # fails verify (exit 3), no silent pass
+    spec, control, target, exact = written_control(
+        dict(LARGE_EDD_DOC, target=LARGE_EDD_TARGETS[name]), tmp_path,
+        rows=LARGE_EDD_MODES)
+    grid = build_frequencies(spec, 256)
+    report = verify(spec, grid, control, target, control.duration)
+    k, l = np.array(LARGE_EDD_MODES).T - [[1], [0]]
+    got = ModalState([report.achieved.a[k, l]], [report.achieved.adot[k, l]])
+    assert verify_error(got, exact) <= 8e-7
+    if name == "dense":
+        at = LARGE_EDD_MODES.index((200, 1))
+        miss = verify_error(ModalState(exact.a[:, [at]], exact.adot[:, [at]]),
+                            ModalState(target.a[199:200, 1:2],
+                                       target.adot[199:200, 1:2]))
+        assert miss > DEFAULT.verify_rtol
+        assert not report.passed
