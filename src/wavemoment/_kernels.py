@@ -10,25 +10,14 @@ series, and forms its arguments exactly to first order.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 SERIES_SWITCH = 1e-6
 
 # Entries per block of a blocked dense evaluation: a complex temporary of a
 # block takes 256 KiB whatever the problem size, so the few that a block
-# needs stay in a core's L2 cache.  Each thread of ``map_blocks`` holds its
-# own block's temporaries, so T threads hold T blocks' worth at once.
+# needs stay in a core's L2 cache.
 BLOCK_ELEMENTS = 1 << 14
-
-# Threads of one ``map_blocks`` call at most, whatever the CPU count.  Each
-# thread's block temporaries, and the free memory its malloc arena keeps
-# after them, add about 1.5 MiB to the peak: the peak RSS of a K sweep up to
-# m = 1024 grew by 2.8 % on 2 threads and by 5.3 % on 4 against one, when
-# its evolution still ran on them as well as its kernel fill.
-MAX_THREADS = 2
 
 
 def row_blocks(rows: int, width: int) -> list:
@@ -36,40 +25,6 @@ def row_blocks(rows: int, width: int) -> list:
     most BLOCK_ELEMENTS entries (at least one row)."""
     step = max(1, BLOCK_ELEMENTS // max(width, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
-
-
-def workers() -> int:
-    """The threads of ``map_blocks``: one per CPU this process may run on
-    (its affinity mask, which ``taskset`` narrows, or the machine's CPU
-    count where the mask cannot be read), at most MAX_THREADS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, MAX_THREADS)
-
-
-def map_blocks(body, blocks) -> list:
-    """``[body(block) for block in blocks]``, on ``workers()`` threads when
-    there are at least two blocks per thread, else in this thread.
-
-    The results come back in block order, and the exception of the first
-    block (in that order) whose body raised is raised here, once every
-    thread has finished.  A body must write only its own block's slices, so
-    the output is the same bits whatever the number of threads, and must
-    call no function that perfbench/spans.py traces, whose span stack is one
-    per process.  numpy's exponentials and copies release the GIL, which is
-    what runs the blocks at once.  The threads live for this call only.
-    The callers are the Gram's kernel fill and the evolution of controls
-    with a complex term or mode; the Cauchy product that evolves real
-    terms against real modes gains nothing here and runs in its caller.
-    """
-    blocks = list(blocks)
-    count = workers()
-    if count < 2 or len(blocks) < 2 * count:
-        return [body(block) for block in blocks]
-    with ThreadPoolExecutor(count) as pool:
-        return list(pool.map(body, blocks))
 
 
 def mirror_index(freqs):

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import _kernels, coupling, moments, spectrum, waveform
+from . import coupling, moments, spectrum, waveform
 from .exceptions import (BadInput, BetaZero, CollisionInBlock,
                          ConditioningExceeded, GridTooCoarse, ModeOutOfRange,
                          NonConvergence, RepeatedEigenvalues, SingularSystem)
@@ -424,8 +424,6 @@ def run(command: str, config: ProblemConfig, out_dir: str | None = None,
 
     def finish(code: int) -> tuple:
         timings["total_s"] = time.perf_counter() - started
-        # the threads of the Gram's kernel fill and the evolution
-        timings["workers"] = _kernels.workers()
         out = {"data": report, "timings": timings}
         if out_dir is not None:
             _write_json(os.path.join(out_dir, "report.json"), out)

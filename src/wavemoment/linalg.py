@@ -157,9 +157,9 @@ def factor_hermitian(g, tol: Tolerances = DEFAULT,
     estimate its condition.
 
     The check and the 1-norm run over column blocks, so they need no m x m
-    temporary, and in this thread, so their temporaries are one block's
-    (``assemble_gram`` holds R besides S).  ``overwrite=True`` hands S's
-    buffer to LAPACK, which factors it in place when S is Fortran-ordered.
+    temporary: their temporaries are one block's (``assemble_gram`` holds R
+    besides S).  ``overwrite=True`` hands S's buffer to LAPACK, which
+    factors it in place when S is Fortran-ordered.
     L[:n, :n] factors S[:n, :n]; if the factorization breaks down at column
     j, L_jj onward are set to zero, so the pivot guard of
     ``solve_hermitian`` fails the blocks with n >= j.

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from ._kernels import map_blocks, mirror_index, phase_integral, row_blocks
+from ._kernels import mirror_index, phase_integral, row_blocks
 from .coupling import SpectralDecomposition
 from .exceptions import (BetaZero, ConditioningExceeded, DegenerateEigenvector,
                          ModeOutOfRange, SingularSystem)
@@ -312,9 +312,8 @@ def _real_gram(family: EddFamily, duration: float,
     C^T on the right: Z[a, q] = (psi_q, phi_a) for block k's functions
     phi_a, whose Re is the row of Re phi_a and whose -Im that of Im phi_a.
     The few rows of self-mirrored block -k partners are filled whole on
-    their own.  These kernel row blocks run on ``map_blocks`` threads.  The
-    lower triangle is then copied into the upper in 64 x 64 tiles, in this
-    thread: the copy is bound by memory, not by the CPU.
+    their own.  The lower triangle is then copied into the upper in 64 x 64
+    tiles.
     """
     k_max, n = family.k_max, family.n
     pos, neg = family.nodes[k_max:], family.nodes[k_max - 1::-1]
@@ -332,7 +331,7 @@ def _real_gram(family: EddFamily, duration: float,
     out = np.empty((k_max, 2, n, m))
     w = np.conj(family.weights[k_max:])
 
-    def fill(rows):
+    for rows in row_blocks(k_max, n * m):
         width = 2 * n * rows.stop
         kernel = gram_entry(cols[:width], np.conj(pos[rows]).reshape(-1, 1),
                             duration, tol=tol)
@@ -340,8 +339,6 @@ def _real_gram(family: EddFamily, duration: float,
                      .reshape(-1, width)).reshape(-1, n, width)
         out[rows, 0, :, :width] = z.real
         np.negative(z.imag, out=out[rows, 1, :, :width])
-
-    map_blocks(fill, row_blocks(k_max, n * m))
     plain = family.self_mirrored
     if plain.any():
         kernel = gram_entry(cols, np.conj(neg[plain])[:, None], duration,
@@ -369,9 +366,8 @@ def _centred_gram(family: EddFamily, duration: float) -> np.ndarray:
     kappa(d) = int cos(d s) ds over [-T/2, T/2] = T sin(y) / y, y = d T / 2:
     real, and without cancellation at any d.  The cross terms (S'_b, C_a)
     vanish, their integrands being odd.  As in ``_real_gram``, only the
-    block-lower half is filled, a row block of whole |k| at a time on
-    ``map_blocks`` threads, and each half's upper triangle is then copied
-    from its lower.
+    block-lower half is filled, a row block of whole |k| at a time, and
+    each half's upper triangle is then copied from its lower.
     """
     k_max, n = family.k_max, family.n
     x = family.nodes[k_max:].real
@@ -390,7 +386,7 @@ def _centred_gram(family: EddFamily, duration: float) -> np.ndarray:
         np.copyto(d, half, where=y == 0)
         return d
 
-    def fill(rows):
+    for rows in row_blocks(k_max, 2 * n * size):
         groups = rows.stop
         width = n * groups
         cols = x[:groups].ravel()
@@ -402,8 +398,6 @@ def _centred_gram(family: EddFamily, duration: float) -> np.ndarray:
             z = np.matmul(z.transpose(1, 0, 2), wt[:groups])
             out[rows, :, part, :width] = z.transpose(1, 0, 2) \
                 .reshape(-1, n, width)
-
-    map_blocks(fill, row_blocks(k_max, 2 * n * size))
     halves = out.reshape(size, 2, size)
     for part in range(2):
         _mirror_lower(halves[:, part])
@@ -412,8 +406,7 @@ def _centred_gram(family: EddFamily, duration: float) -> np.ndarray:
 
 def _mirror_lower(gram: np.ndarray):
     """Copy the lower triangle of a square ``gram`` into its upper, in
-    64 x 64 tiles, in this thread: the copy is bound by memory, not by the
-    CPU."""
+    64 x 64 tiles."""
     m = gram.shape[0]
     tile = 64
     for lo in range(0, m, tile):

@@ -68,7 +68,9 @@ PROFILES = {
 
 def profile_name() -> str:
     """The profile name ``WAVEMOMENT_PROFILE`` selects, "default" when
-    unset: the only environment influence on the package."""
+    unset: the only environment influence on the package but one, the
+    BLAS thread count, on which a synthesized control's rounding
+    depends."""
     return os.environ.get(_PROFILE_ENV, "default")
 
 

@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from ._kernels import (centred_phase_integral, half_angle, map_blocks,
-                       mirror_index, phase_integral, ramp_integral,
-                       row_blocks, segment_moment, unit_phase)
+from ._kernels import (centred_phase_integral, half_angle, mirror_index,
+                       phase_integral, ramp_integral, row_blocks,
+                       segment_moment, unit_phase)
 from .coupling import SpectralDecomposition
 from .exceptions import GridTooCoarse
 from .moments import GROWTH_PIN, ControlSignal, ModalState
@@ -84,71 +84,18 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     ``control`` may instead be a list of (control, k_max) pairs, as a sweep
     at one duration holds them, ``grid`` reaching the largest k_max: then
     the result is the list of their states over the modes k <= k_max, each
-    the same bits as the control alone on its own grid.  The first control
-    with the largest k_max heads one walk over its mode blocks, and every
-    control whose terms its terms give bit for bit (``_shared_columns``)
-    reads its kernel columns from that walk's, so each integral is
-    evaluated once; any other control is evolved alone.  The Cauchy
-    products of real terms are taken per control: a control's own costs
-    no more than reading its columns from the head's would.
+    control evolved on its own, the same bits as the control alone on its
+    own grid.
     """
     if isinstance(control, ControlSignal):
-        return _evolve(spec, grid.omega, duration, tol,
-                       [(control, grid.k_max, None)])[0]
-    states = [None] * len(control)
-    head = max(range(len(control)), key=lambda i: control[i][1])
-    columns = _shared_columns(*control[head], grid.omega, duration)
-    walk = [(head, None)]
-    for i, (other, k_max) in enumerate(control):
-        if i == head:
-            continue
-        cols = columns(other, k_max)
-        if cols is None:
-            states[i] = _evolve(spec, grid.omega, duration, tol,
-                                [(other, k_max, None)])[0]
-        else:
-            walk.append((i, cols))
-    members = [(*control[i], cols) for i, cols in walk]
-    for (i, _), state in zip(walk, _evolve(spec, grid.omega, duration, tol,
-                                           members)):
-        states[i] = state
-    return states
+        return _evolve(spec, grid.omega, duration, tol, control, grid.k_max)
+    return [_evolve(spec, grid.omega, duration, tol, other, k_max)
+            for other, k_max in control]
 
 
 def _amplified(omega, duration: float) -> bool:
     """Whether some mode's e^{|Im w| T} exceeds GROWTH_PIN (long double)."""
     return bool((np.abs(omega.imag) * duration > math.log(GROWTH_PIN)).any())
-
-
-def _shared_columns(head: ControlSignal, k_head: int, omega,
-                    duration: float):
-    """The function of a (control, k_max) pair, k_max <= k_head, that gives
-    the columns of ``head``'s terms whose integrals are each of the
-    control's terms' integrals alone, or None when some are not: the
-    control's frequencies must be among the head's as bits, both must run
-    in one precision, and both must read the mirror, each term's partner
-    the same bits, or neither."""
-    bits = head.frequencies.view("V16")
-    index = dict(zip(bits.tolist(), range(bits.size)))
-    mirror = mirror_index(head.frequencies)
-    precision = _amplified(omega[:k_head], duration)
-
-    def columns(control: ControlSignal, k_max: int):
-        if _amplified(omega[:k_max], duration) != precision:
-            return None
-        cols = [index.get(key)
-                for key in control.frequencies.view("V16").tolist()]
-        own = mirror_index(control.frequencies)
-        if None in cols or (mirror is None) != (own is None):
-            return None
-        cols = np.array(cols, dtype=np.intp)
-        if own is not None and not np.array_equal(
-                bits[mirror[cols]].view(np.uint64),
-                control.frequencies[own].view(np.uint64)):
-            return None
-        return cols
-
-    return columns
 
 
 def _real_sums(nus, amp, ws, duration: float):
@@ -206,17 +153,13 @@ def _real_sums(nus, amp, ws, duration: float):
 
 
 def _evolve(spec: SpectralDecomposition, omega, duration: float,
-            tol: Tolerances, members: list) -> list:
-    """The states of ``members``, (control, k_max, cols) triples.  The
-    first is the head: the blocks run over its terms and its modes
-    k <= k_max, and its cols are None.  Every other member reads the
-    columns ``cols`` of the head's kernels and the rows of its own modes,
-    which lead the head's, as its k_max is no larger.  The modes that
-    ``_real_sums`` takes are each member's own."""
-    head, k_max, _ = members[0]
+            tol: Tolerances, control: ControlSignal,
+            k_max: int) -> ModalState:
+    """The state of ``control`` over the modes k <= k_max of ``omega``."""
     omega = omega[:k_max]
     dtype = np.clongdouble if _amplified(omega, duration) else complex
-    nus = head.frequencies.astype(dtype)
+    nus = control.frequencies.astype(dtype)
+    amp = control.amplitudes.astype(dtype)
     n = omega.shape[1]
     zero = np.abs(omega) <= tol.zero_tol
     # kernels of the other modes a block of modes at a time; one dot per mode
@@ -224,14 +167,11 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
     rows_k, rows_l = np.nonzero(~zero)
     gains = (2.0 * (rows_k + 1) / math.pi) * spec.beta[rows_l]
     ws = omega[~zero].astype(dtype)
-    mirror = mirror_index(head.frequencies)
-    amps = [control.amplitudes.astype(dtype) for control, _, _ in members]
-    counts = [int(np.count_nonzero(~zero[:k])) for _, k, _ in members]
-    states = [ModalState(np.zeros((k, n), dtype=complex),
-                         np.zeros((k, n), dtype=complex))
-              for _, k, _ in members]
+    mirror = mirror_index(control.frequencies)
+    state = ModalState(np.zeros((k_max, n), dtype=complex),
+                       np.zeros((k_max, n), dtype=complex))
 
-    def write(state, done, sine, cosine):
+    def write(done, sine, cosine):
         # the gain applied as numpy's scalar complex product rounds it (its
         # array product rounds some entries differently)
         gain = gains[done]
@@ -241,22 +181,17 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
             value.imag = gain.real * dot.imag + gain.imag * dot.real
             table[rows_k[done], rows_l[done]] = value
 
-    # real terms against real modes: each control its own Cauchy product,
-    # in this thread, so a sweep's control gives the bits it gives alone
+    # real terms against real modes: one Cauchy product
     cauchy = np.zeros(ws.size, dtype=bool)
     if dtype is complex and not nus.imag.any():
         cauchy = ws.imag == 0
-        for (control, _, _), amp, count, state in zip(members, amps, counts,
-                                                      states):
-            done = np.flatnonzero(cauchy[:count])
-            w = ws[done].real
-            fwd, bwd = _real_sums(control.frequencies.real, amp, w, duration)
-            write(state, done, (fwd - bwd) / (2j * w), (fwd + bwd) / 2.0)
+        done = np.flatnonzero(cauchy)
+        w = ws[done].real
+        fwd, bwd = _real_sums(control.frequencies.real, amp, w, duration)
+        write(done, (fwd - bwd) / (2j * w), (fwd + bwd) / 2.0)
 
     old = np.flatnonzero(~cauchy)
-    counts = [int(np.searchsorted(old, count)) for count in counts]
-
-    def evolve_block(block):
+    for block in row_blocks(old.size, nus.size):
         rows = old[block]
         w = ws[rows, None]
         fwd = phase_integral(nus - w, duration)
@@ -269,35 +204,15 @@ def _evolve(spec: SpectralDecomposition, omega, duration: float,
         # other order rounds differently)
         np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
         np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
-        s_kernel = (fwd - bwd) / (2j * w)
-        c_kernel = (fwd + bwd) / 2.0
-        for (_, _, cols), amp, count, state in zip(members, amps, counts,
-                                                   states):
-            own = min(block.stop, count) - block.start
-            if own <= 0:
-                continue
-            dots = []
-            for kernel in (s_kernel, c_kernel):
-                kernel = kernel[:own]
-                if cols is not None:
-                    # np.take gives C-ordered rows, whose dots round as the
-                    # control's own kernel rows do (a[:, cols] would not)
-                    kernel = np.take(kernel, cols, axis=1)
-                # one BLAS dot per mode, as amp @ row
-                dots.append(np.matmul(amp, kernel[:, :, None])[:, 0])
-            write(state, rows[:own], *dots)
-
-    map_blocks(evolve_block, row_blocks(old.size, nus.size))
+        # one BLAS dot per mode, as amp @ row
+        write(rows, *(np.matmul(amp, kernel[:, :, None])[:, 0]
+                      for kernel in ((fwd - bwd) / (2j * w),
+                                     (fwd + bwd) / 2.0)))
     for ki, li in zip(*np.nonzero(zero)):
         gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
-        ramp = ramp_integral(nus, duration)
-        phase = phase_integral(nus, duration)
-        for (_, k, cols), amp, state in zip(members, amps, states):
-            if ki < k:
-                take = slice(None) if cols is None else cols
-                state.a[ki, li] = gain * (amp @ ramp[take])
-                state.adot[ki, li] = gain * (amp @ phase[take])
-    return states
+        state.a[ki, li] = gain * (amp @ ramp_integral(nus, duration))
+        state.adot[ki, li] = gain * (amp @ phase_integral(nus, duration))
+    return state
 
 
 def evolve_quadrature(spec: SpectralDecomposition, grid: FrequencyGrid,

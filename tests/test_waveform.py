@@ -420,26 +420,19 @@ def real_terms(rng, count, scale):
             np.concatenate([amps, np.conj(amps)]))
 
 
-def one_call_and_alone(spec, k_top, pairs, duration, monkeypatch):
-    """Check the one-call states against each control alone; return the
-    sizes of the one call's walks over the mode blocks."""
-    walks = []
-    evolve = waveform._evolve
-    with monkeypatch.context() as patch:
-        patch.setattr(waveform, "_evolve", lambda *args: walks.append(
-            len(args[-1])) or evolve(*args))
-        grid = build_frequencies(spec, k_top)
-        one_call = duhamel_exact(spec, grid, pairs, duration)
+def one_call_and_alone(spec, k_top, pairs, duration):
+    """Check the one-call states against each control alone."""
+    grid = build_frequencies(spec, k_top)
+    one_call = duhamel_exact(spec, grid, pairs, duration)
     alone = [duhamel_exact(spec, build_frequencies(spec, k), c, duration)
              for c, k in pairs]
     for got, want, (_, k) in zip(one_call, alone, pairs):
         assert got.a.shape == (k, spec.eigenvalues.size)
         assert np.array_equal(got.a, want.a)
         assert np.array_equal(got.adot, want.adot)
-    return walks
 
 
-def test_one_call_evolution_with_a_zero_mode(monkeypatch):
+def test_one_call_evolution_with_a_zero_mode():
     # lambda = -1: omega_{1,1} = 0 takes the ramp kernel, in every control
     spec = spec_for([-1.0, 0.5])
     duration = 2 * TWO_PI + 1.0
@@ -456,12 +449,12 @@ def test_one_call_evolution_with_a_zero_mode(monkeypatch):
         cols = rng.permutation(np.concatenate([pick, pick + 40]))
         pairs.append((ControlSignal(duration, freqs[cols],
                                     rng.standard_normal(2 * count)), k))
-    assert one_call_and_alone(spec, 12, pairs, duration, monkeypatch) == [4]
+    one_call_and_alone(spec, 12, pairs, duration)
 
 
-def test_one_call_evolution_with_open_controls(monkeypatch):
-    # controls not closed under the mirror, or with terms the head lacks,
-    # are evolved alone
+def test_one_call_evolution_with_open_controls():
+    # controls not closed under the mirror, or with terms the largest
+    # control lacks
     spec = spec_for([0.5, -0.3, 1.7])
     duration = 3 * TWO_PI + 1.0
     rng = np.random.default_rng(5)
@@ -473,12 +466,51 @@ def test_one_call_evolution_with_open_controls(monkeypatch):
              (ControlSignal(duration, open_freqs[:20], amps[:20]), 4),
              (ControlSignal(duration, rng.standard_normal(30),
                             rng.standard_normal(30)), 4)]
-    # the head and its reversed terms in one walk, the others alone
-    assert one_call_and_alone(spec, 16, pairs, duration,
-                              monkeypatch) == [1, 1, 1, 2]
-    # an open head shares its integrals with an open control on its terms
-    assert one_call_and_alone(spec, 8, pairs[2:4], duration,
-                              monkeypatch) == [2]
+    one_call_and_alone(spec, 16, pairs, duration)
+    # an open largest control
+    one_call_and_alone(spec, 8, pairs[2:4], duration)
+
+
+# (A, b, K, T, basis) of the sweeps below: "real-edd" has a real spectrum,
+# "raw-growing" growing modes, pinned moments and the long-double
+# evolution (lambda_1 = -2.24 < -1), "complex-pair" complex frequencies
+SWEEP_SYSTEMS = {
+    "real-edd": ([[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
+                 [1.0, 0.0, 0.0], 24, 6 * np.pi + 1.0, "edd"),
+    "raw-growing": ([[-2.239541, 0.0, 0.0], [1.0, 0.562783, 0.0],
+                     [0.0, 1.0, 0.997996]], [1.0, 0.0, 0.0], 24,
+                    19.563415613241176, "raw"),
+    "complex-pair": ([[0.2, 0.7], [-0.7, 0.2]], [1.0, 0.0], 32,
+                     4 * np.pi + 1.0, "edd"),
+}
+
+
+@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
+def test_one_call_evolution_matches_each_control_alone(name, monkeypatch):
+    # the controls that a K sweep over K, 2K/3 and K/3 synthesizes from one
+    # assembly, evolved in one call over many small mode blocks
+    from wavemoment import _kernels
+
+    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 256)
+    a, b, k_max, duration, basis = SWEEP_SYSTEMS[name]
+    spec = decompose(CouplingSystem(np.array(a), np.array(b)))
+    grid = build_frequencies(spec, k_max)
+    family = build_edd(grid) if basis == "edd" else build_raw(grid)
+    ms = assemble_gram(family, duration)
+    n = len(b)
+    target = TargetSpec({1: np.linspace(-0.5, 0.5, n)},
+                        {2: np.linspace(0.8, -0.3, n)})
+    pairs = []
+    for k in (k_max, 2 * k_max // 3, k_max // 3):
+        small = build_frequencies(spec, k)
+        modal = target_to_modal(target, spec, small)
+        pairs.append((synthesize(ms.restrict(k), moments_from_target(
+            modal, spec, small, duration)), k))
+    if name == "raw-growing":
+        # long double, and the pinned extras repeat some frequencies
+        terms = pairs[0][0].frequencies
+        assert np.unique(terms).size < terms.size
+    one_call_and_alone(spec, k_max, pairs, duration)
 
 
 # small-batch seed 7's near-resonant rows 3, 24, 45 and 66 (the

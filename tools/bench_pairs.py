@@ -15,9 +15,7 @@ each side's values, median and quartiles, the head/base ratio of the
 medians and the number of pairs that the head won (better by the metric's
 ``better``; a tie is no win), and each run's attempted and failed
 commands and their ratio, the fail share.  It also holds each side's
-environment record (thread variables, nproc, versions) and the
-``timings.workers`` that a command reports there (null where the report
-has none).
+environment record (thread variables, nproc, versions).
 """
 
 from __future__ import annotations
@@ -31,16 +29,6 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-# a command whose report gives timings.workers, run as the benchmark runs
-WORKERS_PROBE = """
-import json, sys
-sys.path.insert(0, "src")
-from wavemoment import cli
-doc = {"A": [[0.5, 0.0], [1.0, -0.3]], "b": [1.0, 0.0], "T": 13.0, "K": 8,
-       "target": {"z0": [[1, [1.0, 0.5]]], "z1": []}}
-report, _ = cli.run("analyze", cli.parse_config(json.dumps(doc)))
-print(json.dumps(report["timings"].get("workers")))
-"""
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: int,
@@ -53,13 +41,6 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: int,
                          check=True).stdout.strip().splitlines()
     record = json.loads(out[-2].removeprefix("record "))
     return json.loads(out[-1]), record
-
-
-def probe_workers(checkout: str, pinned: dict):
-    out = subprocess.run([sys.executable, "-c", WORKERS_PROBE], cwd=checkout,
-                         env=dict(os.environ, **pinned), capture_output=True,
-                         text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def quartiles(values: list) -> dict:
@@ -141,9 +122,6 @@ def main(argv=None) -> int:
                                   for pair in pairs]
                            for side in ("base", "head")},
             "per_layer_trace1": traced}
-    for side, entry in doc["sides"].items():
-        pinned = entry["environment"]["threads"]
-        entry["timings_workers"] = probe_workers(sides[side], pinned)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
