@@ -471,48 +471,6 @@ def test_one_call_evolution_with_open_controls():
     one_call_and_alone(spec, 8, pairs[2:4], duration)
 
 
-# (A, b, K, T, basis) of the sweeps below: "real-edd" has a real spectrum,
-# "raw-growing" growing modes, pinned moments and the long-double
-# evolution (lambda_1 = -2.24 < -1), "complex-pair" complex frequencies
-SWEEP_SYSTEMS = {
-    "real-edd": ([[0.5, 0.0, 0.0], [1.0, -0.3, 0.0], [0.0, 1.0, 1.7]],
-                 [1.0, 0.0, 0.0], 24, 6 * np.pi + 1.0, "edd"),
-    "raw-growing": ([[-2.239541, 0.0, 0.0], [1.0, 0.562783, 0.0],
-                     [0.0, 1.0, 0.997996]], [1.0, 0.0, 0.0], 24,
-                    19.563415613241176, "raw"),
-    "complex-pair": ([[0.2, 0.7], [-0.7, 0.2]], [1.0, 0.0], 32,
-                     4 * np.pi + 1.0, "edd"),
-}
-
-
-@pytest.mark.parametrize("name", SWEEP_SYSTEMS)
-def test_one_call_evolution_matches_each_control_alone(name, monkeypatch):
-    # the controls that a K sweep over K, 2K/3 and K/3 synthesizes from one
-    # assembly, evolved in one call over many small mode blocks
-    from wavemoment import _kernels
-
-    monkeypatch.setattr(_kernels, "BLOCK_ELEMENTS", 256)
-    a, b, k_max, duration, basis = SWEEP_SYSTEMS[name]
-    spec = decompose(CouplingSystem(np.array(a), np.array(b)))
-    grid = build_frequencies(spec, k_max)
-    family = build_edd(grid) if basis == "edd" else build_raw(grid)
-    ms = assemble_gram(family, duration)
-    n = len(b)
-    target = TargetSpec({1: np.linspace(-0.5, 0.5, n)},
-                        {2: np.linspace(0.8, -0.3, n)})
-    pairs = []
-    for k in (k_max, 2 * k_max // 3, k_max // 3):
-        small = build_frequencies(spec, k)
-        modal = target_to_modal(target, spec, small)
-        pairs.append((synthesize(ms.restrict(k), moments_from_target(
-            modal, spec, small, duration)), k))
-    if name == "raw-growing":
-        # long double, and the pinned extras repeat some frequencies
-        terms = pairs[0][0].frequencies
-        assert np.unique(terms).size < terms.size
-    one_call_and_alone(spec, k_max, pairs, duration)
-
-
 # small-batch seed 7's near-resonant rows 3, 24, 45 and 66 (the
 # perfbench/workloads.py generator): eigenvalue gaps within 1e-2 of
 # 2^2 - 1^2, so omega_{2,1} nearly meets omega_{1,2}
