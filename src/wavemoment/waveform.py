@@ -55,8 +55,8 @@ class VerifyReport:
 
 
 def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
-                  control: ControlSignal | list, duration: float,
-                  tol: Tolerances = DEFAULT) -> ModalState | list:
+                  control: ControlSignal, duration: float,
+                  tol: Tolerances = DEFAULT) -> ModalState:
     """Terminal modal state under an exponential-combination control.
 
     a_{k,l}(T) = (2k/pi) beta_l * int f(s) sin(w (T-s))/w ds and adot with the
@@ -73,24 +73,62 @@ def duhamel_exact(spec: SpectralDecomposition, grid: FrequencyGrid,
     clustered frequencies in its arguments: (nu - w) T, rounded term by
     term, loses them, and with them the cancellation of a block's large
     EDD amplitudes (ROADMAP D8).  The other modes run in blocks of phase
-    integrals.  When the control's frequencies are closed under the
-    mirror nu -> -conj(nu) (``mirror_index``), such a block of modes with
-    real w reads its backward integrals as conjugates of its forward
-    ones, nu_j + w = -conj(nu_j' - w), bit for bit as evaluated; a block
-    with a complex or imaginary w evaluates both.  When some mode's
-    amplification e^{|Im w| T} exceeds GROWTH_PIN, its terms are that much
-    larger than its state, and all run in long double.
-
-    ``control`` may instead be a list of (control, k_max) pairs, as a sweep
-    at one duration holds them, ``grid`` reaching the largest k_max: then
-    the result is the list of their states over the modes k <= k_max, each
-    control evolved on its own, the same bits as the control alone on its
-    own grid.
+    integrals, forward and backward.  When some mode's amplification
+    e^{|Im w| T} exceeds GROWTH_PIN, its terms are that much larger than
+    its state, and all run in long double.
     """
-    if isinstance(control, ControlSignal):
-        return _evolve(spec, grid.omega, duration, tol, control, grid.k_max)
-    return [_evolve(spec, grid.omega, duration, tol, other, k_max)
-            for other, k_max in control]
+    omega = grid.omega
+    dtype = np.clongdouble if _amplified(omega, duration) else complex
+    nus = control.frequencies.astype(dtype)
+    amp = control.amplitudes.astype(dtype)
+    k_max, n = omega.shape
+    zero = np.abs(omega) <= tol.zero_tol
+    # kernels of the other modes a block of modes at a time; one dot per mode
+    # keeps the summation order of each mode's integral
+    rows_k, rows_l = np.nonzero(~zero)
+    gains = (2.0 * (rows_k + 1) / math.pi) * spec.beta[rows_l]
+    ws = omega[~zero].astype(dtype)
+    state = ModalState(np.zeros((k_max, n), dtype=complex),
+                       np.zeros((k_max, n), dtype=complex))
+
+    def write(done, sine, cosine):
+        # the gain applied as numpy's scalar complex product rounds it (its
+        # array product rounds some entries differently)
+        gain = gains[done]
+        for table, dot in ((state.a, sine), (state.adot, cosine)):
+            value = np.empty_like(dot)
+            value.real = gain.real * dot.real - gain.imag * dot.imag
+            value.imag = gain.real * dot.imag + gain.imag * dot.real
+            table[rows_k[done], rows_l[done]] = value
+
+    # real terms against real modes: one Cauchy product
+    cauchy = np.zeros(ws.size, dtype=bool)
+    if dtype is complex and not nus.imag.any():
+        cauchy = ws.imag == 0
+        done = np.flatnonzero(cauchy)
+        w = ws[done].real
+        fwd, bwd = _real_sums(control.frequencies.real, amp, w, duration)
+        write(done, (fwd - bwd) / (2j * w), (fwd + bwd) / 2.0)
+
+    old = np.flatnonzero(~cauchy)
+    for block in row_blocks(old.size, nus.size):
+        rows = old[block]
+        w = ws[rows, None]
+        fwd = phase_integral(nus - w, duration)
+        bwd = phase_integral(nus + w, duration)
+        # in place, in the operand order of a product into a new array (the
+        # other order rounds differently)
+        np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
+        np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
+        # one BLAS dot per mode, as amp @ row
+        write(rows, *(np.matmul(amp, kernel[:, :, None])[:, 0]
+                      for kernel in ((fwd - bwd) / (2j * w),
+                                     (fwd + bwd) / 2.0)))
+    for ki, li in zip(*np.nonzero(zero)):
+        gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
+        state.a[ki, li] = gain * (amp @ ramp_integral(nus, duration))
+        state.adot[ki, li] = gain * (amp @ phase_integral(nus, duration))
+    return state
 
 
 def _amplified(omega, duration: float) -> bool:
@@ -150,69 +188,6 @@ def _real_sums(nus, amp, ws, duration: float):
     bwd = 1j * (sums[:, 2] - np.conj(ahead) * sums[:, 3])
     np.add.at(bwd, near_r, amp[mirror[near_j]] * np.conj(near))
     return fwd, bwd
-
-
-def _evolve(spec: SpectralDecomposition, omega, duration: float,
-            tol: Tolerances, control: ControlSignal,
-            k_max: int) -> ModalState:
-    """The state of ``control`` over the modes k <= k_max of ``omega``."""
-    omega = omega[:k_max]
-    dtype = np.clongdouble if _amplified(omega, duration) else complex
-    nus = control.frequencies.astype(dtype)
-    amp = control.amplitudes.astype(dtype)
-    n = omega.shape[1]
-    zero = np.abs(omega) <= tol.zero_tol
-    # kernels of the other modes a block of modes at a time; one dot per mode
-    # keeps the summation order of each mode's integral
-    rows_k, rows_l = np.nonzero(~zero)
-    gains = (2.0 * (rows_k + 1) / math.pi) * spec.beta[rows_l]
-    ws = omega[~zero].astype(dtype)
-    mirror = mirror_index(control.frequencies)
-    state = ModalState(np.zeros((k_max, n), dtype=complex),
-                       np.zeros((k_max, n), dtype=complex))
-
-    def write(done, sine, cosine):
-        # the gain applied as numpy's scalar complex product rounds it (its
-        # array product rounds some entries differently)
-        gain = gains[done]
-        for table, dot in ((state.a, sine), (state.adot, cosine)):
-            value = np.empty_like(dot)
-            value.real = gain.real * dot.real - gain.imag * dot.imag
-            value.imag = gain.real * dot.imag + gain.imag * dot.real
-            table[rows_k[done], rows_l[done]] = value
-
-    # real terms against real modes: one Cauchy product
-    cauchy = np.zeros(ws.size, dtype=bool)
-    if dtype is complex and not nus.imag.any():
-        cauchy = ws.imag == 0
-        done = np.flatnonzero(cauchy)
-        w = ws[done].real
-        fwd, bwd = _real_sums(control.frequencies.real, amp, w, duration)
-        write(done, (fwd - bwd) / (2j * w), (fwd + bwd) / 2.0)
-
-    old = np.flatnonzero(~cauchy)
-    for block in row_blocks(old.size, nus.size):
-        rows = old[block]
-        w = ws[rows, None]
-        fwd = phase_integral(nus - w, duration)
-        if mirror is not None and not w.imag.any():
-            bwd = fwd[:, mirror]
-            np.conj(bwd, out=bwd)
-        else:
-            bwd = phase_integral(nus + w, duration)
-        # in place, in the operand order of a product into a new array (the
-        # other order rounds differently)
-        np.multiply(np.exp(1j * w * duration), fwd, out=fwd)
-        np.multiply(np.exp(-1j * w * duration), bwd, out=bwd)
-        # one BLAS dot per mode, as amp @ row
-        write(rows, *(np.matmul(amp, kernel[:, :, None])[:, 0]
-                      for kernel in ((fwd - bwd) / (2j * w),
-                                     (fwd + bwd) / 2.0)))
-    for ki, li in zip(*np.nonzero(zero)):
-        gain = (2.0 * (ki + 1) / math.pi) * spec.beta[li]
-        state.a[ki, li] = gain * (amp @ ramp_integral(nus, duration))
-        state.adot[ki, li] = gain * (amp @ phase_integral(nus, duration))
-    return state
 
 
 def evolve_quadrature(spec: SpectralDecomposition, grid: FrequencyGrid,
@@ -350,19 +325,15 @@ def sobolev_norm(modal: ModalState, s: float, table: str = "a",
 
 def verify(spec: SpectralDecomposition, grid: FrequencyGrid,
            control: ControlSignal, target: ModalState, duration: float,
-           tol: Tolerances = DEFAULT,
-           achieved: ModalState | None = None) -> VerifyReport:
+           tol: Tolerances = DEFAULT) -> VerifyReport:
     """Evolve the control and compare against the target modal tables.
 
     The error metric is max over modes of |achieved - target| / (1 +
     |target|), taken over both the a and adot tables; the control passes at
-    or below ``tol.verify_rtol``.  The achieved modal
-    state is handed back on the report.  ``achieved`` is the control's
-    ``duhamel_exact`` state when the caller has it already (a sweep evolves
-    its controls in one call), and is then not evolved again.
+    or below ``tol.verify_rtol``.  The achieved modal state is handed back
+    on the report.
     """
-    if achieved is None:
-        achieved = duhamel_exact(spec, grid, control, duration, tol=tol)
+    achieved = duhamel_exact(spec, grid, control, duration, tol=tol)
     err_a = float((np.abs(achieved.a - target.a)
                    / (1.0 + np.abs(target.a))).max())
     err_adot = float((np.abs(achieved.adot - target.adot)

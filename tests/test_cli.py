@@ -322,26 +322,6 @@ def test_k_sweep_assembles_factors_and_decomposes_once(monkeypatch):
                      "dpotrf": 2}
 
 
-def rows_verified_one_by_one(monkeypatch, doc):
-    """The sweep's rows with each control evolved on its own by ``verify``,
-    as a sweep verified before its one-call evolution."""
-    from wavemoment import waveform
-
-    def one_by_one(rows, held, spec, tol):
-        for i, (grid, modal, control) in held.items():
-            report = waveform.verify(spec, grid, control, modal,
-                                     rows[i]["T"], tol=tol)
-            rows[i]["max_rel_error"] = report.max_rel_error
-            if not report.passed:
-                rows[i]["status"] = "verify_failed"
-
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_verify_points", one_by_one)
-        report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
-    assert code == cli.EXIT_OK
-    return report["data"]["sweep"]["rows"]
-
-
 def sweep_calls(monkeypatch, doc):
     """(rows, timings, calls) of a sweep, counting its evolutions and
     verifications."""
@@ -360,31 +340,76 @@ def test_k_sweep_evolves_once_and_verifies_each_point(monkeypatch):
     doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
     rows, timings, calls = sweep_calls(monkeypatch, doc)
     assert [row["status"] for row in rows] == ["ok"] * 3
-    assert calls == {"duhamel_exact": 1, "verify": 3}
-    assert rows == rows_verified_one_by_one(monkeypatch, doc)
-    assert {"point_4_s", "point_16_s", "point_8_s",
-            "verification_s"} <= set(timings)
+    assert calls == {"duhamel_exact": 3, "verify": 3}
+    # a point's time covers its synthesis and its verification
+    assert {key for key in timings if key.startswith("point_")} == \
+        {"point_4_s", "point_16_s", "point_8_s"}
+    assert "verification_s" not in timings
 
 
 def test_k_sweep_rows_are_unchanged_when_the_top_point_fails(monkeypatch):
     # raw basis: the condition estimate is 1.2e3 at K = 16 and 3.2e2 at
-    # K = 8, so the top point fails synthesis and K = 8 heads the evolution
+    # K = 8, so the top point fails synthesis and is not verified
     doc = dict(A2_DOC, method="raw", tolerances={"cond_cap": 1e3},
                sweep={"parameter": "K", "values": [4, 16, 8]})
     rows, _, calls = sweep_calls(monkeypatch, doc)
     assert [row["status"] for row in rows] == \
         ["ok", "ConditioningExceeded", "ok"]
-    assert calls == {"duhamel_exact": 1, "verify": 2}
-    assert rows == rows_verified_one_by_one(monkeypatch, doc)
+    assert calls == {"duhamel_exact": 2, "verify": 2}
 
 
-def test_t_sweep_evolves_once_per_distinct_t(monkeypatch):
+def test_t_sweep_evolves_each_point_once(monkeypatch):
     doc = dict(README_EDD_DOC, sweep={
         "parameter": "T", "values": [FOUR_PI, FOUR_PI + 1.0, FOUR_PI]})
     rows, _, calls = sweep_calls(monkeypatch, doc)
     assert [row["status"] for row in rows] == ["ok"] * 3
-    assert calls == {"duhamel_exact": 2, "verify": 3}
-    assert rows == rows_verified_one_by_one(monkeypatch, doc)
+    assert calls == {"duhamel_exact": 3, "verify": 3}
+
+
+def assert_row_is_verify(row, doc):
+    """A sweep row carries the numbers of ``verify`` on its point."""
+    report, code = cli.run("verify", cli.parse_config(json.dumps(
+        dict(doc, T=row["T"], K=row["K"]))))
+    synthesis = report["data"]["synthesis"]
+    for key in ("cond_estimate", "control_norm", "moment_residual"):
+        assert row[key] == synthesis[key]
+    assert row["max_rel_error"] == \
+        report["data"]["verification"]["max_rel_error"]
+    assert (row["status"] == "ok") == (code == cli.EXIT_OK)
+
+
+def test_sweep_rows_are_the_numbers_of_verify():
+    doc = dict(README_EDD_DOC, sweep={
+        "parameter": "T", "values": [FOUR_PI, FOUR_PI + 1.0]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    for row in report["data"]["sweep"]["rows"]:
+        assert_row_is_verify(row, README_EDD_DOC)
+    # the top row of a K sweep assembles; the smaller K read a restricted
+    # factor, whose 1-norm is summed another way
+    doc = dict(README_EDD_DOC, sweep={"parameter": "K", "values": [4, 16, 8]})
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    assert_row_is_verify(report["data"]["sweep"]["rows"][1], README_EDD_DOC)
+
+
+def test_k_sweep_checks_its_values_not_k_against_the_target():
+    # K defaults to 16, below the target's mode 20, and a K sweep never
+    # uses it
+    doc = dict(README_EDD_DOC, target={"z0": [[20, [1.0, 0.0]]]},
+               sweep={"parameter": "K", "values": [24, 32]})
+    del doc["K"]
+    report, code = cli.run("sweep", cli.parse_config(json.dumps(doc)))
+    assert code == cli.EXIT_OK
+    assert report["data"]["K"] == 16
+    rows = report["data"]["sweep"]["rows"]
+    assert [(row["K"], row["status"]) for row in rows] == \
+        [(24, "ok"), (32, "ok")]
+    with pytest.raises(BadInput) as err:
+        cli.parse_config(json.dumps(
+            dict(doc, sweep={"parameter": "K", "values": [16, 32]})))
+    assert err.value.errors == [
+        "sweep K values must be integers >= the largest target mode"]
 
 
 def test_series_switch_override_does_not_reach_verify():

@@ -120,9 +120,8 @@ def test_zero_frequency_mode():
 
 @pytest.mark.parametrize("block", [None, 40])
 def test_duhamel_matches_per_mode_reference(block, monkeypatch):
-    # modes in blocks of phase integrals, bitwise as one call per mode; a
-    # control closed under the mirror nu -> -conj(nu) reads the backward
-    # integrals of blocks of real modes as conjugates, bitwise as evaluated
+    # modes in blocks of phase integrals, bitwise as one call per mode, for
+    # controls closed under the mirror nu -> -conj(nu) and open ones
     from wavemoment import _kernels
 
     if block is not None:  # 40 entries: one mode per block
@@ -410,67 +409,6 @@ def test_wellposedness_bounded_and_stable():
         assert r8 <= r16 <= 2.0 * r8
 
 
-def real_terms(rng, count, scale):
-    """A real control's terms: frequencies closed under nu -> -conj(nu),
-    conjugate amplitudes on mirrored frequencies."""
-    freqs = rng.standard_normal(count) * scale + 0.05j * rng.standard_normal(
-        count)
-    amps = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-    return (np.concatenate([freqs, -np.conj(freqs)]),
-            np.concatenate([amps, np.conj(amps)]))
-
-
-def one_call_and_alone(spec, k_top, pairs, duration):
-    """Check the one-call states against each control alone."""
-    grid = build_frequencies(spec, k_top)
-    one_call = duhamel_exact(spec, grid, pairs, duration)
-    alone = [duhamel_exact(spec, build_frequencies(spec, k), c, duration)
-             for c, k in pairs]
-    for got, want, (_, k) in zip(one_call, alone, pairs):
-        assert got.a.shape == (k, spec.eigenvalues.size)
-        assert np.array_equal(got.a, want.a)
-        assert np.array_equal(got.adot, want.adot)
-
-
-def test_one_call_evolution_with_a_zero_mode():
-    # lambda = -1: omega_{1,1} = 0 takes the ramp kernel, in every control
-    spec = spec_for([-1.0, 0.5])
-    duration = 2 * TWO_PI + 1.0
-    grid = build_frequencies(spec, 12)
-    assert grid.omega[0, 0] == 0 and np.count_nonzero(grid.omega == 0) == 1
-    rng = np.random.default_rng(3)
-    freqs, amps = real_terms(rng, 40, 6.0)
-    top = ControlSignal(duration, freqs, amps)
-    pairs = [(top, 12)]
-    for k, count in ((6, 24), (1, 8), (12, 40)):
-        # a random subset of the top's terms, closed under the mirror, in a
-        # shuffled order
-        pick = rng.permutation(40)[:count]
-        cols = rng.permutation(np.concatenate([pick, pick + 40]))
-        pairs.append((ControlSignal(duration, freqs[cols],
-                                    rng.standard_normal(2 * count)), k))
-    one_call_and_alone(spec, 12, pairs, duration)
-
-
-def test_one_call_evolution_with_open_controls():
-    # controls not closed under the mirror, or with terms the largest
-    # control lacks
-    spec = spec_for([0.5, -0.3, 1.7])
-    duration = 3 * TWO_PI + 1.0
-    rng = np.random.default_rng(5)
-    freqs, amps = real_terms(rng, 60, 10.0)
-    open_freqs = freqs[:50]
-    pairs = [(ControlSignal(duration, freqs, amps), 16),
-             (ControlSignal(duration, freqs[::-1], amps), 8),
-             (ControlSignal(duration, open_freqs, amps[:50]), 8),
-             (ControlSignal(duration, open_freqs[:20], amps[:20]), 4),
-             (ControlSignal(duration, rng.standard_normal(30),
-                            rng.standard_normal(30)), 4)]
-    one_call_and_alone(spec, 16, pairs, duration)
-    # an open largest control
-    one_call_and_alone(spec, 8, pairs[2:4], duration)
-
-
 # small-batch seed 7's near-resonant rows 3, 24, 45 and 66 (the
 # perfbench/workloads.py generator): eigenvalue gaps within 1e-2 of
 # 2^2 - 1^2, so omega_{2,1} nearly meets omega_{1,2}
@@ -592,8 +530,8 @@ def test_close_pair_evolution_is_the_40_digit_state(k_max, tmp_path):
 
 def test_real_frequencies_without_a_mirror_evolve_both_ways_centred():
     # a real spectrum and real frequencies not closed under nu -> -nu: the
-    # backward integrals are evaluated with the centred kernel, not read
-    # as conjugates
+    # backward sums are the forward ones at -w, the near pairs through the
+    # centred kernel
     spec = decompose(CouplingSystem(A2, B2))
     grid = build_frequencies(spec, 6)
     rng = np.random.default_rng(12)
